@@ -394,25 +394,10 @@ def parity_kernel(n: int, bound: int, mode: str = "lambda_only"):
     assert all(c.denominator == 1 for row in rows for c in row)
 
     # reduced row echelon over the rationals
-    mat = [list(map(Fraction, row)) for row in rows]
+    reduced, pivots = linalg.rref(
+        [[Scalar.from_fraction(c) for c in row] for row in rows])
+    mat = [[x.as_fraction() for x in row] for row in reduced]
     ncols = 2 * n
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        piv = next((r for r in range(lead, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[lead], mat[piv] = mat[piv], mat[lead]
-        inv = 1 / mat[lead][col]
-        mat[lead] = [x * inv for x in mat[lead]]
-        for r in range(len(mat)):
-            if r != lead and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(mat):
-            break
     free_cols = [c for c in range(ncols) if c not in pivots]
     out = []
     for assignment in itertools.product(range(-bound, bound + 1),
@@ -423,7 +408,7 @@ def parity_kernel(n: int, bound: int, mode: str = "lambda_only"):
         for c, val in zip(free_cols, assignment):
             vec[c] = Fraction(val)
         ok = True
-        for prow, pcol in zip(mat[:len(pivots)], pivots):
+        for prow, pcol in zip(mat, pivots):
             val = -sum(prow[c] * vec[c] for c in free_cols)
             if val.denominator != 1 or abs(val) > bound:
                 ok = False

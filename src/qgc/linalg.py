@@ -1,15 +1,17 @@
 """Small exact linear algebra over the scalar field.
 
-Dense routines cover graded-basis reduction and Gram handling (sizes stay in
-the dozens); a sparse Gauss-Jordan backs the centrality solver.  Gram
-inversion runs fraction-free over integer Laurent polynomials to keep
-intermediate entries small.
+One dense Gauss-Jordan routine, `rref`, serves graded-basis reduction, ranks,
+Gram inversion (on [G | I]) and the parity-kernel probe; sizes stay in the
+dozens, and row updates touch only the nonzero columns of the pivot row.
+Over canonical scalars it never forms the large leading minors that a
+fraction-free elimination of a Gram block builds, while the inverse entries
+themselves stay small.  A sparse Gauss-Jordan backs the centrality solver.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ZERO, LaurentBi, Scalar
+from .scalars import ONE, ZERO
 
 
 def rref(rows):
@@ -32,11 +34,14 @@ def rref(rows):
             continue
         mat[lead], mat[piv] = mat[piv], mat[lead]
         inv = mat[lead][col].inverse()
-        mat[lead] = [x * inv for x in mat[lead]]
+        prow = mat[lead] = [x * inv for x in mat[lead]]
+        support = [k for k, b in enumerate(prow) if not b.is_zero()]
         for r in range(len(mat)):
-            if r != lead and not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[lead])]
+            c = mat[r][col]
+            if r != lead and not c.is_zero():
+                row = mat[r]
+                for k in support:
+                    row[k] = row[k] - c * prow[k]
         pivots.append(col)
         lead += 1
         if lead == len(mat):
@@ -49,53 +54,17 @@ def rank(rows) -> int:
 
 
 def invert(mat):
-    """Inverse of a square Scalar matrix.
+    """Inverse of a square Scalar matrix by Gauss-Jordan on [mat | I].
 
-    Denominators are cleared row by row, then a fraction-free (Bareiss)
-    forward elimination runs over LaurentBi before an exact back-substitution.
     Raises ArithmeticError when the matrix is singular.
     """
     d = len(mat)
-    if d == 0:
-        return []
-    work = []
-    for i, row in enumerate(mat):
-        den = LaurentBi.const(1)
-        for x in row:
-            g = den.gcd(x.den)
-            den = den * x.den.divexact(g)
-        cleared = [x.num * den.divexact(x.den) for x in row]
-        aug = [LaurentBi.const(0)] * d
-        aug[i] = den
-        work.append(cleared + aug)
-    n_all = 2 * d
-    prev = LaurentBi.const(1)
-    for k in range(d):
-        piv = None
-        for r in range(k, d):
-            if not work[r][k].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ArithmeticError("singular matrix")
-        work[k], work[piv] = work[piv], work[k]
-        for r in range(k + 1, d):
-            for c in range(k + 1, n_all):
-                val = work[k][k] * work[r][c] - work[r][k] * work[k][c]
-                work[r][c] = val.divexact(prev)
-            work[r][k] = LaurentBi.const(0)
-        prev = work[k][k]
-    out = [[ZERO] * d for _ in range(d)]
-    for col in range(d):
-        sol = [None] * d
-        for r in range(d - 1, -1, -1):
-            acc = Scalar(work[r][d + col])
-            for c in range(r + 1, d):
-                acc = acc - Scalar(work[r][c]) * sol[c]
-            sol[r] = acc / Scalar(work[r][r])
-        for r in range(d):
-            out[r][col] = sol[r]
-    return out
+    aug = [list(row) + [ONE if c == i else ZERO for c in range(d)]
+           for i, row in enumerate(mat)]
+    reduced, pivots = rref(aug)
+    if pivots[:d] != list(range(d)):
+        raise ArithmeticError("singular matrix")
+    return [row[d:] for row in reduced]
 
 
 def solve_unique(equations, variables):

@@ -106,10 +106,6 @@ class ColMatrix:
                 total = total + v * diag[j]
         return total
 
-    def to_dense(self):
-        return [[self.entry(r, c) for c in range(self.dim)]
-                for r in range(self.dim)]
-
 
 def _heights(n, h):
     """All nonnegative integer vectors of length n summing to h."""

@@ -237,9 +237,6 @@ class RootSystemB:
     def dominant_representative(self, vec):
         return tuple(sorted((abs(x) for x in vec), reverse=True))
 
-    def orbit_size(self, lam):
-        return len(self.weyl_orbit(lam))
-
     # -- representation-theoretic data -------------------------------------------
 
     def dominant_weights_below(self, lam):

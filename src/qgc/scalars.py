@@ -524,11 +524,3 @@ def r_power(q) -> Scalar:
     if e.denominator != 1:
         raise ValueError(f"r^{q} is not representable over half powers")
     return Scalar.monomial(int(e), 0)
-
-
-def s_power(q) -> Scalar:
-    q = Fraction(q)
-    e = 2 * q
-    if e.denominator != 1:
-        raise ValueError(f"s^{q} is not representable over half powers")
-    return Scalar.monomial(0, int(e))
