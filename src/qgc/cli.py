@@ -111,6 +111,11 @@ def parse(argv):
                    help="skip the central-element cross check")
 
     args = top.parse_args(argv)
+    for attr, low in (("n", 1), ("depth", 0), ("trials", 1), ("height", 1),
+                      ("bound", 1)):
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            top.error(f"--{attr} must be at least {low}")
     for attr in ("lambda_fund", "lambda_alpha", "mu_fund", "mu_alpha", "nu"):
         vec = getattr(args, attr, None)
         if vec is not None and len(vec) != args.n:
@@ -190,7 +195,7 @@ def _cmd_rosso_check(args):
 
     def rand_elt():
         x = alg.one()
-        for _ in range(rng.randint(1, max(1, args.height))):
+        for _ in range(rng.randint(1, args.height)):
             kind = rng.choice(["e", "f", "w", "wp"])
             i = rng.randint(1, alg.n)
             if kind == "e":

@@ -3,15 +3,20 @@
 Elements are kept in triangular normal form: each term is a lowering word, a
 toral monomial w'_eta w_phi, a raising word, and a scalar, with both words
 drawn from graded-basis representatives of the halves modulo the Serre
-ideal.  Products are straightened by moving torals and resolving raising /
-lowering adjacencies, then reducing the pure words degreewise by linear
-algebra over the scalar field.
+ideal.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
+junction e1 f2, whose normal form is tabulated per (raising word, lowering
+word) pair by peeling raising letters through [e_i, f_i] = (w_i - w'_i) /
+(r_i - s_i).  The torals cross the remaining words as unit monomials
+u^a v^b, and the joined pure words are reduced degreewise by linear algebra
+over the scalar field.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 from . import linalg
@@ -26,16 +31,37 @@ from .scalars import ONE, ZERO, Scalar
 _CACHE_FORMAT = "qgc-basis-1"
 
 
-def _zero_vec(n):
-    return (0,) * n
-
-
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
 def _vec_neg(a):
     return tuple(-x for x in a)
+
+
+def _unit(n, i):
+    return tuple(1 if k == i - 1 else 0 for k in range(n))
+
+
+def _accumulate(out, key, c):
+    """out[key] += c, dropping the key when the sum cancels."""
+    acc = out.get(key, ZERO) + c
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+def _word_shift(cross, word):
+    """Total crossing exponents of a word, from per-letter (cu, cv)."""
+    cu, cv = cross
+    return sum(cu[l - 1] for l in word), sum(cv[l - 1] for l in word)
+
+
+def _exponent(x) -> int:
+    if type(x) is not int and Fraction(x).denominator != 1:
+        raise ValueError(f"exponent {x} leaves the half-power lattice")
+    return int(x)
 
 
 def word_content(n, word):
@@ -85,11 +111,7 @@ class Element:
         self._compat(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            c2 = terms.get(k, ZERO) + c
-            if c2.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = c2
+            _accumulate(terms, k, c)
         return Element(self.algebra, terms)
 
     def __sub__(self, other):
@@ -176,11 +198,7 @@ class TensorElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            c2 = terms.get(k, ZERO) + c
-            if c2.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = c2
+            _accumulate(terms, k, c)
         return TensorElement(self.algebra, terms)
 
     def __sub__(self, other):
@@ -196,12 +214,7 @@ class TensorElement:
             p2 = alg.element_from_term(k2) * right
             for kk1, c1 in p1.terms.items():
                 for kk2, c2 in p2.terms.items():
-                    key = (kk1, kk2)
-                    acc = out.get(key, ZERO) + c * c1 * c2
-                    if acc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+                    _accumulate(out, (kk1, kk2), c * c1 * c2)
         return TensorElement(self.algebra, out)
 
     def __eq__(self, other):
@@ -209,9 +222,6 @@ class TensorElement:
 
     def is_zero(self):
         return not self.terms
-
-
-_RANK = {"F": 0, "T": 1, "E": 2}
 
 
 class Algebra:
@@ -237,8 +247,8 @@ class Algebra:
                     self._gs[i][j] = -1
         self._basis_cache = {}
         self._reduce_cache = {}
-        self._normalize_cache = {}
-        self._zero = _zero_vec(n)
+        self._junction_table = {}
+        self._zero = (0,) * n
 
     def _eps_dot_alpha(self, eps_index, alpha_doubled):
         # (eps_k, alpha) with alpha in doubled coordinates
@@ -278,23 +288,11 @@ class Algebra:
         return self._gpair_any(eta, phi)
 
     def _gpair_any(self, eta, phi) -> Scalar:
-        ru = Fraction(0)
-        sv = Fraction(0)
-        for i, ei in enumerate(eta):
-            if not ei:
-                continue
-            ei = Fraction(ei)
-            for j, pj in enumerate(phi):
-                if not pj:
-                    continue
-                pj = Fraction(pj)
-                c = ei * pj
-                ru += self._gr[i][j] * c
-                sv += self._gs[i][j] * c
-        ue, ve = 2 * ru, 2 * sv
-        if ue.denominator != 1 or ve.denominator != 1:
-            raise ValueError("pairing value leaves the half-power lattice")
-        return Scalar.monomial(int(ue), int(ve))
+        pairs = [(Fraction(ei) * pj, i, j) for i, ei in enumerate(eta) if ei
+                 for j, pj in enumerate(phi) if pj]
+        ru = sum(c * self._gr[i][j] for c, i, j in pairs)
+        sv = sum(c * self._gs[i][j] for c, i, j in pairs)
+        return Scalar.monomial(_exponent(2 * ru), _exponent(2 * sv))
 
     def chi(self, eta, phi, eta1, phi1) -> Scalar:
         """Toral character value <w'_eta, w_phi1> <w'_eta1, w_phi>."""
@@ -370,16 +368,12 @@ class Algebra:
         return Element(self, {key: coeff})
 
     def fword_element(self, word, coeff=ONE) -> Element:
-        out = {}
-        for rep, c in self.reduce_word("-", tuple(word)).items():
-            out[(rep, self._zero, self._zero, ())] = c * coeff
-        return Element(self, out)
+        return Element(self, {(rep, self._zero, self._zero, ()): c * coeff
+                              for rep, c in self.reduce_word("-", word).items()})
 
     def eword_element(self, word, coeff=ONE) -> Element:
-        out = {}
-        for rep, c in self.reduce_word("+", tuple(word)).items():
-            out[((), self._zero, self._zero, rep)] = c * coeff
-        return Element(self, out)
+        return Element(self, {((), self._zero, self._zero, rep): c * coeff
+                              for rep, c in self.reduce_word("+", word).items()})
 
     def _check_index(self, i):
         if not 1 <= i <= self.n:
@@ -480,7 +474,7 @@ class Algebra:
             rest = tuple(a - b for a, b in zip(nu, rel_content))
             if any(c < 0 for c in rest):
                 continue
-            for left in self._splits(rest):
+            for left in itertools.product(*(range(c + 1) for c in rest)):
                 right = tuple(a - b for a, b in zip(rest, left))
                 for u in self.words_of_content(left):
                     for w in self.words_of_content(right):
@@ -488,10 +482,7 @@ class Algebra:
                         for mid, c in rel.items():
                             row[index[u + mid + w]] = c
                         rows.append(row)
-        if rows:
-            reduced, pivots = linalg.rref(rows)
-        else:
-            reduced, pivots = [], []
+        reduced, pivots = linalg.rref(rows) if rows else ([], [])
         pivot_set = set(pivots)
         reps = sorted(w for w, k in index.items() if k not in pivot_set)
         reduction = {w: {w: ONE} for w in reps}
@@ -502,14 +493,6 @@ class Algebra:
                     expansion[words[k]] = -c
             reduction[words[pcol]] = expansion
         return GradedBasis(sign, nu, reps, reduction)
-
-    def _splits(self, total):
-        """All componentwise splits 0 <= left <= total."""
-        ranges = [range(c + 1) for c in total]
-        out = [()]
-        for r in ranges:
-            out = [t + (x,) for t in out for x in r]
-        return out
 
     def reduce_word(self, sign, word):
         word = tuple(word)
@@ -551,14 +534,27 @@ class Algebra:
                 w = tuple(int(x) for x in wstr.split(",")) if wstr else ()
                 reduction[w] = {tuple(rw): Scalar.from_json(cj)
                                 for rw, cj in expansion}
-            return GradedBasis(sign, tuple(nu), words, reduction)
-        except Exception:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ZeroDivisionError):
             return None
+        basis = GradedBasis(sign, tuple(nu), words, reduction)
+        return basis if self._is_sound(basis) else None
+
+    def _is_sound(self, basis):
+        """Kostant dimension, a reduction for every word of the content, and
+        representatives that reduce to themselves and span every expansion."""
+        reps, red = set(basis.words), basis.reduction
+        return len(reps) == len(basis.words) == self.rs.kostant_count(basis.nu) \
+            and set(red) == set(self.words_of_content(basis.nu)) \
+            and all(red[w] == {w: ONE} for w in reps) \
+            and all(set(expansion) <= reps for expansion in red.values())
 
     def _store_disk_basis(self, basis):
+        """Write through a temporary file, so readers never see a partial one."""
         path = self._cache_path(basis.sign, basis.nu)
         if not path:
             return
+        tmp = None
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             data = {
@@ -573,102 +569,108 @@ class Algebra:
                     for w, expansion in basis.reduction.items()
                 },
             }
-            with open(path, "w", encoding="utf-8") as fh:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
+            os.replace(tmp, path)
         except OSError:
-            pass
+            if tmp is not None and os.path.exists(tmp):
+                os.unlink(tmp)
 
     # -- straightening --------------------------------------------------------
 
     def straighten(self, x: Element, y: Element) -> Element:
+        """Normal form of x*y, split at the raising/lowering junction.
+
+        (f1 t1 e1)(f2 t2 e2) = f1 t1 [e1 f2] t2 e2: the junction comes from
+        the (E-word, F-word) table, t1 moves right past its lowering part and
+        t2 left past its raising part by unit monomials, and the joined words
+        are reduced to graded-basis representatives.
+        """
+        raw = {}
+        ys = [(key, c, self._crossing(key[1], key[2]))
+              for key, c in y.terms.items()]
+        for (f1, eta1, phi1, e1), c1 in x.terms.items():
+            cross1 = self._crossing(eta1, phi1)
+            for (f2, eta2, phi2, e2), c2, cross2 in ys:
+                c = c1 * c2
+                for (fj, etaj, phij, ej), cj in self.junction(e1, f2).items():
+                    a1, b1 = _word_shift(cross1, fj)
+                    a2, b2 = _word_shift(cross2, ej)
+                    key = (f1 + fj, _vec_add(_vec_add(eta1, etaj), eta2),
+                           _vec_add(_vec_add(phi1, phij), phi2), ej + e2)
+                    _accumulate(raw, key, (c * cj).shift(a1 + a2, b1 + b2))
         out = {}
-        for lx, cx in x.letters():
-            for ly, cy in y.letters():
-                c = cx * cy
-                for key, cw in self._normalize(tuple(lx + ly)).items():
-                    acc = out.get(key, ZERO) + c * cw
-                    if acc.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = acc
+        for (fw, eta, phi, ew), c in raw.items():
+            for f_rep, cf in self.reduce_word("-", fw).items():
+                cf = c * cf
+                for e_rep, ce in self.reduce_word("+", ew).items():
+                    _accumulate(out, (f_rep, eta, phi, e_rep), cf * ce)
         return Element(self, out)
 
-    def _normalize(self, letters):
-        """Normal form of a product of generator letters, fully memoized.
+    def junction(self, ew, fw):
+        """Normal form of the raising word ew times the lowering word fw.
 
-        Rewrites the leftmost inversion of the F < T < E letter order; the
-        raising/lowering adjacency branches through the commutator, so
-        memoizing every intermediate word shares the bulk of the work across
-        products with common tails.
+        Maps (fword, eta, phi, eword) -> Scalar, where the words are subwords
+        of fw and ew, not yet reduced.  Raising letters are peeled off the
+        left one at a time with e_i f_j w = f_j (e_i w) + d_ij (w_i - w'_i) w
+        / (r_i - s_i); every (ew, fw) pair met on the way is memoized.
         """
-        hit = self._normalize_cache.get(letters)
+        key = (ew, fw)
+        hit = self._junction_table.get(key)
         if hit is not None:
             return hit
-        idx = None
-        for k in range(len(letters) - 1):
-            a, b = letters[k][0], letters[k + 1][0]
-            if _RANK[a] > _RANK[b] or (a == "T" and b == "T"):
-                idx = k
-                break
-        if idx is None:
-            out = {}
-            self._emit(letters, ONE, out)
-            out = {k: c for k, c in out.items() if not c.is_zero()}
-            self._normalize_cache[letters] = out
-            return out
-        x, y = letters[idx], letters[idx + 1]
-        branches = []
-        if x[0] == "T" and y[0] == "T":
-            merged = ("T", _vec_add(x[1], y[1]), _vec_add(x[2], y[2]))
-            branches.append((letters[:idx] + (merged,) + letters[idx + 2:], ONE))
-        elif x[0] == "T" and y[0] == "F":
-            m = self._move_scalar(x[1], x[2], y[1])
-            branches.append((letters[:idx] + (y, x) + letters[idx + 2:], m))
-        elif x[0] == "E" and y[0] == "T":
-            m = self._move_scalar(y[1], y[2], x[1])
-            branches.append((letters[:idx] + (y, x) + letters[idx + 2:], m))
-        else:  # E then F: resolve the raising/lowering adjacency
-            i, j = x[1], y[1]
-            branches.append((letters[:idx] + (y, x) + letters[idx + 2:], ONE))
+        zero = self._zero
+        if not ew or not fw:
+            out = {(fw, zero, zero, ew): ONE}
+        elif len(ew) == 1:
+            i, j, rest = ew[0], fw[0], fw[1:]
+            out = {((j,) + f, eta, phi, e): c
+                   for (f, eta, phi, e), c in self.junction(ew, rest).items()}
             if i == j:
-                c = ONE / (self.r_i(i) - self.s_i(i))
-                unit = tuple(1 if k == i - 1 else 0 for k in range(self.n))
-                head, tail = letters[:idx], letters[idx + 2:]
-                branches.append((head + (("T", self._zero, unit),) + tail, c))
-                branches.append((head + (("T", unit, self._zero),) + tail, -c))
-        out = {}
-        for word, coeff in branches:
-            for key, cw in self._normalize(word).items():
-                acc = out.get(key, ZERO) + coeff * cw
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        self._normalize_cache[letters] = out
+                unit = _unit(self.n, i)
+                c = (self.r_i(i) - self.s_i(i)).inverse()
+                a, b = _word_shift(self._crossing(zero, unit), rest)
+                _accumulate(out, (rest, zero, unit, ()), c.shift(a, b))
+                a, b = _word_shift(self._crossing(unit, zero), rest)
+                _accumulate(out, (rest, unit, zero, ()), -c.shift(a, b))
+        else:
+            head = ew[:1]
+            out = {}
+            for (f, eta, phi, e), c in self.junction(ew[1:], fw).items():
+                for (f2, eta2, phi2, e2), c2 in self.junction(head, f).items():
+                    if e2:  # e_i is left over and crosses w'_eta w_phi
+                        a, b = _word_shift(self._crossing(eta, phi), head)
+                        _accumulate(out, (f2, eta, phi, head + e),
+                                    (c * c2).shift(a, b))
+                    else:
+                        _accumulate(out, (f2, _vec_add(eta2, eta),
+                                          _vec_add(phi2, phi), e), c * c2)
+        self._junction_table[key] = out
         return out
 
-    def _move_scalar(self, eta, phi, i) -> Scalar:
-        """<w'_eta, w_i> <w'_i, w_phi>^-1, the toral crossing factor."""
-        unit = tuple(1 if k == i - 1 else 0 for k in range(self.n))
-        return self._gpair_any(eta, unit) * self._gpair_any(unit, phi).inverse()
+    def _crossing(self, eta, phi):
+        """Exponents of the toral t = w'_eta w_phi crossing one letter.
 
-    def _emit(self, word, coeff, out):
-        fw = tuple(i for t, i in ((l[0], l[1]) for l in word) if t == "F")
-        ew = tuple(l[1] for l in word if l[0] == "E")
-        torals = [l for l in word if l[0] == "T"]
-        if torals:
-            eta, phi = torals[0][1], torals[0][2]
-        else:
-            eta, phi = self._zero, self._zero
-        for fw_rep, cf in self.reduce_word("-", fw).items():
-            cf2 = coeff * cf
-            for ew_rep, ce in self.reduce_word("+", ew).items():
-                key = (fw_rep, eta, phi, ew_rep)
-                acc = out.get(key, ZERO) + cf2 * ce
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
+        Returns (cu, cv) with t f_l = u^cu[l-1] v^cv[l-1] f_l t, which is
+        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l.
+        """
+        n, gr, gs = self.n, self._gr, self._gs
+        cu = [2 * sum(eta[k] * gr[k][l] - gr[l][k] * phi[k] for k in range(n))
+              for l in range(n)]
+        cv = [2 * sum(eta[k] * gs[k][l] - gs[l][k] * phi[k] for k in range(n))
+              for l in range(n)]
+        return [_exponent(x) for x in cu], [_exponent(x) for x in cv]
+
+    def _conjugate(self, eta, phi, z: Element) -> Element:
+        """t z t^-1 for t = w'_eta w_phi: one unit monomial per term."""
+        cross = self._crossing(eta, phi)
+        out = {}
+        for key, c in z.terms.items():
+            af, bf = _word_shift(cross, key[0])
+            ae, be = _word_shift(cross, key[3])
+            out[key] = c.shift(af - ae, bf - be)
+        return Element(self, out)
 
     # -- Hopf structure --------------------------------------------------------
 
@@ -678,7 +680,6 @@ class Algebra:
         for letters, c in x.letters():
             acc = TensorElement(self, {(one_key, one_key): c})
             for letter in letters:
-                pieces = None
                 if letter[0] == "F":
                     i = letter[1]
                     pieces = [(self.one(), self.f(i)),
@@ -704,12 +705,12 @@ class Algebra:
             for letter in reversed(letters):
                 if letter[0] == "F":
                     i = letter[1]
-                    unit = tuple(1 if k == i - 1 else 0 for k in range(self.n))
-                    img = Element(self, {((i,), _vec_neg(unit), self._zero, ()): -ONE})
+                    img = Element(self, {((i,), _vec_neg(_unit(self.n, i)),
+                                          self._zero, ()): -ONE})
                 elif letter[0] == "E":
                     i = letter[1]
-                    unit = tuple(1 if k == i - 1 else 0 for k in range(self.n))
-                    img = Element(self, {((), self._zero, _vec_neg(unit), (i,)): -ONE})
+                    img = Element(self, {((), self._zero,
+                                          _vec_neg(_unit(self.n, i)), (i,)): -ONE})
                 else:
                     img = self.toral(_vec_neg(letter[1]), _vec_neg(letter[2]))
                 prod = prod * img
@@ -717,11 +718,8 @@ class Algebra:
         return out
 
     def counit(self, x: Element) -> Scalar:
-        total = ZERO
-        for (fw, eta, phi, ew), c in x.terms.items():
-            if not fw and not ew:
-                total = total + c
-        return total
+        return sum((c for (fw, _, _, ew), c in x.terms.items()
+                    if not fw and not ew), ZERO)
 
     # -- adjoint action ----------------------------------------------------------
 
@@ -739,20 +737,16 @@ class Algebra:
     def _ad_letter(self, letter, z: Element) -> Element:
         if letter[0] == "E":
             i = letter[1]
-            return self.e(i) * z - self.omega(i) * z * self.omega(i, -1) * self.e(i)
+            w_z = self._conjugate(self._zero, _unit(self.n, i), z)
+            return self.e(i) * z - w_z * self.e(i)
         if letter[0] == "F":
             i = letter[1]
             return (self.f(i) * z - z * self.f(i)) * self.omega_prime(i, -1)
-        t = self.toral(letter[1], letter[2])
-        t_inv = self.toral(_vec_neg(letter[1]), _vec_neg(letter[2]))
-        return t * z * t_inv
+        return self._conjugate(letter[1], letter[2], z)
 
     def __repr__(self):
         return f"Algebra(B{self.n})"
 
 
 def _pow(base: Scalar, exp) -> Scalar:
-    exp = Fraction(exp)
-    if exp.denominator != 1:
-        raise ValueError("non-integral power of a presentation scalar")
-    return base ** int(exp)
+    return base ** _exponent(exp)

@@ -284,21 +284,19 @@ class VermaModule(WeightModule):
     def _compute_e_col(self, i, col):
         alg = self.algebra
         word = self._rep_word(self.labels[col])
-        letters = (("E", i),) + tuple(("F", j) for j in word)
         out = {}
-        for (fw, eta, phi, ew), c in alg._normalize(letters).items():
+        for (fw, eta, phi, ew), c in alg.junction((i,), word).items():
             if ew:
                 continue
             val = c * char_value(alg, self.lam, self.mu, eta, phi)
-            if val.is_zero():
-                continue
-            nu2 = word_content(alg.n, fw)
-            row = self.index[(nu2, self._words[nu2].index(fw))]
-            nv = out.get(row, ZERO) + val
-            if nv.is_zero():
-                out.pop(row, None)
-            else:
-                out[row] = nv
+            for rep, cr in alg.reduce_word("-", fw).items():
+                nu2 = word_content(alg.n, rep)
+                row = self.index[(nu2, self._words[nu2].index(rep))]
+                nv = out.get(row, ZERO) + val * cr
+                if nv.is_zero():
+                    out.pop(row, None)
+                else:
+                    out[row] = nv
         return out
 
 

@@ -377,6 +377,10 @@ class Scalar:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         # cross-reduce so the product of canonical inputs is already reduced
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
@@ -390,6 +394,13 @@ class Scalar:
         return Scalar(num, den, _canonical=True)
 
     __rmul__ = __mul__
+
+    def shift(self, a, b):
+        """self * u^a v^b; monomials are units, so no gcd is needed."""
+        if not (a or b) or self.is_zero():
+            return self
+        return Scalar(LaurentBi(_shift(self.num.terms, a, b)), self.den,
+                      _canonical=True)
 
     def inverse(self):
         if self.is_zero():

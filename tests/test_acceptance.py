@@ -20,8 +20,15 @@ def algebras():
 
 
 @pytest.fixture(scope="module")
-def z_vector(algebras):
-    return center.central_from_trace(algebras[2], (2, 0)).element
+def trace_elements(algebras):
+    """Certified rank-2 trace elements, built once for the module."""
+    return {lam: center.central_from_trace(algebras[2], lam).element
+            for lam in [(0, 0), (2, 0), (2, 2)]}
+
+
+@pytest.fixture(scope="module")
+def z_vector(trace_elements):
+    return trace_elements[(2, 0)]
 
 
 def cone_points(n, max_height):
@@ -292,11 +299,10 @@ def test_parity_kernel_dichotomy():
         assert center.parity_kernel(n, 3, "full") == [], n
 
 
-def test_hc_images_triangular_independent(algebras):
+def test_hc_images_triangular_independent(algebras, trace_elements):
     alg = algebras[2]
     images = {}
-    for lam in [(0, 0), (2, 0), (2, 2)]:
-        z = center.central_from_trace(alg, lam).element
+    for lam, z in trace_elements.items():
         image = center.hc_xi(alg, z)
         for sigma in alg.rs.weyl_group():
             assert center.weyl_act(alg, sigma, image) == image
@@ -311,3 +317,9 @@ def test_hc_images_triangular_independent(algebras):
     keys = sorted({k for img in images.values() for k in img})
     mat = [[img.get(k, ZERO) for k in keys] for img in images.values()]
     assert linalg.rank(mat) == 3
+
+
+def test_junction_table_stays_bounded(algebras, trace_elements):
+    # certifying the (2,0) and (2,2) trace elements memoizes only
+    # (raising word, lowering word) pairs, a few hundred of them
+    assert len(algebras[2]._junction_table) <= 2000

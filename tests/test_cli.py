@@ -130,6 +130,20 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["root-data", "--n", "0"],
+    ["verma", "--n", "2", "--lambda-fund", "1,0", "--depth", "-1"],
+    ["parity-kernel", "--n", "2", "--bound", "0"],
+    ["rosso-check", "--n", "2", "--trials", "-3"],
+    ["rosso-check", "--n", "2", "--height", "-1"],
+])
+def test_input_limits_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_weight_argument_validation(capsys):
     # alpha coordinates outside the weight lattice are rejected as a failure
     code, report = run_cli(capsys, ["irrep", "--n", "2",
@@ -148,9 +162,18 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch, capsys):
     code, report2 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
                                      "--nu", "1,2"])
     assert report1 == report2
-    # corrupt cache entries are ignored
-    for p in tmp_path.iterdir():
-        p.write_text("not json")
+    # a well-formed entry that lost one representative is not trusted
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    dropped = data["words"].pop()
+    del data["reduction"][",".join(map(str, dropped))]
+    path.write_text(json.dumps(data))
     code, report3 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
                                      "--nu", "1,2"])
     assert report1 == report3
+    # corrupt cache entries are ignored
+    for p in tmp_path.iterdir():
+        p.write_text("not json")
+    code, report4 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
+                                     "--nu", "1,2"])
+    assert report1 == report4

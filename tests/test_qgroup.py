@@ -4,13 +4,18 @@ from fractions import Fraction
 import pytest
 
 from qgc.errors import NonIntegralSecondArgument
-from qgc.qgroup import Algebra, word_content
+from qgc.qgroup import Algebra, Element, word_content
 from qgc.scalars import ONE, R, S, ZERO, Scalar
 
 
 @pytest.fixture(scope="module")
-def alg2():
-    return Algebra(2)
+def algebras():
+    return {2: Algebra(2), 3: Algebra(3)}
+
+
+@pytest.fixture(scope="module")
+def alg2(algebras):
+    return algebras[2]
 
 
 def unit(n, i):
@@ -32,6 +37,114 @@ def rand_word_element(alg, rng, max_len=3, allow_toral=True):
         else:
             x = x * alg.omega_prime(i, rng.choice([1, -1]))
     return x
+
+
+def add_into(out, key, c):
+    acc = out.get(key, ZERO) + c
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
+
+
+_LETTER_ORDER = {"F": 0, "T": 1, "E": 2}
+
+
+class LetterRewriter:
+    """Reference straightener: rewrites whole letter tuples, one swap at a time.
+
+    Rewrites the leftmost inversion of the F < T < E letter order (adjacent
+    torals merge); a raising letter left of a lowering one branches through
+    the commutator.  Every intermediate tuple is memoized.  It shares only
+    the group-like pairing and the graded-basis reduction with the junction
+    straightener it checks.
+    """
+
+    def __init__(self, alg):
+        self.alg = alg
+        self.memo = {}
+
+    def product(self, x, y):
+        out = {}
+        for lx, cx in x.letters():
+            for ly, cy in y.letters():
+                for key, cw in self.normalize(tuple(lx + ly)).items():
+                    add_into(out, key, cx * cy * cw)
+        return Element(self.alg, out)
+
+    def normalize(self, letters):
+        hit = self.memo.get(letters)
+        if hit is not None:
+            return hit
+        alg = self.alg
+        idx = next((k for k in range(len(letters) - 1)
+                    if _LETTER_ORDER[letters[k][0]] > _LETTER_ORDER[letters[k + 1][0]]
+                    or letters[k][0] == letters[k + 1][0] == "T"), None)
+        out = {}
+        if idx is None:
+            self.emit(letters, out)
+            self.memo[letters] = out
+            return out
+        x, y = letters[idx], letters[idx + 1]
+        head, tail = letters[:idx], letters[idx + 2:]
+        swapped = head + (y, x) + tail
+        if x[0] == "T" and y[0] == "T":
+            merged = ("T", tuple(a + b for a, b in zip(x[1], y[1])),
+                      tuple(a + b for a, b in zip(x[2], y[2])))
+            branches = [(head + (merged,) + tail, ONE)]
+        elif x[0] == "T":  # toral then lowering letter
+            branches = [(swapped, self.move(x[1], x[2], y[1]))]
+        elif y[0] == "T":  # raising letter then toral
+            branches = [(swapped, self.move(y[1], y[2], x[1]))]
+        else:  # raising then lowering: e_i f_j = f_j e_i + [e_i, f_j]
+            branches = [(swapped, ONE)]
+            i, zero = x[1], (0,) * alg.n
+            if i == y[1]:
+                c = (alg.r_i(i) - alg.s_i(i)).inverse()
+                u = unit(alg.n, i)
+                branches.append((head + (("T", zero, u),) + tail, c))
+                branches.append((head + (("T", u, zero),) + tail, -c))
+        for word, coeff in branches:
+            for key, cw in self.normalize(word).items():
+                add_into(out, key, coeff * cw)
+        self.memo[letters] = out
+        return out
+
+    def move(self, eta, phi, i):
+        """<w'_eta, w_i> <w'_i, w_phi>^-1, the toral crossing factor."""
+        u = unit(self.alg.n, i)
+        return self.alg.gpair(eta, u) * self.alg.gpair(u, phi).inverse()
+
+    def emit(self, letters, out):
+        alg = self.alg
+        fw = tuple(l[1] for l in letters if l[0] == "F")
+        ew = tuple(l[1] for l in letters if l[0] == "E")
+        torals = [l for l in letters if l[0] == "T"]
+        eta, phi = (torals[0][1], torals[0][2]) if torals else ((0,) * alg.n,) * 2
+        for f_rep, cf in alg.reduce_word("-", fw).items():
+            for e_rep, ce in alg.reduce_word("+", ew).items():
+                add_into(out, (f_rep, eta, phi, e_rep), cf * ce)
+
+
+def rand_normal_element(alg, rng, e_len, f_len, terms=2):
+    """Sum of terms f t e with representative words and scalars 1 + k u^a v^b."""
+    def content(length):
+        nu = [0] * alg.n
+        for _ in range(length):
+            nu[rng.randrange(alg.n)] += 1
+        return nu
+
+    out = {}
+    for _ in range(terms):
+        fnu, enu = content(rng.choice(f_len)), content(rng.choice(e_len))
+        fw = rng.choice(alg.graded_basis("-", fnu).words)
+        ew = rng.choice(alg.graded_basis("+", enu).words)
+        eta = tuple(rng.randint(-1, 1) for _ in range(alg.n))
+        phi = tuple(rng.randint(-1, 1) for _ in range(alg.n))
+        c = Scalar.monomial(rng.randint(-2, 2), rng.randint(-2, 2),
+                            rng.choice([1, -1, 2]))
+        add_into(out, (fw, eta, phi, ew), c + ONE)
+    return Element(alg, out)
 
 
 def ad_via_hopf(alg, x, z):
@@ -173,6 +286,23 @@ def test_defining_conjugations_match_tables(alg2):
             assert conj == alg2.f(i).scale(alg2.conj_omega_prime_e(j, i).inverse())
 
 
+@pytest.mark.parametrize("n, trials", [(2, 12), (3, 6)])
+def test_straighten_matches_letter_rewriter(algebras, n, trials):
+    alg = algebras[n]
+    ref = LetterRewriter(alg)
+    rng = random.Random(100 + n)
+    for _ in range(trials):
+        # multi-letter raising words on the left meet lowering words on the
+        # right, with torals on both sides of the junction
+        x = rand_normal_element(alg, rng, e_len=(2, 3), f_len=(0, 1, 2))
+        y = rand_normal_element(alg, rng, e_len=(0, 1, 2), f_len=(2, 3))
+        assert x * y == ref.product(x, y)
+    for i in range(1, n + 1):
+        z = rand_normal_element(alg, rng, e_len=(1, 2), f_len=(1, 2), terms=3)
+        assert alg.e(i) * z == ref.product(alg.e(i), z)
+        assert z * alg.f(i) == ref.product(z, alg.f(i))
+
+
 def test_associativity_random(alg2):
     rng = random.Random(17)
     for _ in range(12):
@@ -302,17 +432,26 @@ def test_ad_matches_hopf_route(alg2):
         assert alg2.ad(a, z) == ad_via_hopf(alg2, a, z)
 
 
-def test_ad_closed_forms(alg2):
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["omega", "omega_prime"])
+def test_ad_closed_forms(algebras, n, kind):
+    alg = algebras[n]
+    ref = LetterRewriter(alg)
     rng = random.Random(41)
-    z = rand_word_element(alg2, rng, 2)
-    assert alg2.ad(alg2.omega(1), z) == alg2.omega(1) * z * alg2.omega(1, -1)
-    assert alg2.ad(alg2.e(1), alg2.one()).is_zero()
+    toral = getattr(alg, kind)
+    for _ in range(3):
+        z = rand_word_element(alg, rng, 3)
+        for i in range(1, n + 1):
+            conj = ref.product(ref.product(toral(i), z), toral(i, -1))
+            assert alg.ad(toral(i), z) == toral(i) * z * toral(i, -1) == conj
+    assert alg.ad(alg.e(1), alg.one()).is_zero()
     # expanding ad(e_1) f_1 via the commutator and the toral crossing
-    got = alg2.ad(alg2.e(1), alg2.f(1))
-    cross = alg2.gpair((1, 0), (1, 0)).inverse()
-    expect = (alg2.f(1) * alg2.e(1)).scale(ONE - cross) + \
-        (alg2.omega(1) - alg2.omega_prime(1)).scale(
-            (alg2.r_i(1) - alg2.s_i(1)).inverse())
+    u1 = unit(n, 1)
+    got = alg.ad(alg.e(1), alg.f(1))
+    cross = alg.gpair(u1, u1).inverse()
+    expect = (alg.f(1) * alg.e(1)).scale(ONE - cross) + \
+        (alg.omega(1) - alg.omega_prime(1)).scale(
+            (alg.r_i(1) - alg.s_i(1)).inverse())
     assert got == expect
 
 
