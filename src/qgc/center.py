@@ -25,7 +25,7 @@ from .pairing import dual_basis
 from .qgroup import Algebra, Element
 from .repn import act, char_value, irreducible, theta, verma
 from .rootdata import WeylElement
-from .scalars import ZERO, Scalar, rs_ratio_power
+from .scalars import ZERO, Scalar, accumulate, rs_ratio_power
 
 
 # ---------------------------------------------------------------------------
@@ -35,11 +35,7 @@ from .scalars import ZERO, Scalar, rs_ratio_power
 def toral_add(t1, t2):
     out = dict(t1)
     for k, c in t2.items():
-        nv = out.get(k, ZERO) + c
-        if nv.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = nv
+        accumulate(out, k, c)
     return out
 
 
@@ -68,13 +64,8 @@ def hc_xi(alg: Algebra, x: Element):
     for (fw, eta, phi, ew), c in x.terms.items():
         if fw or ew:
             continue
-        val = c * char_value(alg, minus_rho, (0,) * alg.n, eta, phi)
-        key = (eta, phi)
-        nv = out.get(key, ZERO) + val
-        if nv.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = nv
+        accumulate(out, (eta, phi),
+                   c * char_value(alg, minus_rho, (0,) * alg.n, eta, phi))
     return out
 
 
@@ -93,12 +84,7 @@ def weyl_act(alg: Algebra, sigma: WeylElement, t):
         if phi != tuple(-x for x in eta):
             raise NotInUb0(f"monomial with eta={eta}, phi={phi} is not balanced")
         img = alg.rs.root_coords(sigma.act(alg.rs.from_alpha(eta)))
-        key = (img, tuple(-x for x in img))
-        nv = out.get(key, ZERO) + c
-        if nv.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = nv
+        accumulate(out, (img, tuple(-x for x in img)), c)
     return out
 
 
@@ -248,12 +234,8 @@ def central_from_trace(alg: Algebra, lam) -> CentralCandidate:
                         continue
                     coeff = th[row] * psi * block_scale
                     for (fw, _, _, _), cf in velems[a].terms.items():
-                        key = (fw, eta, phi, pair.e_words[b])
-                        nv = terms.get(key, ZERO) + coeff * cf
-                        if nv.is_zero():
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = nv
+                        accumulate(terms, (fw, eta, phi, pair.e_words[b]),
+                                   coeff * cf)
     z = Element(alg, terms)
     bad = centrality_failures(alg, z)
     if bad:

@@ -11,7 +11,7 @@ themselves stay small.  A sparse Gauss-Jordan backs the centrality solver.
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, accumulate
 
 
 def rref(rows):
@@ -81,11 +81,7 @@ def solve_unique(equations, variables):
             c = row.pop(v)
             prow, prhs = pivots[v]
             for w, cw in prow.items():
-                nv = row.get(w, ZERO) - c * cw
-                if nv.is_zero():
-                    row.pop(w, None)
-                else:
-                    row[w] = nv
+                accumulate(row, w, -(c * cw))
             rhs = rhs - c * prhs
         if not row:
             if not rhs.is_zero():
@@ -100,11 +96,7 @@ def solve_unique(equations, variables):
             if pv in prow:
                 c2 = prow.pop(pv)
                 for w, cw in row.items():
-                    nv = prow.get(w, ZERO) - c2 * cw
-                    if nv.is_zero():
-                        prow.pop(w, None)
-                    else:
-                        prow[w] = nv
+                    accumulate(prow, w, -(c2 * cw))
                 pivots[v] = (prow, prhs - c2 * rhs)
         pivots[pv] = (row, rhs)
     missing = [v for v in variables if v not in pivots]

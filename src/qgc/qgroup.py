@@ -13,6 +13,8 @@ over the scalar field.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import itertools
 import json
 import os
@@ -26,9 +28,18 @@ from .errors import (
     RankMismatch,
 )
 from .rootdata import RootSystemB
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, accumulate
 
-_CACHE_FORMAT = "qgc-basis-1"
+
+@functools.cache
+def _cache_format():
+    """Tag of the disk-cached basis format: a short sha256 of the source that
+    determines a basis, so bases written by other code are never read."""
+    digest = hashlib.sha256()
+    for name in ("scalars.py", "rootdata.py", "qgroup.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
+            digest.update(fh.read())
+    return "qgc-basis-" + digest.hexdigest()[:12]
 
 
 def _vec_add(a, b):
@@ -41,15 +52,6 @@ def _vec_neg(a):
 
 def _unit(n, i):
     return tuple(1 if k == i - 1 else 0 for k in range(n))
-
-
-def _accumulate(out, key, c):
-    """out[key] += c, dropping the key when the sum cancels."""
-    acc = out.get(key, ZERO) + c
-    if acc.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = acc
 
 
 def _word_shift(cross, word):
@@ -111,7 +113,7 @@ class Element:
         self._compat(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            _accumulate(terms, k, c)
+            accumulate(terms, k, c)
         return Element(self.algebra, terms)
 
     def __sub__(self, other):
@@ -198,7 +200,7 @@ class TensorElement:
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            _accumulate(terms, k, c)
+            accumulate(terms, k, c)
         return TensorElement(self.algebra, terms)
 
     def __sub__(self, other):
@@ -214,7 +216,7 @@ class TensorElement:
             p2 = alg.element_from_term(k2) * right
             for kk1, c1 in p1.terms.items():
                 for kk2, c2 in p2.terms.items():
-                    _accumulate(out, (kk1, kk2), c * c1 * c2)
+                    accumulate(out, (kk1, kk2), c * c1 * c2)
         return TensorElement(self.algebra, out)
 
     def __eq__(self, other):
@@ -516,7 +518,7 @@ class Algebra:
         if not root:
             return None
         tag = "p" if sign == "+" else "m"
-        name = f"{_CACHE_FORMAT}-n{self.n}-{tag}-" + "_".join(map(str, nu)) + ".json"
+        name = f"{_cache_format()}-n{self.n}-{tag}-" + "_".join(map(str, nu)) + ".json"
         return os.path.join(root, name)
 
     def _load_disk_basis(self, sign, nu):
@@ -526,7 +528,7 @@ class Algebra:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            if data["format"] != _CACHE_FORMAT or data["n"] != self.n:
+            if data["format"] != _cache_format() or data["n"] != self.n:
                 return None
             words = [tuple(w) for w in data["words"]]
             reduction = {}
@@ -558,7 +560,7 @@ class Algebra:
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             data = {
-                "format": _CACHE_FORMAT,
+                "format": _cache_format(),
                 "n": self.n,
                 "sign": basis.sign,
                 "nu": list(basis.nu),
@@ -599,13 +601,13 @@ class Algebra:
                     a2, b2 = _word_shift(cross2, ej)
                     key = (f1 + fj, _vec_add(_vec_add(eta1, etaj), eta2),
                            _vec_add(_vec_add(phi1, phij), phi2), ej + e2)
-                    _accumulate(raw, key, (c * cj).shift(a1 + a2, b1 + b2))
+                    accumulate(raw, key, (c * cj).shift(a1 + a2, b1 + b2))
         out = {}
         for (fw, eta, phi, ew), c in raw.items():
             for f_rep, cf in self.reduce_word("-", fw).items():
                 cf = c * cf
                 for e_rep, ce in self.reduce_word("+", ew).items():
-                    _accumulate(out, (f_rep, eta, phi, e_rep), cf * ce)
+                    accumulate(out, (f_rep, eta, phi, e_rep), cf * ce)
         return Element(self, out)
 
     def junction(self, ew, fw):
@@ -631,9 +633,9 @@ class Algebra:
                 unit = _unit(self.n, i)
                 c = (self.r_i(i) - self.s_i(i)).inverse()
                 a, b = _word_shift(self._crossing(zero, unit), rest)
-                _accumulate(out, (rest, zero, unit, ()), c.shift(a, b))
+                accumulate(out, (rest, zero, unit, ()), c.shift(a, b))
                 a, b = _word_shift(self._crossing(unit, zero), rest)
-                _accumulate(out, (rest, unit, zero, ()), -c.shift(a, b))
+                accumulate(out, (rest, unit, zero, ()), -c.shift(a, b))
         else:
             head = ew[:1]
             out = {}
@@ -641,11 +643,11 @@ class Algebra:
                 for (f2, eta2, phi2, e2), c2 in self.junction(head, f).items():
                     if e2:  # e_i is left over and crosses w'_eta w_phi
                         a, b = _word_shift(self._crossing(eta, phi), head)
-                        _accumulate(out, (f2, eta, phi, head + e),
-                                    (c * c2).shift(a, b))
+                        accumulate(out, (f2, eta, phi, head + e),
+                                   (c * c2).shift(a, b))
                     else:
-                        _accumulate(out, (f2, _vec_add(eta2, eta),
-                                          _vec_add(phi2, phi), e), c * c2)
+                        accumulate(out, (f2, _vec_add(eta2, eta),
+                                         _vec_add(phi2, phi), e), c * c2)
         self._junction_table[key] = out
         return out
 

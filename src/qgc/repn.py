@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import NotDominant, RankMismatch, TruncationOverflow
 from .qgroup import Algebra, Element, word_content
-from .scalars import ONE, ZERO, Scalar, rs_ratio_power
+from .scalars import ONE, ZERO, Scalar, accumulate, rs_ratio_power
 
 
 def char_value(alg: Algebra, lam, mu, eta, phi) -> Scalar:
@@ -51,11 +51,7 @@ class ColMatrix:
             acc = out.cols[c]
             for mid, v in other.cols[c].items():
                 for r, w in self.cols[mid].items():
-                    nv = acc.get(r, ZERO) + v * w
-                    if nv.is_zero():
-                        acc.pop(r, None)
-                    else:
-                        acc[r] = nv
+                    accumulate(acc, r, v * w)
         return out
 
     def add_scaled(self, other: "ColMatrix", c: Scalar) -> "ColMatrix":
@@ -63,11 +59,7 @@ class ColMatrix:
         for j, col in enumerate(other.cols):
             acc = out.cols[j]
             for r, v in col.items():
-                nv = acc.get(r, ZERO) + c * v
-                if nv.is_zero():
-                    acc.pop(r, None)
-                else:
-                    acc[r] = nv
+                accumulate(acc, r, c * v)
         return out
 
     def scale(self, c: Scalar) -> "ColMatrix":
@@ -203,11 +195,7 @@ class WeightModule:
             if skip:
                 continue
             for r, v in cur.items():
-                nv = out.get(r, ZERO) + c * v
-                if nv.is_zero():
-                    out.pop(r, None)
-                else:
-                    out[r] = nv
+                accumulate(out, r, c * v)
         return out
 
     def _apply_cols(self, colfun, i, vec, strict):
@@ -219,11 +207,7 @@ class WeightModule:
                 raise TruncationOverflow(
                     f"lowering by {i} leaves the depth-{self.depth} truncation")
             for r2, w in col.items():
-                nv = out.get(r2, ZERO) + v * w
-                if nv.is_zero():
-                    out.pop(r2, None)
-                else:
-                    out[r2] = nv
+                accumulate(out, r2, v * w)
         return out
 
     def act(self, x: Element, strict=False) -> ColMatrix:
@@ -292,11 +276,7 @@ class VermaModule(WeightModule):
             for rep, cr in alg.reduce_word("-", fw).items():
                 nu2 = word_content(alg.n, rep)
                 row = self.index[(nu2, self._words[nu2].index(rep))]
-                nv = out.get(row, ZERO) + val * cr
-                if nv.is_zero():
-                    out.pop(row, None)
-                else:
-                    out[row] = nv
+                accumulate(out, row, val * cr)
         return out
 
 
@@ -317,11 +297,7 @@ class QuotientModule(WeightModule):
             label = self.parent.labels[prow]
             for qlabel, c in self._reduction[label].items():
                 row = self.index[qlabel]
-                nv = out.get(row, ZERO) + v * c
-                if nv.is_zero():
-                    out.pop(row, None)
-                else:
-                    out[row] = nv
+                accumulate(out, row, v * c)
         return out
 
     def _compute_f_col(self, i, col):
@@ -376,11 +352,7 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
                     for lab2, c2 in pivots[label].items():
                         if lab2 == label:
                             continue
-                        nv = vec.get(lab2, ZERO) - c * c2
-                        if nv.is_zero():
-                            vec.pop(lab2, None)
-                        else:
-                            vec[lab2] = nv
+                        accumulate(vec, lab2, -(c * c2))
                     changed = True
         return vec
 
@@ -404,11 +376,7 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
                 for lab2, c2 in vec.items():
                     if lab2 == lead:
                         continue
-                    nv = pvec.get(lab2, ZERO) - c * c2
-                    if nv.is_zero():
-                        pvec.pop(lab2, None)
-                    else:
-                        pvec[lab2] = nv
+                    accumulate(pvec, lab2, -(c * c2))
         pivots[lead] = vec
         for i in range(1, alg.n + 1):
             img = {}
@@ -416,11 +384,7 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
                 prow = parent.index[label]
                 for row2, v in parent.f_col(i, prow).items():
                     lab2 = parent.labels[row2]
-                    nv = img.get(lab2, ZERO) + c * v
-                    if nv.is_zero():
-                        img.pop(lab2, None)
-                    else:
-                        img[lab2] = nv
+                    accumulate(img, lab2, c * v)
             if img:
                 work.append(img)
 

@@ -78,9 +78,9 @@ def _min_exps(p):
     return min(a for a, _ in p), min(b for _, b in p)
 
 
-def _int_content(p):
+def _int_content(coeffs):
     g = 0
-    for c in p.values():
+    for c in coeffs:
         g = math.gcd(g, c)
         if g == 1:
             return 1
@@ -88,18 +88,93 @@ def _int_content(p):
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd in ZZ[u, v]; the general case is delegated to sympy's sparse
-# polynomial rings (heuristic gcd with subresultant fallback)
+# polynomial gcd in ZZ[u, v].  Every structure constant of the algebra is
+# homogeneous in u and v, and the gcd of two homogeneous polynomials with no
+# monomial factor is the homogenized gcd of their dehomogenizations at v = 1.
+# That univariate gcd runs as the heuristic integer gcd of Char, Geddes and
+# Gonnet (J. Symb. Comput. 1989) on Python integers.  Other operands, and the
+# rare case where the heuristic gives up, go to sympy's sparse polynomial
+# rings, which are imported on first use.
 # ---------------------------------------------------------------------------
 
-from sympy.polys.domains import ZZ as _ZZ
-from sympy.polys.rings import ring as _sympy_ring
+_SYMPY_RING = None
 
-_RING, _SYM_U, _SYM_V = _sympy_ring("u v", _ZZ)
+
+def _sympy_gcd(p, q):
+    global _SYMPY_RING
+    if _SYMPY_RING is None:
+        from sympy.polys.domains import ZZ
+        from sympy.polys.rings import ring
+        _SYMPY_RING = ring("u v", ZZ)[0]
+    g = _SYMPY_RING.from_dict(p).gcd(_SYMPY_RING.from_dict(q))
+    return {k: int(c) for k, c in g.items()}
+
+
+def _homogeneous_degree(p):
+    degrees = {a + b for a, b in p}
+    return degrees.pop() if len(degrees) == 1 else None
+
+
+def _dense(p, d):
+    """Coefficients of p(x, 1) in ascending powers, p homogeneous of degree d."""
+    out = [0] * (d + 1)
+    for (a, _), c in p.items():
+        out[a] = c
+    return out
+
+
+def _divides(d, f):
+    """Whether d divides f exactly in ZZ[x]; dense ascending coefficients."""
+    r = list(f)
+    m = len(d) - 1
+    lc = d[m]
+    for k in range(len(r) - 1, m - 1, -1):
+        if r[k]:
+            q, rem = divmod(r[k], lc)
+            if rem:
+                return False
+            for j in range(m + 1):
+                r[k - m + j] -= q * d[j]
+    return not any(r[:m])
+
+
+def _heu_gcd(f, g):
+    """Gcd of primitive f, g in ZZ[x] with positive lead, or None on give-up.
+
+    The candidate is read off gcd(f(xi), g(xi)) in symmetric base-xi digits
+    and accepted only if it divides both f and g, which for
+    xi >= 2 min(|f|, |g|) + 2 proves it is the gcd.
+    """
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    for _ in range(6):
+        h = math.gcd(_horner(f, xi), _horner(g, xi))
+        cand = []
+        while h:
+            c = h % xi
+            if c > xi // 2:
+                c -= xi
+            cand.append(c)
+            h = (h - c) // xi
+        cont = _int_content(cand)
+        cand = [c // cont for c in cand]
+        if cand[-1] < 0:
+            cand = [-c for c in cand]
+        if _divides(cand, f) and _divides(cand, g):
+            return cand
+        # the growth factor of the original method, close to 1 + sqrt(3)
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _horner(f, x):
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
 
 
 def _poly_gcd(p, q):
-    """Gcd in ZZ[u, v] of polynomials with nonnegative exponents.
+    """Gcd in ZZ[u, v] of polynomials with no monomial factor.
 
     Result is normalized with no monomial factor and positive graded-lex
     leading coefficient.
@@ -109,16 +184,17 @@ def _poly_gcd(p, q):
     if not q:
         return dict(p)
     if len(p) == 1 or len(q) == 1:
-        # a monomial: gcd is the common integer content times common monomial
-        c = math.gcd(_int_content(p), _int_content(q))
-        a = min(min(x for x, _ in p), min(x for x, _ in q))
-        b = min(min(y for _, y in p), min(y for _, y in q))
-        return {(a, b): c}
-    g = _RING.from_dict(p).gcd(_RING.from_dict(q))
-    out = {k: int(c) for k, c in g.items()}
-    ma, mb = _min_exps(out)
-    if ma or mb:
-        out = _shift(out, -ma, -mb)
+        # a constant: the gcd is the common integer content
+        return {(0, 0): math.gcd(_int_content(p.values()), _int_content(q.values()))}
+    dp, dq = _homogeneous_degree(p), _homogeneous_degree(q)
+    if dp is not None and dq is not None:
+        f, g = _dense(p, dp), _dense(q, dq)
+        cf, cg = _int_content(f), _int_content(g)
+        h = _heu_gcd([c // cf for c in f], [c // cg for c in g])
+        if h is not None:
+            m, c = len(h) - 1, math.gcd(cf, cg)
+            return {(k, m - k): c * x for k, x in enumerate(h) if x}
+    out = _sympy_gcd(p, q)
     if out[_lead(out)] < 0:
         out = _neg(out)
     return out
@@ -146,11 +222,7 @@ def _laurent_gcd(p, q):
     """Gcd in ZZ[u^+-1, v^+-1], normalized monomial-free with positive lead."""
     sp = _min_exps(p)
     sq = _min_exps(q)
-    g = _poly_gcd(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
-    ma, mb = _min_exps(g)
-    if ma or mb:
-        g = _shift(g, -ma, -mb)
-    return g
+    return _poly_gcd(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
 
 
 def _laurent_divexact(p, q):
@@ -508,6 +580,15 @@ ZERO = Scalar.from_int(0)
 ONE = Scalar.from_int(1)
 R = Scalar.monomial(2, 0)
 S = Scalar.monomial(0, 2)
+
+
+def accumulate(out, key, c):
+    """out[key] += c, dropping the key when the sum cancels."""
+    acc = out.get(key, ZERO) + c
+    if acc.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = acc
 
 
 def rs_ratio_power(q) -> Scalar:

@@ -319,6 +319,30 @@ def test_hc_images_triangular_independent(algebras, trace_elements):
     assert linalg.rank(mat) == 3
 
 
+def test_rank3_vector_trace_element_hc_image(algebras):
+    # the odd-rank side of the parity dichotomy: the rank-3 vector
+    # representation gives a certified central element whose HC image is a
+    # balanced, Weyl-invariant sum of orbit averages led by lambda
+    alg = algebras[3]
+    lam = (2, 0, 0)
+    z = center.central_from_trace(alg, lam).element
+    image = center.hc_xi(alg, z)
+    # one unit term per weight of the 7-dimensional module, as at rank 2
+    assert len(image) == 7 and all(c == ONE for c in image.values())
+    assert center.toral_is_balanced(image)
+    for i in range(1, alg.n + 1):
+        sigma = alg.rs.simple_reflection(i)
+        assert center.weyl_act(alg, sigma, image) == image
+    coeffs = center.av_expand(alg, image)
+    recon = {}
+    for dom, c in coeffs.items():
+        recon = center.toral_add(recon, center.toral_scale(center.av(alg, dom), c))
+    assert recon == image
+    lead = coeffs[lam].as_fraction()
+    assert lead.denominator == 1 and lead > 0
+    assert all(alg.rs.dominance_leq(dom, lam) for dom in coeffs)
+
+
 def test_junction_table_stays_bounded(algebras, trace_elements):
     # certifying the (2,0) and (2,2) trace elements memoizes only
     # (raising word, lowering word) pairs, a few hundred of them

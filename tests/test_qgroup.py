@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -482,3 +483,36 @@ def test_element_text_and_json(alg2):
     blob = x.to_json()
     assert blob == [{"f": [2, 1], "eta": [0, 1], "phi": [1, 0],
                      "e": [1, 2], "coeff": ONE.to_json()}]
+
+
+def test_disk_cache_ignores_bases_of_other_code(tmp_path, monkeypatch):
+    from qgc import qgroup
+
+    monkeypatch.setenv("QGC_CACHE_DIR", str(tmp_path))
+    nu = (2, 1)
+    good = Algebra(2).graded_basis("-", nu).reduction
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    assert path.name.startswith(data["format"] + "-")
+    assert data["format"] == qgroup._cache_format()
+
+    # a sound file whose one relation coefficient is doubled: read back when
+    # its tag is current, which shows the tag is all that keeps it out below
+    rw, coeff = data["reduction"]["2,1,1"][0]
+    data["reduction"]["2,1,1"][0] = [rw, (Scalar.from_json(coeff) * 2).to_json()]
+    path.write_text(json.dumps(data))
+    assert Algebra(2).graded_basis("-", nu).reduction != good
+
+    # the same file tagged by other code is ignored, rebuilt and rewritten
+    data["format"] = "qgc-basis-000000000000"
+    path.write_text(json.dumps(data))
+    assert Algebra(2).graded_basis("-", nu).reduction == good
+    assert json.loads(path.read_text())["format"] == qgroup._cache_format()
+
+    # a change of code changes the tag, and the old code's file, doubled
+    # coefficient and all, is no longer looked at
+    data["format"] = qgroup._cache_format()
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(qgroup, "_cache_format", lambda: "qgc-basis-ffffffffffff")
+    assert Algebra(2).graded_basis("-", nu).reduction == good
+    assert len(list(tmp_path.iterdir())) == 2

@@ -1,8 +1,18 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qgc
+from qgc import center, scalars
+from qgc.qgroup import Algebra
 from qgc.scalars import (
     ONE,
     R,
@@ -135,6 +145,108 @@ def test_gcd_matches_sympy():
             return Rng.from_dict({(x - ma, y - mb): c for (x, y), c in p.terms.items()})
         ref = lift(f).gcd(lift(g))
         assert lift(mine) == ref or lift(mine) == -ref
+
+
+def hom(*coeffs):
+    """Homogeneous polynomial from its coefficients in descending powers of u."""
+    d = len(coeffs) - 1
+    return LaurentBi({(d - k, k): c for k, c in enumerate(coeffs) if c})
+
+
+# the 18 irreducible factors of the nontrivial gcds met while building the
+# rank-2 (2,0) and (2,2) central elements, both ways, and the rank-3 bases
+LADDER_FACTORS = [hom(*cs) for cs in [
+    (1, 1), (1, -1), (2, 0, 1), (1, 0, 2), (1, 0, 1), (1, 1, 1), (1, -1, 1),
+    (2, 0, 1, 0, 2), (2, 0, 0, 0, -1), (3, 0, 2, 0, 3), (1, 0, 1, 0, -1),
+    (1, 0, 0, 0, 1), (1, 0, 0, 0, -2), (1, 0, -1, 0, 1), (1, 0, -1, 0, -1),
+    (3, 0, 7, 0, 12, 0, 7, 0, 3), (1, 0, 1, 0, 3, 0, 1, 0, 1),
+    (1, 0, 0, 0, -1, 0, 0, 0, -1)]]
+
+homogeneous = st.integers(0, 4).flatmap(
+    lambda d: st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
+).filter(any).map(lambda cs: hom(*cs))
+
+
+def sympy_gcd_normalized(f, g):
+    """sympy's gcd of two Laurent polynomials in the canonical normalization:
+    no monomial factor and a positive graded-lex leading coefficient."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    rng, _, _ = ring("u v", ZZ)
+
+    def lift(p):
+        ma = min(x for x, _ in p.terms)
+        mb = min(y for _, y in p.terms)
+        return rng.from_dict({(x - ma, y - mb): c for (x, y), c in p.terms.items()})
+
+    ref = {k: int(c) for k, c in lift(f).gcd(lift(g)).items()}
+    ma = min(x for x, _ in ref)
+    mb = min(y for _, y in ref)
+    ref = {(x - ma, y - mb): c for (x, y), c in ref.items()}
+    lead = max(ref, key=lambda k: (k[0] + k[1], k[0], k[1]))
+    return LaurentBi({k: -c for k, c in ref.items()} if ref[lead] < 0 else ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(LADDER_FACTORS), min_size=1, max_size=3),
+       homogeneous, homogeneous, st.integers(-12, 12).filter(bool),
+       st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-3, 3))
+def test_homogeneous_gcd_matches_sympy(factors, a, b, c1, c2, su, sv):
+    h = LaurentBi.const(1)
+    for factor in factors:
+        h = h * factor
+    f = LaurentBi.const(c1) * a * h
+    g = LaurentBi.monomial(c2, su, sv) * b * h
+    # the homogeneous path alone must answer: the sympy fallback is barred
+    with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
+        mine = f.gcd(g)
+    assert mine == sympy_gcd_normalized(f, g)
+
+
+def test_homogeneous_gcd_retries_a_bad_evaluation_point(monkeypatch):
+    # u + v and 3u - 2v are coprime, but at the first point xi = 4 they give
+    # gcd(5, 10) = 5, whose base-4 digits read as u + v, which fails to
+    # divide 3u - 2v; the heuristic must grow xi and try again
+    evaluations = []
+    horner = scalars._horner
+    monkeypatch.setattr(scalars, "_horner",
+                        lambda f, x: evaluations.append(x) or horner(f, x))
+    monkeypatch.setattr(scalars, "_sympy_gcd", mock.Mock(side_effect=AssertionError))
+    f, g = hom(1, 1), hom(3, -2)
+    assert f.gcd(g).is_one()
+    assert len(set(evaluations)) > 1
+
+
+def test_gcd_falls_back_to_sympy_when_heuristic_gives_up(monkeypatch):
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+    fallback = mock.Mock(wraps=scalars._sympy_gcd)
+    monkeypatch.setattr(scalars, "_sympy_gcd", fallback)
+    f = LaurentBi.const(6) * hom(1, 1) * hom(1, 0, 1)
+    g = LaurentBi.const(4) * hom(1, 1) * hom(2, 0, 1)
+    assert f.gcd(g) == LaurentBi.const(2) * hom(1, 1)
+    assert fallback.called
+
+
+def test_startup_and_fast_selftest_leave_sympy_unimported():
+    script = ("import json, sys, qgc.cli\n"
+              "at_import = 'sympy' in sys.modules\n"
+              "code = qgc.cli.main(['selftest', '--fast'])\n"
+              "print(json.dumps([code, at_import, 'sympy' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(qgc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, False, False]
+
+
+def test_rank2_trace_element_needs_no_sympy(monkeypatch):
+    monkeypatch.setattr(scalars, "_sympy_gcd", mock.Mock(side_effect=AssertionError(
+        "sympy gcd fallback reached on the rank-2 trace element")))
+    alg = Algebra(2)
+    z = center.central_from_trace(alg, (2, 0)).element
+    assert len(center.hc_xi(alg, z)) == 5
 
 
 def test_json_roundtrip():
