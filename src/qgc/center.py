@@ -285,22 +285,22 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
         raise NoSolution("empty ansatz for a nonzero weight")
 
     equations = {}
+    rhs = {}
     gens = [alg.e(i) for i in range(1, alg.n + 1)] + \
            [alg.f(i) for i in range(1, alg.n + 1)]
     for gi, g in enumerate(gens):
         for var in variables:
             img = alg.ad(g, alg.element_from_term(var))
             for key2, c in img.terms.items():
-                row = equations.setdefault((gi, key2), ({}, [ZERO]))
-                row[0][var] = row[0].get(var, ZERO) + c
+                accumulate(equations.setdefault((gi, key2), {}), var, c)
         for key, val in pinned.items():
             img = alg.ad(g, alg.element_from_term(key))
             for key2, c in img.terms.items():
-                row = equations.setdefault((gi, key2), ({}, [ZERO]))
-                row[1][0] = row[1][0] - c * val
+                equations.setdefault((gi, key2), {})  # a lone rhs is inconsistent
+                accumulate(rhs, (gi, key2), -(c * val))
 
     solution = linalg.solve_unique(
-        ((coeffs, rhs[0]) for coeffs, rhs in equations.values()),
+        ((coeffs, rhs.get(key, ZERO)) for key, coeffs in equations.items()),
         variables)
     terms = dict(pinned)
     for var, val in solution.items():

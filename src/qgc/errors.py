@@ -29,6 +29,10 @@ class WrongSide(QgcError, ValueError):
     """Skew-pairing argument contains letters from the other triangular half."""
 
 
+class InternalInconsistency(QgcError, ArithmeticError):
+    """Two constructions that must agree did not; signals an implementation bug."""
+
+
 class SingularGram(QgcError, ArithmeticError):
     """A graded Gram matrix came out singular; signals an implementation bug."""
 

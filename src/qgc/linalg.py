@@ -1,11 +1,11 @@
 """Small exact linear algebra over the scalar field.
 
-One dense Gauss-Jordan routine, `rref`, serves graded-basis reduction, ranks,
-Gram inversion (on [G | I]) and the parity-kernel probe; sizes stay in the
-dozens, and row updates touch only the nonzero columns of the pivot row.
-Over canonical scalars it never forms the large leading minors that a
+One sparse Gauss-Jordan elimination, `Echelon`, serves graded-basis
+reduction, ranks, Gram inversion (on [G | I]) and the parity-kernel probe
+through `rref`, the centrality solver and the irreducible quotients; row
+updates touch only nonzero entries.  Over canonical scalars it never forms the large leading minors that a
 fraction-free elimination of a Gram block builds, while the inverse entries
-themselves stay small.  A sparse Gauss-Jordan backs the centrality solver.
+themselves stay small.
 """
 
 from __future__ import annotations
@@ -14,39 +14,61 @@ from .errors import NoSolution, NonUniqueSolution
 from .scalars import ONE, ZERO, accumulate
 
 
+class Echelon:
+    """Sparse rows in fully reduced row echelon form.
+
+    Columns are any mutually comparable keys.  ``rows`` maps each pivot
+    column to its row without the (unit) pivot entry; no row has an entry in
+    any pivot column, and every entry of a row lies right of its pivot.
+    """
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, row):
+        """A new row: ``row`` with the current pivots eliminated."""
+        rows = self.rows
+        out = {k: c for k, c in row.items() if k not in rows and not c.is_zero()}
+        for p, c in row.items():
+            if p in rows and not c.is_zero():
+                for k, cp in rows[p].items():
+                    accumulate(out, k, -(c * cp))
+        return out
+
+    def add(self, row):
+        """Add ``row`` to the span; its new pivot, or None if it reduces to 0.
+
+        The pivot is the least column of the reduced row, scaled to one and
+        cleared from every other row.
+        """
+        row = self.reduce(row)
+        if not row:
+            return None
+        pivot = min(row)
+        inv = row.pop(pivot).inverse()
+        row = {k: c * inv for k, c in row.items()}
+        for other in self.rows.values():
+            c = other.pop(pivot, None)
+            if c is not None:
+                for k, ck in row.items():
+                    accumulate(other, k, -(c * ck))
+        self.rows[pivot] = row
+        return pivot
+
+
 def rref(rows):
     """Reduced row echelon form over the scalar field.
 
     rows: list of lists of Scalar (modified copies are returned).
     Returns (reduced_rows, pivot_columns).
     """
-    mat = [list(r) for r in rows]
-    pivots = []
-    lead = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = None
-        for r in range(lead, len(mat)):
-            if not mat[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        mat[lead], mat[piv] = mat[piv], mat[lead]
-        inv = mat[lead][col].inverse()
-        prow = mat[lead] = [x * inv for x in mat[lead]]
-        support = [k for k, b in enumerate(prow) if not b.is_zero()]
-        for r in range(len(mat)):
-            c = mat[r][col]
-            if r != lead and not c.is_zero():
-                row = mat[r]
-                for k in support:
-                    row[k] = row[k] - c * prow[k]
-        pivots.append(col)
-        lead += 1
-        if lead == len(mat):
-            break
-    return mat[:lead], pivots
+    ech = Echelon()
+    for row in rows:
+        ech.add(dict(enumerate(row)))
+    ncols = len(rows[0]) if rows else 0
+    pivots = sorted(ech.rows)
+    return [[ONE if k == p else ech.rows[p].get(k, ZERO) for k in range(ncols)]
+            for p in pivots], pivots
 
 
 def rank(rows) -> int:
@@ -67,6 +89,19 @@ def invert(mat):
     return [row[d:] for row in reduced]
 
 
+class _Last:
+    """A column key that sorts after every other key."""
+
+    def __lt__(self, other):
+        return False
+
+    def __gt__(self, other):
+        return True
+
+
+_RHS = _Last()
+
+
 def solve_unique(equations, variables):
     """Solve a linear system expecting exactly one solution.
 
@@ -74,34 +109,12 @@ def solve_unique(equations, variables):
     variables: all unknowns that must be determined.
     Raises NoSolution / NonUniqueSolution accordingly.
     """
-    pivots = {}
+    ech = Echelon()
     for coeffs, rhs in equations:
-        row = {v: c for v, c in coeffs.items() if not c.is_zero()}
-        for v in [v for v in row if v in pivots]:
-            c = row.pop(v)
-            prow, prhs = pivots[v]
-            for w, cw in prow.items():
-                accumulate(row, w, -(c * cw))
-            rhs = rhs - c * prhs
-        if not row:
-            if not rhs.is_zero():
-                raise NoSolution("inconsistent linear system")
-            continue
-        pv = min(row)
-        c = row.pop(pv)
-        inv = c.inverse()
-        row = {w: cw * inv for w, cw in row.items()}
-        rhs = rhs * inv
-        for v, (prow, prhs) in pivots.items():
-            if pv in prow:
-                c2 = prow.pop(pv)
-                for w, cw in row.items():
-                    accumulate(prow, w, -(c2 * cw))
-                pivots[v] = (prow, prhs - c2 * rhs)
-        pivots[pv] = (row, rhs)
-    missing = [v for v in variables if v not in pivots]
+        if ech.add({**coeffs, _RHS: rhs}) is _RHS:
+            raise NoSolution("inconsistent linear system")
+    missing = [v for v in variables if v not in ech.rows]
     if missing:
         raise NonUniqueSolution(f"{len(missing)} free unknowns remain")
-    # fully reduced: every pivot row only references pivot variables with
-    # zero coefficient, so the right-hand sides are the values
-    return {v: prhs for v, (prow, prhs) in pivots.items()}
+    # each listed unknown is a pivot, and its row's right-hand side its value
+    return {v: row.get(_RHS, ZERO) for v, row in ech.rows.items()}

@@ -23,14 +23,6 @@ from .qgroup import Algebra, Element, word_content
 from .scalars import ONE, ZERO, Scalar, rs_ratio_power
 
 
-def _caches(alg: Algebra):
-    try:
-        return alg._pairing_caches
-    except AttributeError:
-        alg._pairing_caches = {"word": {}, "gram": {}, "dual": {}}
-        return alg._pairing_caches
-
-
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
     """Pairing of the pure words f_{fw} and e_{ew}; zero unless contents match.
 
@@ -42,7 +34,7 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
     fw, ew = tuple(fw), tuple(ew)
     if word_content(alg.n, fw) != word_content(alg.n, ew):
         return ZERO
-    cache = _caches(alg)["word"]
+    cache = alg.memo("word_pair")
 
     def rec(fword, eword):
         if not fword:
@@ -95,7 +87,7 @@ def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
 def gram(alg: Algebra, nu):
     """Gram matrix of the graded slice: rows lowering words, columns raising."""
     nu = tuple(nu)
-    cache = _caches(alg)["gram"]
+    cache = alg.memo("gram")
     hit = cache.get(nu)
     if hit is not None:
         return hit
@@ -131,7 +123,7 @@ class DualBasisPair:
 
 def dual_basis(alg: Algebra, nu) -> DualBasisPair:
     nu = tuple(nu)
-    cache = _caches(alg)["dual"]
+    cache = alg.memo("dual_basis")
     hit = cache.get(nu)
     if hit is not None:
         return hit

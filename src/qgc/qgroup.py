@@ -247,10 +247,12 @@ class Algebra:
                 else:
                     self._gr[i][j] = 1
                     self._gs[i][j] = -1
-        self._basis_cache = {}
-        self._reduce_cache = {}
-        self._junction_table = {}
+        self._memo = {}
         self._zero = (0,) * n
+
+    def memo(self, name):
+        """The memo table ``name`` of this algebra, created empty on first use."""
+        return self._memo.setdefault(name, {})
 
     def _eps_dot_alpha(self, eps_index, alpha_doubled):
         # (eps_k, alpha) with alpha in doubled coordinates
@@ -455,14 +457,15 @@ class Algebra:
         if any(c < 0 for c in nu):
             raise NotInPositiveCone(f"{nu} is not in the positive cone")
         key = (sign, nu)
-        hit = self._basis_cache.get(key)
+        cache = self.memo("graded_basis")
+        hit = cache.get(key)
         if hit is not None:
             return hit
         basis = self._load_disk_basis(sign, nu)
         if basis is None:
             basis = self._build_graded_basis(sign, nu)
             self._store_disk_basis(basis)
-        self._basis_cache[key] = basis
+        cache[key] = basis
         return basis
 
     def _build_graded_basis(self, sign, nu):
@@ -501,11 +504,11 @@ class Algebra:
         if len(word) <= 1:
             return {word: ONE}
         key = (sign, word)
-        hit = self._reduce_cache.get(key)
+        cache = self.memo("reduce_word")
+        hit = cache.get(key)
         if hit is None:
             nu = word_content(self.n, word)
-            hit = self.graded_basis(sign, nu).reduction[word]
-            self._reduce_cache[key] = hit
+            hit = cache[key] = self.graded_basis(sign, nu).reduction[word]
         return hit
 
     def graded_dim(self, sign, nu) -> int:
@@ -619,7 +622,8 @@ class Algebra:
         / (r_i - s_i); every (ew, fw) pair met on the way is memoized.
         """
         key = (ew, fw)
-        hit = self._junction_table.get(key)
+        table = self.memo("junction")
+        hit = table.get(key)
         if hit is not None:
             return hit
         zero = self._zero
@@ -648,7 +652,7 @@ class Algebra:
                     else:
                         accumulate(out, (f2, _vec_add(eta2, eta),
                                          _vec_add(phi2, phi), e), c * c2)
-        self._junction_table[key] = out
+        table[key] = out
         return out
 
     def _crossing(self, eta, phi):

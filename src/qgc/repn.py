@@ -9,7 +9,8 @@ grading operator acts on a weight-mu vector by (r s^-1)^(-2 (rho, mu)).
 
 from __future__ import annotations
 
-from .errors import NotDominant, RankMismatch, TruncationOverflow
+from .errors import InternalInconsistency, NotDominant, RankMismatch, TruncationOverflow
+from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
 from .scalars import ONE, ZERO, Scalar, accumulate, rs_ratio_power
 
@@ -259,11 +260,8 @@ class VermaModule(WeightModule):
             self._overflow.add((i, col))
             return out
         for rep, c in alg.reduce_word("-", word).items():
-            if c.is_zero():
-                continue
-            row = self.index[(nu2, self._words[nu2].index(rep))]
-            out[row] = out.get(row, ZERO) + c
-        return {r: v for r, v in out.items() if not v.is_zero()}
+            accumulate(out, self.index[(nu2, self._words[nu2].index(rep))], c)
+        return out
 
     def _compute_e_col(self, i, col):
         alg = self.algebra
@@ -329,9 +327,7 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
     lam = tuple(lam)
     if not alg.rs.in_weight_lattice(lam) or not alg.rs.is_dominant(lam):
         raise NotDominant(f"{lam} is not a dominant lattice weight")
-    cache = getattr(alg, "_irr_cache", None)
-    if cache is None:
-        cache = alg._irr_cache = {}
+    cache = alg.memo("irreducible")
     hit = cache.get(lam)
     if hit is not None:
         return hit
@@ -339,23 +335,7 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
     depth = int(sum(alg.rs.alpha_coords(two_lam)))
     parent = VermaModule(alg, lam, (0,) * alg.n, depth)
 
-    pivots = {}  # pivot label -> vector {label: Scalar}, Gauss-Jordan reduced
-
-    def reduce_vec(vec):
-        vec = dict(vec)
-        changed = True
-        while changed:
-            changed = False
-            for label in list(vec):
-                if label in pivots:
-                    c = vec.pop(label)
-                    for lab2, c2 in pivots[label].items():
-                        if lab2 == label:
-                            continue
-                        accumulate(vec, lab2, -(c * c2))
-                    changed = True
-        return vec
-
+    span = Echelon()  # the lowering-closed span, keyed by parent labels
     work = []
     for i in range(1, alg.n + 1):
         m = int(alg.rs.coroot_pair(lam, i))
@@ -364,20 +344,10 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
         nu = tuple((m + 1) if k == i - 1 else 0 for k in range(alg.n))
         work.append({(nu, 0): ONE})
     while work:
-        vec = reduce_vec(work.pop())
-        if not vec:
+        lead = span.add(work.pop())
+        if lead is None:
             continue
-        lead = min(vec)
-        inv = vec[lead].inverse()
-        vec = {lab: c * inv for lab, c in vec.items()}
-        for plab, pvec in pivots.items():
-            if lead in pvec and plab != lead:
-                c = pvec.pop(lead)
-                for lab2, c2 in vec.items():
-                    if lab2 == lead:
-                        continue
-                    accumulate(pvec, lab2, -(c * c2))
-        pivots[lead] = vec
+        vec = {lead: ONE, **span.rows[lead]}
         for i in range(1, alg.n + 1):
             img = {}
             for label, c in vec.items():
@@ -388,14 +358,14 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
             if img:
                 work.append(img)
 
-    kept = [lab for lab in parent.labels if lab not in pivots]
+    kept = [lab for lab in parent.labels if lab not in span.rows]
     reduction = {lab: {lab: ONE} for lab in kept}
-    for plab, pvec in pivots.items():
-        reduction[plab] = {lab: -c for lab, c in pvec.items() if lab != plab}
+    for plab, prow in span.rows.items():
+        reduction[plab] = {lab: -c for lab, c in prow.items()}
     module = QuotientModule(parent, reduction, kept)
     expect = alg.rs.weyl_dim(lam)
     if module.dim != expect:
-        raise ArithmeticError(
+        raise InternalInconsistency(
             f"irreducible quotient came out {module.dim}-dimensional, "
             f"product formula gives {expect}")
     cache[lam] = module

@@ -14,7 +14,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import IndexOutOfRange, NotDominant, NotInPositiveCone, RankMismatch
+from .errors import (IndexOutOfRange, InternalInconsistency, NotDominant,
+                     NotInPositiveCone, RankMismatch)
 
 
 class WeylElement:
@@ -284,7 +285,7 @@ class RootSystemB:
             denom = c_top - self.inner(mu_rho, mu_rho)
             val = 2 * acc / denom
             if val.denominator != 1 or val < 0:
-                raise ArithmeticError(f"non-integral multiplicity at {mu}")
+                raise InternalInconsistency(f"non-integral multiplicity at {mu}")
             if val:
                 mults[mu] = int(val)
         full = {}

@@ -346,4 +346,4 @@ def test_rank3_vector_trace_element_hc_image(algebras):
 def test_junction_table_stays_bounded(algebras, trace_elements):
     # certifying the (2,0) and (2,2) trace elements memoizes only
     # (raising word, lowering word) pairs, a few hundred of them
-    assert len(algebras[2]._junction_table) <= 2000
+    assert len(algebras[2].memo("junction")) <= 2000

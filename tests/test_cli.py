@@ -5,7 +5,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from qgc import cli
+from qgc import cli, repn
+from qgc.errors import InternalInconsistency
+from qgc.qgroup import Algebra
+from qgc.rootdata import RootSystemB
 
 
 def run_cli(capsys, argv):
@@ -150,6 +153,19 @@ def test_weight_argument_validation(capsys):
                                     "--lambda-alpha", "1/3,1"])
     assert code == 1
     assert report["status"] == "fail"
+
+
+def test_internal_inconsistency_is_structured(monkeypatch, capsys):
+    # a product formula that disagrees with the quotient is a bug, reported
+    # as a QgcError that is also an ArithmeticError, never as a traceback
+    monkeypatch.setattr(RootSystemB, "weyl_dim", lambda self, lam: 4)
+    with pytest.raises(InternalInconsistency) as exc:
+        repn.irreducible(Algebra(2), (2, 0))
+    assert isinstance(exc.value, ArithmeticError)
+    code, report = run_cli(capsys, ["irrep", "--n", "2", "--lambda-fund", "1,0"])
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["payload"]["error"] == "InternalInconsistency"
 
 
 def test_disk_cache_roundtrip(tmp_path, monkeypatch, capsys):

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from qgc import pairing
-from qgc.errors import SingularGram
-from qgc.linalg import invert, rank, rref
+from qgc.errors import NonUniqueSolution, NoSolution, SingularGram
+from qgc.linalg import Echelon, invert, rank, rref, solve_unique
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
 
@@ -108,3 +108,49 @@ def test_rref_matches_dense_reference():
         c = rng.choice(pool[3:])
         rows.append([c * a + b for a, b in zip(rows[0], rows[-1])])
         assert rref(rows) == dense_rref(rows), trial
+
+
+def test_echelon_ignores_row_order():
+    rng = random.Random(20140104)
+    pool = [ZERO, ZERO, ZERO, ONE, -ONE, R, S, R - S, ONE / (R + S),
+            Scalar.from_int(2), R * S.inverse()]
+    for trial in range(6):
+        nrows, ncols = rng.randint(2, 6), rng.randint(3, 8)
+        rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        c = rng.choice(pool[3:])
+        rows.append([c * a + b for a, b in zip(rows[0], rows[-1])])
+        reduced, pivots = dense_rref(rows)
+        expect = {p: {k: x for k, x in enumerate(row) if k != p and not x.is_zero()}
+                  for row, p in zip(reduced, pivots)}
+        for _ in range(3):
+            rng.shuffle(rows)
+            ech = Echelon()
+            for row in rows:
+                ech.add(dict(enumerate(row)))
+            assert ech.rows == expect, trial
+
+
+def test_solve_unique_unique_solution():
+    # x + r y = 1 and s x = r - 1: the second row meets y only through x's
+    # pivot, after its right-hand side, which must still sort last
+    x, y = ("x",), ("y",)
+    sol = solve_unique([({x: ONE, y: R}, ONE), ({x: S}, R - ONE),
+                        ({x: ZERO}, ZERO)], [x, y])
+    assert sol == {x: (R - ONE) / S, y: (ONE - (R - ONE) / S) / R}
+    assert solve_unique([({"a": R}, S)], ["a"]) == {"a": S / R}
+
+
+def test_solve_unique_inconsistent():
+    with pytest.raises(NoSolution):
+        solve_unique([({"a": ONE, "b": ONE}, ONE), ({"a": R, "b": R}, S)],
+                     ["a", "b"])
+    with pytest.raises(NoSolution):
+        solve_unique([({"a": ZERO}, ONE)], ["a"])
+
+
+def test_solve_unique_underdetermined():
+    with pytest.raises(NonUniqueSolution):
+        solve_unique([({"a": ONE, "b": R}, ONE), ({"a": S, "b": R * S}, S)],
+                     ["a", "b"])
+    with pytest.raises(NonUniqueSolution):
+        solve_unique([], ["a"])

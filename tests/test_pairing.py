@@ -200,3 +200,20 @@ def test_word_pair_cache_consistency(alg2):
     mat1 = [[word_pair(alg2, fw, ew) for ew in eb] for fw in fb]
     mat2 = gram(alg2, nu)
     assert mat1 == mat2
+
+
+@pytest.mark.parametrize("n, contents", [
+    (2, [(a, b) for a in range(3) for b in range(3)]),
+    (3, [(1, 1, 1)]),
+])
+def test_word_pair_is_junction_pure_toral_term(n, contents):
+    # two recursions peel the same letters: the pairing <f_fw, e_ew> is the
+    # coefficient of the lone w'_nu term in the straightened product e_ew f_fw
+    alg = Algebra(n)
+    zero = (0,) * n
+    for nu in contents:
+        words = alg.words_of_content(nu)
+        for fw in words:
+            for ew in words:
+                pure = alg.junction(ew, fw).get(((), nu, zero, ()), ZERO)
+                assert word_pair(alg, fw, ew) == pure, (fw, ew)
