@@ -3,9 +3,11 @@
 One sparse Gauss-Jordan elimination, `Echelon`, serves graded-basis
 reduction, ranks, Gram inversion (on [G | I]) and the parity-kernel probe
 through `rref`, the centrality solver and the irreducible quotients; row
-updates touch only nonzero entries.  Over canonical scalars it never forms the large leading minors that a
-fraction-free elimination of a Gram block builds, while the inverse entries
-themselves stay small.
+updates touch only nonzero entries.  Over canonical scalars it never forms
+the large leading minors that a fraction-free elimination of a Gram block
+builds, while the inverse entries themselves stay small.  The solver feeds
+its equations sparsest first, so the many redundant dense rows of the
+centrality system reduce against short pivot rows.
 """
 
 from __future__ import annotations
@@ -105,12 +107,13 @@ _RHS = _Last()
 def solve_unique(equations, variables):
     """Solve a linear system expecting exactly one solution.
 
-    equations: iterable of (coeffs: dict[var, Scalar], rhs: Scalar).
+    equations: iterable of (coeffs: dict[var, Scalar], rhs: Scalar), fed
+    to the elimination in a stable order of fewest coefficients first.
     variables: all unknowns that must be determined.
     Raises NoSolution / NonUniqueSolution accordingly.
     """
     ech = Echelon()
-    for coeffs, rhs in equations:
+    for coeffs, rhs in sorted(equations, key=lambda eq: len(eq[0])):
         if ech.add({**coeffs, _RHS: rhs}) is _RHS:
             raise NoSolution("inconsistent linear system")
     missing = [v for v in variables if v not in ech.rows]

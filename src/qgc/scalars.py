@@ -88,54 +88,74 @@ def _int_content(coeffs):
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd in ZZ[u, v].  Every structure constant of the algebra is
-# homogeneous in u and v, and the gcd of two homogeneous polynomials with no
-# monomial factor is the homogenized gcd of their dehomogenizations at v = 1.
-# That univariate gcd runs as the heuristic integer gcd of Char, Geddes and
-# Gonnet (J. Symb. Comput. 1989) on Python integers.  Other operands, and the
-# rare case where the heuristic gives up, go to sympy's sparse polynomial
-# rings, which are imported on first use.
+# gcd and exact division in ZZ[u^+-1, v^+-1].  Monomials are units, so a
+# monomial operand leaves only the common integer content (see LaurentBi.gcd).
+# Every structure constant of the algebra is homogeneous in u and v, and a
+# homogeneous Laurent polynomial is a monomial times the homogenization of
+# its dense dehomogenization at v = 1.  Gcd and exact division of two such
+# operands therefore run on dense univariate integer coefficients: the gcd as
+# the heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput.
+# 1989), the division as long division.  Other operands, and the rare case
+# where the heuristic gives up, go to sympy's sparse polynomial rings (gcd,
+# imported on first use) and to graded-lex dict division.
 # ---------------------------------------------------------------------------
 
 _SYMPY_RING = None
 
 
 def _sympy_gcd(p, q):
+    """Gcd in ZZ[u, v], normalized with a positive graded-lex lead."""
     global _SYMPY_RING
     if _SYMPY_RING is None:
         from sympy.polys.domains import ZZ
         from sympy.polys.rings import ring
         _SYMPY_RING = ring("u v", ZZ)[0]
     g = _SYMPY_RING.from_dict(p).gcd(_SYMPY_RING.from_dict(q))
-    return {k: int(c) for k, c in g.items()}
+    out = {k: int(c) for k, c in g.items()}
+    return _neg(out) if out[_lead(out)] < 0 else out
 
 
-def _homogeneous_degree(p):
-    degrees = {a + b for a, b in p}
-    return degrees.pop() if len(degrees) == 1 else None
+def _dehomogenize(p):
+    """(a0, d, f) with p = sum f[k] u^(a0 + k) v^(d - a0 - k), or None.
 
-
-def _dense(p, d):
-    """Coefficients of p(x, 1) in ascending powers, p homogeneous of degree d."""
-    out = [0] * (d + 1)
+    f is dense from the least power of u, so its first and last entries are
+    nonzero; None when p is not homogeneous.
+    """
+    keys = iter(p)
+    a0, b0 = next(keys)
+    d = a0 + b0
+    lo = hi = a0
+    for a, b in keys:
+        if a + b != d:
+            return None
+        if a < lo:
+            lo = a
+        elif a > hi:
+            hi = a
+    f = [0] * (hi - lo + 1)
     for (a, _), c in p.items():
-        out[a] = c
-    return out
+        f[a - lo] = c
+    return lo, d, f
 
 
-def _divides(d, f):
-    """Whether d divides f exactly in ZZ[x]; dense ascending coefficients."""
+def _dense_quotient(f, g):
+    """f / g in ZZ[x] on dense ascending coefficients, or None if inexact."""
+    m = len(g) - 1
+    n = len(f) - 1 - m
+    if n < 0:
+        return None
     r = list(f)
-    m = len(d) - 1
-    lc = d[m]
-    for k in range(len(r) - 1, m - 1, -1):
-        if r[k]:
-            q, rem = divmod(r[k], lc)
+    lc = g[m]
+    quo = [0] * (n + 1)
+    for k in range(n, -1, -1):
+        if r[k + m]:
+            q, rem = divmod(r[k + m], lc)
             if rem:
-                return False
-            for j in range(m + 1):
-                r[k - m + j] -= q * d[j]
-    return not any(r[:m])
+                return None
+            quo[k] = q
+            for j in range(m):
+                r[k + j] -= q * g[j]
+    return None if any(r[:m]) else quo
 
 
 def _heu_gcd(f, g):
@@ -159,7 +179,8 @@ def _heu_gcd(f, g):
         cand = [c // cont for c in cand]
         if cand[-1] < 0:
             cand = [-c for c in cand]
-        if _divides(cand, f) and _divides(cand, g):
+        if _dense_quotient(f, cand) is not None \
+                and _dense_quotient(g, cand) is not None:
             return cand
         # the growth factor of the original method, close to 1 + sqrt(3)
         xi = xi * 73794 // 27011
@@ -173,31 +194,22 @@ def _horner(f, x):
     return acc
 
 
-def _poly_gcd(p, q):
-    """Gcd in ZZ[u, v] of polynomials with no monomial factor.
+def _laurent_gcd(p, q):
+    """Gcd of nonzero Laurent polynomials, normalized with no monomial factor
+    and a positive graded-lex leading coefficient.
 
-    Result is normalized with no monomial factor and positive graded-lex
-    leading coefficient.
+    LaurentBi.gcd answers a monomial operand before calling this.
     """
-    if not p:
-        return dict(q)
-    if not q:
-        return dict(p)
-    if len(p) == 1 or len(q) == 1:
-        # a constant: the gcd is the common integer content
-        return {(0, 0): math.gcd(_int_content(p.values()), _int_content(q.values()))}
-    dp, dq = _homogeneous_degree(p), _homogeneous_degree(q)
-    if dp is not None and dq is not None:
-        f, g = _dense(p, dp), _dense(q, dq)
+    hp, hq = _dehomogenize(p), _dehomogenize(q)
+    if hp is not None and hq is not None:
+        f, g = hp[2], hq[2]
         cf, cg = _int_content(f), _int_content(g)
         h = _heu_gcd([c // cf for c in f], [c // cg for c in g])
         if h is not None:
             m, c = len(h) - 1, math.gcd(cf, cg)
             return {(k, m - k): c * x for k, x in enumerate(h) if x}
-    out = _sympy_gcd(p, q)
-    if out[_lead(out)] < 0:
-        out = _neg(out)
-    return out
+    sp, sq = _min_exps(p), _min_exps(q)
+    return _sympy_gcd(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
 
 
 def _poly_divexact(p, q):
@@ -218,15 +230,15 @@ def _poly_divexact(p, q):
     return out
 
 
-def _laurent_gcd(p, q):
-    """Gcd in ZZ[u^+-1, v^+-1], normalized monomial-free with positive lead."""
-    sp = _min_exps(p)
-    sq = _min_exps(q)
-    return _poly_gcd(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
-
-
 def _laurent_divexact(p, q):
-    """Exact division of Laurent polynomials."""
+    """Exact division of Laurent polynomials; ArithmeticError if inexact."""
+    hp, hq = _dehomogenize(p), _dehomogenize(q)
+    if hp is not None and hq is not None:
+        quo = _dense_quotient(hp[2], hq[2])
+        if quo is None:
+            raise ArithmeticError("inexact polynomial division")
+        a0, d = hp[0] - hq[0], hp[1] - hq[1]
+        return {(a0 + k, d - a0 - k): c for k, c in enumerate(quo) if c}
     sp = _min_exps(p)
     sq = _min_exps(q)
     quo = _poly_divexact(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
@@ -298,7 +310,12 @@ class LaurentBi:
             return other
         if other.is_zero():
             return self
-        return LaurentBi(_laurent_gcd(self.terms, other.terms))
+        p, q = self.terms, other.terms
+        if len(p) == 1 or len(q) == 1:
+            # a monomial is a unit: only the common integer content remains
+            g = math.gcd(_int_content(p.values()), _int_content(q.values()))
+            return _L_ONE if g == 1 else LaurentBi.const(g)
+        return LaurentBi(_laurent_gcd(p, q))
 
     def divexact(self, other):
         if self.is_zero():

@@ -31,6 +31,12 @@ def z_vector(trace_elements):
     return trace_elements[(2, 0)]
 
 
+@pytest.fixture(scope="module")
+def z_vector_rank3(algebras):
+    """The certified rank-3 trace element of the vector representation."""
+    return center.central_from_trace(algebras[3], (2, 0, 0)).element
+
+
 def cone_points(n, max_height):
     for h in range(max_height + 1):
         for point in itertools.product(range(h + 1), repeat=n):
@@ -319,14 +325,13 @@ def test_hc_images_triangular_independent(algebras, trace_elements):
     assert linalg.rank(mat) == 3
 
 
-def test_rank3_vector_trace_element_hc_image(algebras):
+def test_rank3_vector_trace_element_hc_image(algebras, z_vector_rank3):
     # the odd-rank side of the parity dichotomy: the rank-3 vector
     # representation gives a certified central element whose HC image is a
     # balanced, Weyl-invariant sum of orbit averages led by lambda
     alg = algebras[3]
     lam = (2, 0, 0)
-    z = center.central_from_trace(alg, lam).element
-    image = center.hc_xi(alg, z)
+    image = center.hc_xi(alg, z_vector_rank3)
     # one unit term per weight of the 7-dimensional module, as at rank 2
     assert len(image) == 7 and all(c == ONE for c in image.values())
     assert center.toral_is_balanced(image)
@@ -341,6 +346,12 @@ def test_rank3_vector_trace_element_hc_image(algebras):
     lead = coeffs[lam].as_fraction()
     assert lead.denominator == 1 and lead > 0
     assert all(alg.rs.dominance_leq(dom, lam) for dom in coeffs)
+
+
+def test_rank3_vector_trace_and_solve(algebras, z_vector_rank3):
+    # the independent solver reaches the same rank-3 element as the trace
+    solved = center.central_by_solve(algebras[3], (2, 0, 0))
+    assert solved.element == z_vector_rank3
 
 
 def test_junction_table_stays_bounded(algebras, trace_elements):

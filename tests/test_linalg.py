@@ -154,3 +154,44 @@ def test_solve_unique_underdetermined():
                      ["a", "b"])
     with pytest.raises(NonUniqueSolution):
         solve_unique([], ["a"])
+
+
+def random_system(rng):
+    """A uniquely solvable system with redundant rows, and its solution."""
+    pool = [ZERO, ZERO, ONE, -ONE, R, S, R - S, ONE / (R + S),
+            Scalar.from_int(2), R * S.inverse()]
+    names = [f"x{k}" for k in range(5)]
+    while True:
+        mat = [[rng.choice(pool) for _ in names] for _ in names]
+        if rank(mat) == len(names):
+            break
+    mat += [[c * a + b for a, b in zip(mat[i], mat[j])]
+            for i, j, c in [(0, 1, R), (2, 3, S), (1, 4, -ONE)]]
+    solution = {x: rng.choice(pool[2:]) for x in names}
+
+    def equation(row):
+        coeffs = {x: c for x, c in zip(names, row) if not c.is_zero()}
+        return coeffs, sum((c * solution[x] for x, c in coeffs.items()), ZERO)
+
+    return [equation(row) for row in mat], names, solution
+
+
+def test_solve_unique_ignores_equation_order():
+    rng = random.Random(20140105)
+    for trial in range(4):
+        equations, names, solution = random_system(rng)
+        for seed in range(3):
+            random.Random(seed).shuffle(equations)
+            assert solve_unique(equations, names) == solution, (trial, seed)
+
+
+def test_solve_unique_inconsistent_anywhere():
+    # a wrong row with one unknown, and one with every unknown, which the
+    # sparsest-first order meets after all sparser rows
+    equations, names, solution = random_system(random.Random(20140106))
+    sparse = ({"x0": ONE}, solution["x0"] + ONE)
+    dense = ({x: ONE for x in names}, sum(solution.values(), ONE))
+    for bad in (sparse, dense):
+        for system in ([bad] + equations, equations + [bad]):
+            with pytest.raises(NoSolution):
+                solve_unique(system, names)

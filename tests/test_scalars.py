@@ -228,6 +228,52 @@ def test_gcd_falls_back_to_sympy_when_heuristic_gives_up(monkeypatch):
     assert fallback.called
 
 
+monomials = st.builds(LaurentBi.monomial, st.integers(-12, 12).filter(bool),
+                      st.integers(-4, 4), st.integers(-4, 4))
+laurent = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                          st.integers(-6, 6), max_size=5).map(LaurentBi).filter(
+                              lambda p: not p.is_zero())
+shifted = st.builds(lambda p, m: p * m, homogeneous, monomials)
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials, st.one_of(monomials, shifted, laurent))
+def test_unit_gcd_is_common_content(m, q):
+    # a monomial is a unit, so LaurentBi.gcd answers without the general path
+    general = LaurentBi(scalars._laurent_gcd(m.terms, q.terms))
+    assert general == sympy_gcd_normalized(m, q)
+    with mock.patch.object(scalars, "_laurent_gcd", side_effect=AssertionError):
+        assert m.gcd(q) == general
+        assert q.gcd(m) == general
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted, shifted)
+def test_homogeneous_divexact_inverts_product(q, h):
+    with mock.patch.object(scalars, "_poly_divexact", side_effect=AssertionError):
+        assert (q * h).divexact(q) == h
+        assert (q * h).divexact(h) == q
+
+
+@settings(max_examples=150, deadline=None)
+@given(shifted.filter(lambda q: len(q.terms) > 1), shifted,
+       st.integers(-6, 6).filter(bool), st.integers(-4, 4))
+def test_homogeneous_divexact_rejects_a_remainder(q, h, c, a):
+    # q has two terms, so it divides no monomial c u^a v^b and so not q h + c u^a v^b
+    qh = q * h
+    d = next(iter(qh.terms))
+    f = qh + LaurentBi.monomial(c, a, sum(d) - a)
+    with mock.patch.object(scalars, "_poly_divexact", side_effect=AssertionError):
+        with pytest.raises(ArithmeticError):
+            f.divexact(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent, laurent)
+def test_divexact_inverts_product(q, h):
+    assert (q * h).divexact(q) == h
+
+
 def test_startup_and_fast_selftest_leave_sympy_unimported():
     script = ("import json, sys, qgc.cli\n"
               "at_import = 'sympy' in sys.modules\n"
