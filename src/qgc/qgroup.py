@@ -678,6 +678,16 @@ class Algebra:
             out[key] = c.shift(af - ae, bf - be)
         return Element(self, out)
 
+    def _times_toral(self, z: Element, eta, phi) -> Element:
+        """z t for t = w'_eta w_phi: t crosses each raising word as one unit
+        monomial and joins the term's toral."""
+        cross = self._crossing(eta, phi)
+        out = {}
+        for (fw, eta1, phi1, ew), c in z.terms.items():
+            a, b = _word_shift(cross, ew)
+            out[(fw, _vec_add(eta1, eta), _vec_add(phi1, phi), ew)] = c.shift(a, b)
+        return Element(self, out)
+
     # -- Hopf structure --------------------------------------------------------
 
     def comultiply(self, x: Element) -> TensorElement:
@@ -747,7 +757,8 @@ class Algebra:
             return self.e(i) * z - w_z * self.e(i)
         if letter[0] == "F":
             i = letter[1]
-            return (self.f(i) * z - z * self.f(i)) * self.omega_prime(i, -1)
+            return self._times_toral(self.f(i) * z - z * self.f(i),
+                                     _vec_neg(_unit(self.n, i)), self._zero)
         return self._conjugate(letter[1], letter[2], z)
 
     def __repr__(self):

@@ -7,6 +7,19 @@ makes r^k * s^l = 1 hold only for k = l = 0.
 
 No floating point is used anywhere; integer coefficients are arbitrary
 precision.
+
+Arithmetic on canonical operands does only the gcd work that can change the
+result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
+
+- a product of canonical denominators is canonical: minimum exponents add,
+  so it has no monomial factor, and graded-lex leads multiply, so its lead
+  stays positive.  So is the exact quotient of one by a gcd, which is
+  normalized the same way.  A product therefore only cross-reduces each
+  numerator against the other denominator, and a denominator of 1 needs no
+  gcd;
+- a sum with coprime denominators d1, d2 is already reduced over d1 d2.
+  Otherwise, with g = gcd(d1, d2), only gcd(t, g) can cancel, where
+  t = n1 (d2/g) + n2 (d1/g).
 """
 
 from __future__ import annotations
@@ -259,6 +272,14 @@ class LaurentBi:
         self._hash = None
 
     @staticmethod
+    def _of(terms):
+        """Wrap a term map that already holds no zero coefficient."""
+        p = object.__new__(LaurentBi)
+        p.terms = terms
+        p._hash = None
+        return p
+
+    @staticmethod
     def monomial(coeff, a, b):
         return LaurentBi({(a, b): coeff} if coeff else {})
 
@@ -270,22 +291,22 @@ class LaurentBi:
         return not self.terms
 
     def is_one(self):
-        return self.terms == {(0, 0): 1}
+        return self.terms == _ONE_TERMS
 
     def is_monomial(self):
         return len(self.terms) == 1
 
     def __add__(self, other):
-        return LaurentBi(_add(self.terms, other.terms))
+        return LaurentBi._of(_add(self.terms, other.terms))
 
     def __sub__(self, other):
-        return LaurentBi(_add(self.terms, _neg(other.terms)))
+        return LaurentBi._of(_add(self.terms, _neg(other.terms)))
 
     def __neg__(self):
-        return LaurentBi(_neg(self.terms))
+        return LaurentBi._of(_neg(self.terms))
 
     def __mul__(self, other):
-        return LaurentBi(_mul(self.terms, other.terms))
+        return LaurentBi._of(_mul(self.terms, other.terms))
 
     def __pow__(self, k):
         out = LaurentBi.const(1)
@@ -315,12 +336,12 @@ class LaurentBi:
             # a monomial is a unit: only the common integer content remains
             g = math.gcd(_int_content(p.values()), _int_content(q.values()))
             return _L_ONE if g == 1 else LaurentBi.const(g)
-        return LaurentBi(_laurent_gcd(p, q))
+        return LaurentBi._of(_laurent_gcd(p, q))
 
     def divexact(self, other):
         if self.is_zero():
             return self
-        return LaurentBi(_laurent_divexact(self.terms, other.terms))
+        return LaurentBi._of(_laurent_divexact(self.terms, other.terms))
 
     def eval_at(self, u0: Fraction, v0: Fraction) -> Fraction:
         total = Fraction(0)
@@ -340,6 +361,7 @@ class LaurentBi:
         return f"LaurentBi({self.terms!r})"
 
 
+_ONE_TERMS = {(0, 0): 1}
 _L_ZERO = LaurentBi()
 _L_ONE = LaurentBi.const(1)
 
@@ -441,10 +463,31 @@ class Scalar:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return Scalar(self.num + other.num, self.den)
-        num = self.num * other.den + other.num * self.den
-        return Scalar(num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1 == d2:
+            num = n1 + n2
+            if num.is_zero():
+                return ZERO
+            if not d1.is_one():
+                g = num.gcd(d1)
+                if not g.is_one():
+                    num, d1 = num.divexact(g), d1.divexact(g)
+            return Scalar(num, d1, _canonical=True)
+        # distinct canonical denominators: the sum is not zero, since -other
+        # keeps other's denominator
+        if d1.is_one():
+            return Scalar(n1 * d2 + n2, d2, _canonical=True)
+        if d2.is_one():
+            return Scalar(n1 + n2 * d1, d1, _canonical=True)
+        g = d1.gcd(d2)
+        if g.is_one():
+            return Scalar(n1 * d2 + n2 * d1, d1 * d2, _canonical=True)
+        d1 = d1.divexact(g)
+        num = n1 * d2.divexact(g) + n2 * d1
+        g = num.gcd(g)
+        if not g.is_one():
+            num, d2 = num.divexact(g), d2.divexact(g)
+        return Scalar(num, d1 * d2, _canonical=True)
 
     __radd__ = __add__
 
@@ -470,17 +513,18 @@ class Scalar:
             return self
         if self.is_one():
             return other
-        # cross-reduce so the product of canonical inputs is already reduced
-        g1 = self.num.gcd(other.den)
-        g2 = other.num.gcd(self.den)
-        n1 = self.num.divexact(g1) if not g1.is_one() else self.num
-        d2 = other.den.divexact(g1) if not g1.is_one() else other.den
-        n2 = other.num.divexact(g2) if not g2.is_one() else other.num
-        d1 = self.den.divexact(g2) if not g2.is_one() else self.den
-        num = n1 * n2
-        den = d1 * d2
-        num, den = _normalize_unit(num, den)
-        return Scalar(num, den, _canonical=True)
+        # only n1 against d2 and n2 against d1 can cancel; the product of
+        # the reduced canonical denominators is canonical (module docstring)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not d2.is_one():
+            g = n1.gcd(d2)
+            if not g.is_one():
+                n1, d2 = n1.divexact(g), d2.divexact(g)
+        if not d1.is_one():
+            g = n2.gcd(d1)
+            if not g.is_one():
+                n2, d1 = n2.divexact(g), d1.divexact(g)
+        return Scalar(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -488,7 +532,7 @@ class Scalar:
         """self * u^a v^b; monomials are units, so no gcd is needed."""
         if not (a or b) or self.is_zero():
             return self
-        return Scalar(LaurentBi(_shift(self.num.terms, a, b)), self.den,
+        return Scalar(LaurentBi._of(_shift(self.num.terms, a, b)), self.den,
                       _canonical=True)
 
     def inverse(self):
@@ -576,8 +620,8 @@ def _normalize_unit(num: LaurentBi, den: LaurentBi):
     """Move the denominator's monomial factor and sign into the numerator."""
     ma, mb = _min_exps(den.terms)
     if ma or mb:
-        num = LaurentBi(_shift(num.terms, -ma, -mb))
-        den = LaurentBi(_shift(den.terms, -ma, -mb))
+        num = LaurentBi._of(_shift(num.terms, -ma, -mb))
+        den = LaurentBi._of(_shift(den.terms, -ma, -mb))
     if den.terms[_lead(den.terms)] < 0:
         num, den = -num, -den
     return num, den
@@ -601,11 +645,13 @@ S = Scalar.monomial(0, 2)
 
 def accumulate(out, key, c):
     """out[key] += c, dropping the key when the sum cancels."""
-    acc = out.get(key, ZERO) + c
-    if acc.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = acc
+    acc = out.get(key)
+    if acc is not None:
+        c = acc + c
+    if not c.is_zero():
+        out[key] = c
+    elif acc is not None:
+        del out[key]
 
 
 def rs_ratio_power(q) -> Scalar:

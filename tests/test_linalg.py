@@ -4,7 +4,7 @@ import pytest
 
 from qgc import pairing
 from qgc.errors import NonUniqueSolution, NoSolution, SingularGram
-from qgc.linalg import Echelon, invert, rank, rref, solve_unique
+from qgc.linalg import _RHS, Echelon, invert, rank, rref, solve_unique
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
 
@@ -195,3 +195,19 @@ def test_solve_unique_inconsistent_anywhere():
         for system in ([bad] + equations, equations + [bad]):
             with pytest.raises(NoSolution):
                 solve_unique(system, names)
+
+
+def test_full_rank_reduction_is_substitution():
+    # once every unknown is a pivot, every row is {_RHS: value}, so reducing
+    # a further equation substitutes the solution into it
+    equations, names, solution = random_system(random.Random(20140107))
+    ech = Echelon()
+    rest = list(equations)
+    while len(ech.rows) < len(names):
+        coeffs, rhs = rest.pop(0)
+        ech.add({**coeffs, _RHS: rhs})
+    assert ech.rows == {x: {_RHS: solution[x]} for x in names}
+    for coeffs, rhs in rest + [({x: R for x in names}, ONE)]:
+        residual = rhs - sum((c * solution[x] for x, c in coeffs.items()), ZERO)
+        assert ech.reduce({**coeffs, _RHS: rhs}) == \
+            ({} if residual.is_zero() else {_RHS: residual})

@@ -445,6 +445,11 @@ def test_ad_closed_forms(algebras, n, kind):
         for i in range(1, n + 1):
             conj = ref.product(ref.product(toral(i), z), toral(i, -1))
             assert alg.ad(toral(i), z) == toral(i) * z * toral(i, -1) == conj
+            if kind == "omega_prime":
+                # ad(f_i) moves w'_i^-1 across the raising words, no straighten
+                f, w = alg.f(i), toral(i, -1)
+                comm = ref.product(f, z) - ref.product(z, f)
+                assert alg.ad(f, z) == (f * z - z * f) * w == ref.product(comm, w)
     assert alg.ad(alg.e(1), alg.one()).is_zero()
     # expanding ad(e_1) f_1 via the commutator and the toral crossing
     u1 = unit(n, 1)

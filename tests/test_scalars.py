@@ -162,6 +162,13 @@ LADDER_FACTORS = [hom(*cs) for cs in [
     (3, 0, 7, 0, 12, 0, 7, 0, 3), (1, 0, 1, 0, 3, 0, 1, 0, 1),
     (1, 0, 0, 0, -1, 0, 0, 0, -1)]]
 
+def product(factors):
+    out = LaurentBi.const(1)
+    for factor in factors:
+        out = out * factor
+    return out
+
+
 homogeneous = st.integers(0, 4).flatmap(
     lambda d: st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1)
 ).filter(any).map(lambda cs: hom(*cs))
@@ -193,9 +200,7 @@ def sympy_gcd_normalized(f, g):
        homogeneous, homogeneous, st.integers(-12, 12).filter(bool),
        st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-3, 3))
 def test_homogeneous_gcd_matches_sympy(factors, a, b, c1, c2, su, sv):
-    h = LaurentBi.const(1)
-    for factor in factors:
-        h = h * factor
+    h = product(factors)
     f = LaurentBi.const(c1) * a * h
     g = LaurentBi.monomial(c2, su, sv) * b * h
     # the homogeneous path alone must answer: the sympy fallback is barred
@@ -272,6 +277,96 @@ def test_homogeneous_divexact_rejects_a_remainder(q, h, c, a):
 @given(laurent, laurent)
 def test_divexact_inverts_product(q, h):
     assert (q * h).divexact(q) == h
+
+
+ladder_products = st.lists(st.sampled_from(LADDER_FACTORS), max_size=2).map(product)
+
+
+@st.composite
+def scalar_pairs(draw):
+    """Two scalars, each a rational constant or a Laurent numerator
+    (homogeneous or not) over ladder factors times a unit; the two
+    denominators share the ladder factors `common`, often none."""
+    common = draw(ladder_products)
+
+    def one():
+        if draw(st.booleans()):
+            return Scalar.from_fraction(draw(st.fractions(-9, 9, max_denominator=9)))
+        num = draw(st.one_of(shifted, laurent)) * draw(ladder_products)
+        return Scalar(num, common * draw(ladder_products) * draw(monomials))
+
+    return one(), one()
+
+
+def sympy_canonical(num, den):
+    """num/den reduced by sympy's cancel in ZZ[u, v], its units moved as
+    Scalar keeps them: no monomial factor and a positive graded-lex lead in
+    the denominator."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    if num.is_zero():
+        return num, LaurentBi.const(1)
+    rng, _, _ = ring("u v", ZZ)
+    (na, nb), (da, db) = scalars._min_exps(num.terms), scalars._min_exps(den.terms)
+    p = rng.from_dict(scalars._shift(num.terms, -na, -nb))
+    q = rng.from_dict(scalars._shift(den.terms, -da, -db))
+    p, q = p.cancel(q)
+    num = LaurentBi({k: int(c) for k, c in p.items()}) * \
+        LaurentBi.monomial(1, na - da, nb - db)
+    den = LaurentBi({k: int(c) for k, c in q.items()})
+    if den.terms[scalars._lead(den.terms)] < 0:
+        num, den = -num, -den
+    return num, den
+
+
+FIELD_OPS = [
+    ("+", lambda x, y: x + y, lambda a, b: (a.num * b.den + b.num * a.den, a.den * b.den)),
+    ("-", lambda x, y: x - y, lambda a, b: (a.num * b.den - b.num * a.den, a.den * b.den)),
+    ("*", lambda x, y: x * y, lambda a, b: (a.num * b.num, a.den * b.den)),
+    ("/", lambda x, y: x / y, lambda a, b: (a.num * b.den, a.den * b.num)),
+]
+
+
+points = st.fractions(-5, 5, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), points, points)
+def test_field_ops_give_the_canonical_form(pair, u0, v0):
+    a, b = pair
+    for name, op, raw in FIELD_OPS:
+        if name == "/" and b.is_zero():
+            continue
+        got = op(a, b)
+        num, den = raw(a, b)
+        scratch = Scalar(num, den)
+        assert (got.num, got.den) == (scratch.num, scratch.den), name
+        assert (got.num, got.den) == sympy_canonical(num, den), name
+        try:
+            xa, xb = a.eval_numeric(u0, v0), b.eval_numeric(u0, v0)
+        except PoleAtPoint:
+            continue
+        if name != "/" or xb:
+            assert got.eval_numeric(u0, v0) == op(xa, xb), name
+
+
+def test_canonical_inputs_skip_needless_gcds():
+    p, q = R - S, R * R + Scalar.from_int(3) * S
+    a, b = ONE / (R - S), R / (R + S)
+    expect = [Scalar(p.num * q.num), Scalar(p.num + q.num),
+              Scalar(a.num * b.den + b.num * a.den, a.den * b.den)]
+    with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                           side_effect=LaurentBi.gcd) as gcd, \
+            mock.patch.object(LaurentBi, "divexact", autospec=True,
+                              side_effect=LaurentBi.divexact) as divexact:
+        # polynomials: a denominator of 1 never needs a gcd
+        assert [p * q, p + q] == expect[:2]
+        assert gcd.call_count == divexact.call_count == 0
+        # coprime denominators: one gcd, of the denominators, and no division
+        assert a + b == expect[2]
+        assert gcd.call_count == 1 and divexact.call_count == 0
+        assert gcd.call_args.args == (a.den, b.den)
 
 
 def test_startup_and_fast_selftest_leave_sympy_unimported():
