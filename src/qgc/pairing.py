@@ -13,6 +13,12 @@ consistent and the pairing is antipode-invariant; the naive un-flipped
 variant already fails on two-letter words.  On monomials the recursion
 collapses to an inversion-weighted matching sum whose toral factors split
 off as group-like pairing values.
+
+Every factor of that sum but the generator values 1/(s_j - r_j) is a unit
+monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
+D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
+gcd, and each value is canonicalized once; all entries of a Gram block share
+the one D(nu) of their content.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 from .errors import SingularGram, WrongSide
 from .linalg import invert
 from .qgroup import Algebra, Element, word_content
-from .scalars import ONE, ZERO, Scalar, rs_ratio_power
+from .scalars import ZERO, LaurentBi, Scalar, rs_ratio_power
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -29,37 +35,62 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
     Peeling the leftmost lowering letter f_j matches it against each raising
     letter e_j; crossing the raising letters to its right costs
     <w'_j, w_i>^-1 each, and the consumed letter contributes
-    <w'_j, w_(rest)> / (s_j - r_j).
+    <w'_j, w_(rest)> / (s_j - r_j).  The crossing and toral factors are unit
+    monomials that together leave <w'_j, w_l> for each letter l left of the
+    match, so the value is N(fw, ew) / D(nu) with D(nu) = prod_j
+    (s_j - r_j)^nu_j.  The Laurent numerator N is built by shifts and sums
+    alone and canonicalized once, against the D(nu) that a whole Gram block
+    shares.
     """
     fw, ew = tuple(fw), tuple(ew)
-    if word_content(alg.n, fw) != word_content(alg.n, ew):
+    nu = word_content(alg.n, fw)
+    if nu != word_content(alg.n, ew):
         return ZERO
+    return Scalar(_numerator(alg, fw, ew), _denominator(alg, nu))
+
+
+def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
+    """N(fw, ew) for words of one content, memoized per (fword, eword)."""
     cache = alg.memo("word_pair")
+    zero = (0,) * alg.n
 
     def rec(fword, eword):
         if not fword:
-            return ONE if not eword else ZERO
+            return _NUM_ONE
         key = (fword, eword)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        j = fword[0]
-        uj = _unit(alg.n, j)
-        total = ZERO
-        gen = (ONE / (alg.s_i(j) - alg.r_i(j)))
+        j, tail = fword[0], fword[1:]
+        # <w'_j, w_l> = u^cu[l-1] v^cv[l-1], read off how w'_j crosses f_l
+        cu, cv = alg._crossing(_unit(alg.n, j), zero)
+        total = _NUM_ZERO
+        a = b = 0
         for t, letter in enumerate(eword):
-            if letter != j:
-                continue
-            rest = eword[:t] + eword[t + 1:]
-            move = ONE
-            for u in range(t + 1, len(eword)):
-                move = move * alg.gpair(uj, _unit(alg.n, eword[u])).inverse()
-            toral = alg.gpair(uj, word_content(alg.n, rest))
-            total = total + move * toral * gen * rec(fword[1:], rest)
+            if letter == j:
+                total = total + rec(tail, eword[:t] + eword[t + 1:]).shift(a, b)
+            a += cu[letter - 1]
+            b += cv[letter - 1]
         cache[key] = total
         return total
 
     return rec(fw, ew)
+
+
+def _denominator(alg: Algebra, nu) -> LaurentBi:
+    """D(nu) = prod_j (s_j - r_j)^nu_j, one per content."""
+    table = alg.memo("pair_denominator")
+    den = table.get(nu)
+    if den is None:
+        den = _NUM_ONE
+        for j, k in enumerate(nu, 1):
+            den = den * (alg.s_i(j).num - alg.r_i(j).num) ** k
+        table[nu] = den
+    return den
+
+
+_NUM_ZERO = LaurentBi()
+_NUM_ONE = LaurentBi.const(1)
 
 
 def _unit(n, i):

@@ -659,14 +659,21 @@ class Algebra:
         """Exponents of the toral t = w'_eta w_phi crossing one letter.
 
         Returns (cu, cv) with t f_l = u^cu[l-1] v^cv[l-1] f_l t, which is
-        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l.
+        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l.  Memoized per
+        (eta, phi) in the "crossing" table as tuples.
         """
+        table = self.memo("crossing")
+        key = (eta, phi)
+        hit = table.get(key)
+        if hit is not None:
+            return hit
         n, gr, gs = self.n, self._gr, self._gs
-        cu = [2 * sum(eta[k] * gr[k][l] - gr[l][k] * phi[k] for k in range(n))
-              for l in range(n)]
-        cv = [2 * sum(eta[k] * gs[k][l] - gs[l][k] * phi[k] for k in range(n))
-              for l in range(n)]
-        return [_exponent(x) for x in cu], [_exponent(x) for x in cv]
+        cu = tuple(_exponent(2 * sum(eta[k] * gr[k][l] - gr[l][k] * phi[k]
+                                     for k in range(n))) for l in range(n))
+        cv = tuple(_exponent(2 * sum(eta[k] * gs[k][l] - gs[l][k] * phi[k]
+                                     for k in range(n))) for l in range(n))
+        table[key] = hit = (cu, cv)
+        return hit
 
     def _conjugate(self, eta, phi, z: Element) -> Element:
         """t z t^-1 for t = w'_eta w_phi: one unit monomial per term."""

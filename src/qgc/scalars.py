@@ -326,6 +326,12 @@ class LaurentBi:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
+    def shift(self, a, b):
+        """self * u^a v^b."""
+        if not (a or b):
+            return self
+        return LaurentBi._of(_shift(self.terms, a, b))
+
     def gcd(self, other):
         if self.is_zero():
             return other
@@ -339,6 +345,8 @@ class LaurentBi:
         return LaurentBi._of(_laurent_gcd(p, q))
 
     def divexact(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
         return LaurentBi._of(_laurent_divexact(self.terms, other.terms))
@@ -532,8 +540,7 @@ class Scalar:
         """self * u^a v^b; monomials are units, so no gcd is needed."""
         if not (a or b) or self.is_zero():
             return self
-        return Scalar(LaurentBi._of(_shift(self.num.terms, a, b)), self.den,
-                      _canonical=True)
+        return Scalar(self.num.shift(a, b), self.den, _canonical=True)
 
     def inverse(self):
         if self.is_zero():

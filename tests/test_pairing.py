@@ -1,4 +1,6 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -13,8 +15,8 @@ from qgc.pairing import (
     skew_pair,
     word_pair,
 )
-from qgc.qgroup import Algebra
-from qgc.scalars import ONE, R, S, ZERO
+from qgc.qgroup import Algebra, word_content
+from qgc.scalars import ONE, R, S, ZERO, LaurentBi
 
 
 @pytest.fixture(scope="module")
@@ -152,32 +154,62 @@ def test_s2_twist_factor(alg2):
             assert skew_pair(alg2, y2, x) == s2_twist(alg2, nu) * skew_pair(alg2, y, x)
 
 
+def rand_word_element(alg, rng, max_len=2):
+    """A product of 1..max_len random generators, torals of either sign."""
+    x = alg.one()
+    for _ in range(rng.randint(1, max_len)):
+        k = rng.choice(["e", "f", "w", "wp"])
+        i = rng.randint(1, alg.n)
+        if k == "e":
+            x = x * alg.e(i)
+        elif k == "f":
+            x = x * alg.f(i)
+        elif k == "w":
+            x = x * alg.omega(i, rng.choice([1, -1]))
+        else:
+            x = x * alg.omega_prime(i, rng.choice([1, -1]))
+    return x
+
+
 def test_ad_invariance(alg2):
     rng = random.Random(107)
     gens = [alg2.e(1), alg2.e(2), alg2.f(1), alg2.f(2),
             alg2.omega(1), alg2.omega_prime(2), alg2.one()]
-    def rand_elt():
-        kinds = ["e", "f", "w", "wp"]
-        x = alg2.one()
-        for _ in range(rng.randint(1, 2)):
-            k = rng.choice(kinds)
-            i = rng.randint(1, 2)
-            if k == "e":
-                x = x * alg2.e(i)
-            elif k == "f":
-                x = x * alg2.f(i)
-            elif k == "w":
-                x = x * alg2.omega(i, rng.choice([1, -1]))
-            else:
-                x = x * alg2.omega_prime(i, rng.choice([1, -1]))
-        return x
     for a in gens:
         for _ in range(4):
-            b, c = rand_elt(), rand_elt()
+            b, c = rand_word_element(alg2, rng), rand_word_element(alg2, rng)
             assert check_ad_invariance(alg2, a, b, c)
     # a specific lowering-side triple
     assert check_ad_invariance(alg2, alg2.e(1), alg2.f(1),
                                alg2.f(1) * alg2.omega_prime(2))
+
+
+def mirrored_term(alg, rng, x):
+    """F_ew t E_fw for a random term F_fw t' E_ew of x and a random toral t,
+    so that the Rosso form can pair it with x to a nonzero value."""
+    fw, _, _, ew = rng.choice(sorted(x.terms))
+    eta = [rng.choice([-1, 0, 1]) for _ in range(alg.n)]
+    phi = [rng.choice([-1, 0, 1]) for _ in range(alg.n)]
+    return alg.fword_element(ew) * alg.toral(eta, phi) * alg.eword_element(fw)
+
+
+def test_ad_invariance_rank3():
+    # end-to-end oracle for the pairing at rank 3: every generator acts on a
+    # random word b, and c mirrors a term of ad(a) b, so the two sides are
+    # mostly nonzero
+    alg = Algebra(3)
+    rng = random.Random(307)
+    gens = [g(i) for g in (alg.e, alg.f, alg.omega, alg.omega_prime)
+            for i in (1, 2, 3)]
+    for a in gens:
+        nonzero = 0
+        for _ in range(4):
+            b = rand_word_element(alg, rng)
+            x = alg.ad(a, b)
+            c = rand_word_element(alg, rng) if x.is_zero() else mirrored_term(alg, rng, x)
+            assert check_ad_invariance(alg, a, b, c)
+            nonzero += not rosso(alg, x, c).is_zero()
+        assert nonzero, a
 
 
 def test_character_matrix_full_rank(alg2):
@@ -217,3 +249,67 @@ def test_word_pair_is_junction_pure_toral_term(n, contents):
             for ew in words:
                 pure = alg.junction(ew, fw).get(((), nu, zero, ()), ZERO)
                 assert word_pair(alg, fw, ew) == pure, (fw, ew)
+
+
+def reference_word_pair(alg, fw, ew, cache):
+    """The pairing recursion with every factor a canonical Scalar: the
+    generator value, one inverse group-like pairing per raising letter
+    crossed, and <w'_j, w_(rest)>."""
+    if not fw:
+        return ONE if not ew else ZERO
+    key = (fw, ew)
+    if key not in cache:
+        j = fw[0]
+        uj = tuple(int(k == j - 1) for k in range(alg.n))
+        gen = ONE / (alg.s_i(j) - alg.r_i(j))
+        total = ZERO
+        for t, letter in enumerate(ew):
+            if letter != j:
+                continue
+            rest = ew[:t] + ew[t + 1:]
+            move = ONE
+            for l in ew[t + 1:]:
+                ul = tuple(int(k == l - 1) for k in range(alg.n))
+                move = move * alg.gpair(uj, ul).inverse()
+            toral = alg.gpair(uj, word_content(alg.n, rest))
+            total = total + move * toral * gen * \
+                reference_word_pair(alg, fw[1:], rest, cache)
+        cache[key] = total
+    return cache[key]
+
+
+def _contents(n, top):
+    return [nu for nu in itertools.product(range(top + 1), repeat=n) if any(nu)]
+
+
+@pytest.mark.parametrize("n, contents", [
+    (2, _contents(2, 3)),
+    (3, _contents(3, 2)),
+    (4, [(1, 1, 1, 1)]),
+], ids=["rank2", "rank3", "rank4"])
+def test_word_pair_matches_scalar_recursion(n, contents):
+    # the Laurent-numerator recursion against the per-factor Scalar one, on
+    # every Gram entry; equal canonical forms are equal scalars
+    alg = Algebra(n)
+    cache = {}
+    for nu in contents:
+        fb = alg.graded_basis("-", nu).words
+        eb = alg.graded_basis("+", nu).words
+        g = gram(alg, nu)
+        for i, fw in enumerate(fb):
+            for k, ew in enumerate(eb):
+                assert g[i][k] == reference_word_pair(alg, fw, ew, cache), \
+                    (nu, fw, ew)
+
+
+def test_gram_canonicalizes_each_entry_once():
+    # numerators need no gcd; each entry is reduced once against D(nu)
+    alg = Algebra(3)
+    nu = (2, 2, 2)
+    dim = alg.graded_basis("+", nu).dim
+    assert alg.graded_basis("-", nu).dim == dim == 15
+    with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                           side_effect=LaurentBi.gcd) as gcd:
+        g = gram(alg, nu)
+    assert 0 < gcd.call_count <= dim * dim
+    assert rank(g) == dim

@@ -279,6 +279,19 @@ def test_divexact_inverts_product(q, h):
     assert (q * h).divexact(q) == h
 
 
+@pytest.mark.parametrize("dividend", [
+    (R - S).num,                    # homogeneous
+    (R * R + S + ONE).num,          # not homogeneous
+    LaurentBi.monomial(3, 1, -2),
+    LaurentBi(),
+], ids=["homogeneous", "inhomogeneous", "monomial", "zero"])
+def test_divexact_by_zero_polynomial(dividend):
+    # as Scalar does for a zero denominator; never a StopIteration from
+    # reading the divisor's terms
+    with pytest.raises(ZeroDivisionError):
+        dividend.divexact(LaurentBi())
+
+
 ladder_products = st.lists(st.sampled_from(LADDER_FACTORS), max_size=2).map(product)
 
 
