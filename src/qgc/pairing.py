@@ -18,7 +18,10 @@ Every factor of that sum but the generator values 1/(s_j - r_j) is a unit
 monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
 D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
 gcd, and each value is canonicalized once; all entries of a Gram block share
-the one D(nu) of their content.
+the one D(nu) of their content.  The forms skew_pair and rosso sum c N per
+content and divide each sum once.  The table of 1/D(nu) belongs to the
+algebra (Algebra.inverse_denominator), which the junction of straightening
+shares.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from .errors import SingularGram, WrongSide
 from .linalg import invert
 from .qgroup import Algebra, Element, word_content
-from .scalars import ZERO, LaurentBi, Scalar, rs_ratio_power
+from .scalars import ZERO, LaurentBi, Scalar, accumulate, rs_ratio_power
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -46,7 +49,7 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
     nu = word_content(alg.n, fw)
     if nu != word_content(alg.n, ew):
         return ZERO
-    return Scalar(_numerator(alg, fw, ew), _denominator(alg, nu))
+    return Scalar.from_laurent(_numerator(alg, fw, ew)) * alg.inverse_denominator(nu)
 
 
 def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
@@ -77,18 +80,6 @@ def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
     return rec(fw, ew)
 
 
-def _denominator(alg: Algebra, nu) -> LaurentBi:
-    """D(nu) = prod_j (s_j - r_j)^nu_j, one per content."""
-    table = alg.memo("pair_denominator")
-    den = table.get(nu)
-    if den is None:
-        den = _NUM_ONE
-        for j, k in enumerate(nu, 1):
-            den = den * (alg.s_i(j).num - alg.r_i(j).num) ** k
-        table[nu] = den
-    return den
-
-
 _NUM_ZERO = LaurentBi()
 _NUM_ONE = LaurentBi.const(1)
 
@@ -98,20 +89,32 @@ def _unit(n, i):
 
 
 def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
-    """<y, x> for y in the lowering Hopf half and x in the raising one."""
-    total = ZERO
+    """<y, x> for y in the lowering Hopf half and x in the raising one.
+
+    The terms c N(fw, ew) are summed per content nu and each sum is divided
+    by D(nu) once.
+    """
+    sums = {}
     for (fw_y, eta_y, phi_y, ew_y), cy in y.terms.items():
         if ew_y or any(phi_y):
             raise WrongSide("first argument must avoid raising letters and w")
+        nu = word_content(alg.n, fw_y)
         for (fw_x, eta_x, phi_x, ew_x), cx in x.terms.items():
             if fw_x or any(eta_x):
                 raise WrongSide("second argument must avoid lowering letters and w'")
-            wp = word_pair(alg, fw_y, ew_x)
-            if wp.is_zero():
+            if word_content(alg.n, ew_x) != nu:
                 continue
-            toral = alg.gpair(eta_y, phi_x) * \
-                alg.gpair(word_content(alg.n, fw_y), phi_x)
-            total = total + cy * cx * toral * wp
+            toral = alg.gpair(eta_y, phi_x) * alg.gpair(nu, phi_x)
+            accumulate(sums, nu, cy * cx * toral *
+                       Scalar.from_laurent(_numerator(alg, fw_y, ew_x)))
+    return _over_denominators(alg, sums)
+
+
+def _over_denominators(alg: Algebra, sums) -> Scalar:
+    """The sum of sums[nu] / D(nu)."""
+    total = ZERO
+    for nu, c in sums.items():
+        total = total + c * alg.inverse_denominator(nu)
     return total
 
 
@@ -191,22 +194,23 @@ def rosso(alg: Algebra, x: Element, y: Element) -> Scalar:
     the raising/lowering content of the other; dropping those two crossing
     factors (pairing only the pure parts) breaks ad-invariance of the form.
     """
-    total = ZERO
+    sums = {}
     for (fa, eta_x, phi_x, eb), cx in x.terms.items():
         nu_a = word_content(alg.n, fa)
         nu_b = word_content(alg.n, eb)
+        # D(nu_a) D(nu_b) = D(nu_a + nu_b)
+        nu = tuple(a + b for a, b in zip(nu_a, nu_b))
         for (ft, eta_y, phi_y, eg), cy in y.terms.items():
-            wp1 = word_pair(alg, ft, eb)
-            if wp1.is_zero():
+            if word_content(alg.n, ft) != nu_b or word_content(alg.n, eg) != nu_a:
                 continue
-            wp2 = word_pair(alg, fa, eg)
-            if wp2.is_zero():
+            num = _numerator(alg, ft, eb) * _numerator(alg, fa, eg)
+            if num.is_zero():
                 continue
             val = alg.gpair(eta_y, phi_x) * alg.gpair(nu_b, phi_x) \
                 * alg.gpair(eta_x, phi_y) * alg.gpair(nu_a, phi_y) \
-                * wp1 * s2_twist(alg, nu_a) * wp2
-            total = total + cx * cy * val
-    return total
+                * s2_twist(alg, nu_a)
+            accumulate(sums, nu, cx * cy * val * Scalar.from_laurent(num))
+    return _over_denominators(alg, sums)
 
 
 def check_ad_invariance(alg: Algebra, a: Element, b: Element, c: Element) -> bool:

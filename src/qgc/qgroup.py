@@ -5,10 +5,12 @@ toral monomial w'_eta w_phi, a raising word, and a scalar, with both words
 drawn from graded-basis representatives of the halves modulo the Serre
 ideal.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
 junction e1 f2, whose normal form is tabulated per (raising word, lowering
-word) pair by peeling raising letters through [e_i, f_i] = (w_i - w'_i) /
-(r_i - s_i).  The torals cross the remaining words as unit monomials
-u^a v^b, and the joined pure words are reduced degreewise by linear algebra
-over the scalar field.
+word) pair by peeling raising letters through [e_i, f_i] = (w'_i - w_i) /
+(s_i - r_i), as Laurent numerators over D(mu) = prod_j (s_j - r_j)^mu_j for
+the peeled content mu.  The torals cross the remaining words as unit
+monomials u^a v^b, the joined pure words are reduced degreewise by linear
+algebra over the scalar field, and each normal-form term is divided by its
+D(mu) once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     RankMismatch,
 )
 from .rootdata import RootSystemB
-from .scalars import ONE, ZERO, Scalar, accumulate
+from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate
 
 
 @functools.cache
@@ -40,6 +42,9 @@ def _cache_format():
         with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
             digest.update(fh.read())
     return "qgc-basis-" + digest.hexdigest()[:12]
+
+
+_NUM_ONE = LaurentBi.const(1)
 
 
 def _vec_add(a, b):
@@ -590,7 +595,9 @@ class Algebra:
         (f1 t1 e1)(f2 t2 e2) = f1 t1 [e1 f2] t2 e2: the junction comes from
         the (E-word, F-word) table, t1 moves right past its lowering part and
         t2 left past its raising part by unit monomials, and the joined words
-        are reduced to graded-basis representatives.
+        are reduced to graded-basis representatives.  The terms c N are
+        summed per normal-form key and junction content mu, and each sum is
+        divided by D(mu) once.
         """
         raw = {}
         ys = [(key, c, self._crossing(key[1], key[2]))
@@ -599,27 +606,35 @@ class Algebra:
             cross1 = self._crossing(eta1, phi1)
             for (f2, eta2, phi2, e2), c2, cross2 in ys:
                 c = c1 * c2
-                for (fj, etaj, phij, ej), cj in self.junction(e1, f2).items():
+                for (fj, etaj, phij, ej), (nj, mu) in self.junction(e1, f2).items():
                     a1, b1 = _word_shift(cross1, fj)
                     a2, b2 = _word_shift(cross2, ej)
                     key = (f1 + fj, _vec_add(_vec_add(eta1, etaj), eta2),
-                           _vec_add(_vec_add(phi1, phij), phi2), ej + e2)
-                    accumulate(raw, key, (c * cj).shift(a1 + a2, b1 + b2))
-        out = {}
-        for (fw, eta, phi, ew), c in raw.items():
+                           _vec_add(_vec_add(phi1, phij), phi2), ej + e2, mu)
+                    accumulate(raw, key, (c * Scalar.from_laurent(nj))
+                               .shift(a1 + a2, b1 + b2))
+        grouped = {}
+        for (fw, eta, phi, ew, mu), c in raw.items():
             for f_rep, cf in self.reduce_word("-", fw).items():
                 cf = c * cf
                 for e_rep, ce in self.reduce_word("+", ew).items():
-                    accumulate(out, (f_rep, eta, phi, e_rep), cf * ce)
+                    accumulate(grouped, (f_rep, eta, phi, e_rep, mu), cf * ce)
+        del raw  # free the raw sums before the divisions allocate
+        out = {}
+        for (fw, eta, phi, ew, mu), c in grouped.items():
+            accumulate(out, (fw, eta, phi, ew), c * self.inverse_denominator(mu))
         return Element(self, out)
 
     def junction(self, ew, fw):
         """Normal form of the raising word ew times the lowering word fw.
 
-        Maps (fword, eta, phi, eword) -> Scalar, where the words are subwords
-        of fw and ew, not yet reduced.  Raising letters are peeled off the
-        left one at a time with e_i f_j w = f_j (e_i w) + d_ij (w_i - w'_i) w
-        / (r_i - s_i); every (ew, fw) pair met on the way is memoized.
+        Maps (fword, eta, phi, eword) -> (N, mu) for the coefficient
+        N / D(mu), where the words are subwords of fw and ew, not yet
+        reduced, and mu = eta + phi is the content peeled off fw.  Raising
+        letters are peeled off the left one at a time with e_i f_j w =
+        f_j (e_i w) + d_ij (w'_i - w_i) w / (s_i - r_i), whose other factors
+        are unit monomials, so N takes no gcd.  Every (ew, fw) pair met on
+        the way is memoized.
         """
         key = (ew, fw)
         table = self.memo("junction")
@@ -628,32 +643,43 @@ class Algebra:
             return hit
         zero = self._zero
         if not ew or not fw:
-            out = {(fw, zero, zero, ew): ONE}
+            num = {(fw, zero, zero, ew): _NUM_ONE}
         elif len(ew) == 1:
             i, j, rest = ew[0], fw[0], fw[1:]
-            out = {((j,) + f, eta, phi, e): c
-                   for (f, eta, phi, e), c in self.junction(ew, rest).items()}
+            num = {((j,) + f, eta, phi, e): nj
+                   for (f, eta, phi, e), (nj, _) in self.junction(ew, rest).items()}
             if i == j:
                 unit = _unit(self.n, i)
-                c = (self.r_i(i) - self.s_i(i)).inverse()
-                a, b = _word_shift(self._crossing(zero, unit), rest)
-                accumulate(out, (rest, zero, unit, ()), c.shift(a, b))
                 a, b = _word_shift(self._crossing(unit, zero), rest)
-                accumulate(out, (rest, unit, zero, ()), -c.shift(a, b))
+                accumulate(num, (rest, unit, zero, ()), LaurentBi.monomial(1, a, b))
+                a, b = _word_shift(self._crossing(zero, unit), rest)
+                accumulate(num, (rest, zero, unit, ()), LaurentBi.monomial(-1, a, b))
         else:
             head = ew[:1]
-            out = {}
-            for (f, eta, phi, e), c in self.junction(ew[1:], fw).items():
-                for (f2, eta2, phi2, e2), c2 in self.junction(head, f).items():
+            num = {}
+            for (f, eta, phi, e), (n1, _) in self.junction(ew[1:], fw).items():
+                for (f2, eta2, phi2, e2), (n2, _) in self.junction(head, f).items():
                     if e2:  # e_i is left over and crosses w'_eta w_phi
                         a, b = _word_shift(self._crossing(eta, phi), head)
-                        accumulate(out, (f2, eta, phi, head + e),
-                                   (c * c2).shift(a, b))
+                        accumulate(num, (f2, eta, phi, head + e),
+                                   (n1 * n2).shift(a, b))
                     else:
-                        accumulate(out, (f2, _vec_add(eta2, eta),
-                                         _vec_add(phi2, phi), e), c * c2)
-        table[key] = out
+                        accumulate(num, (f2, _vec_add(eta2, eta),
+                                         _vec_add(phi2, phi), e), n1 * n2)
+        table[key] = out = {k: (nk, _vec_add(k[1], k[2])) for k, nk in num.items()}
         return out
+
+    def inverse_denominator(self, mu) -> Scalar:
+        """1 / D(mu), D(mu) = prod_j (s_j - r_j)^mu_j: the denominator of the
+        junction and pairing numerators of content mu, one per content."""
+        table = self.memo("pair_denominator")
+        hit = table.get(mu)
+        if hit is None:
+            den = _NUM_ONE
+            for j, k in enumerate(mu, 1):
+                den = den * (self.s_i(j).num - self.r_i(j).num) ** k
+            table[mu] = hit = Scalar.from_laurent(den).inverse()
+        return hit
 
     def _crossing(self, eta, phi):
         """Exponents of the toral t = w'_eta w_phi crossing one letter.

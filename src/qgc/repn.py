@@ -267,10 +267,11 @@ class VermaModule(WeightModule):
         alg = self.algebra
         word = self._rep_word(self.labels[col])
         out = {}
-        for (fw, eta, phi, ew), c in alg.junction((i,), word).items():
+        for (fw, eta, phi, ew), (num, mu) in alg.junction((i,), word).items():
             if ew:
                 continue
-            val = c * char_value(alg, self.lam, self.mu, eta, phi)
+            val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
+                * char_value(alg, self.lam, self.mu, eta, phi)
             for rep, cr in alg.reduce_word("-", fw).items():
                 nu2 = word_content(alg.n, rep)
                 row = self.index[(nu2, self._words[nu2].index(rep))]

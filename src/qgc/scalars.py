@@ -438,6 +438,11 @@ class Scalar:
         """coeff * u^a v^b, i.e. coeff * r^(a/2) s^(b/2)."""
         return Scalar(LaurentBi.monomial(coeff, a, b), _L_ONE, _canonical=True)
 
+    @staticmethod
+    def from_laurent(p: LaurentBi):
+        """p / 1, which is canonical as it stands."""
+        return Scalar(p, _L_ONE, _canonical=True)
+
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
@@ -532,7 +537,7 @@ class Scalar:
             g = n2.gcd(d1)
             if not g.is_one():
                 n2, d1 = n2.divexact(g), d1.divexact(g)
-        return Scalar(n1 * n2, d1 * d2, _canonical=True)
+        return Scalar(_times(n1, n2), _times(d1, d2), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -621,6 +626,15 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _times(p: LaurentBi, q: LaurentBi):
+    """p * q, reusing an operand when the other is 1."""
+    if p.is_one():
+        return q
+    if q.is_one():
+        return p
+    return p * q
 
 
 def _normalize_unit(num: LaurentBi, den: LaurentBi):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from qgc import pairing
 from qgc.errors import WrongSide
 from qgc.linalg import rank
 from qgc.pairing import (
@@ -16,7 +17,7 @@ from qgc.pairing import (
     word_pair,
 )
 from qgc.qgroup import Algebra, word_content
-from qgc.scalars import ONE, R, S, ZERO, LaurentBi
+from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
 
 
 @pytest.fixture(scope="module")
@@ -240,15 +241,20 @@ def test_word_pair_cache_consistency(alg2):
 ])
 def test_word_pair_is_junction_pure_toral_term(n, contents):
     # two recursions peel the same letters: the pairing <f_fw, e_ew> is the
-    # coefficient of the lone w'_nu term in the straightened product e_ew f_fw
+    # coefficient of the lone w'_nu term in the straightened product e_ew f_fw,
+    # and both are numerators over the one D(nu)
     alg = Algebra(n)
     zero = (0,) * n
     for nu in contents:
         words = alg.words_of_content(nu)
         for fw in words:
             for ew in words:
-                pure = alg.junction(ew, fw).get(((), nu, zero, ()), ZERO)
+                num, mu = alg.junction(ew, fw).get(((), nu, zero, ()),
+                                                   (LaurentBi(), nu))
+                assert mu == nu
+                pure = Scalar.from_laurent(num) * alg.inverse_denominator(nu)
                 assert word_pair(alg, fw, ew) == pure, (fw, ew)
+                assert pairing._numerator(alg, fw, ew) == num, (fw, ew)
 
 
 def reference_word_pair(alg, fw, ew, cache):

@@ -382,6 +382,19 @@ def test_canonical_inputs_skip_needless_gcds():
         assert gcd.call_args.args == (a.den, b.den)
 
 
+def test_products_reuse_factors_of_one():
+    # a numerator or denominator of 1 multiplies nothing, so the product
+    # keeps the other operand's polynomial object: equation rows that share
+    # a denominator keep sharing it
+    p = (R + S * 2).num
+    q = R / (R - S)
+    assert (Scalar(p) * q).den is q.den
+    assert (q * Scalar(p)).den is q.den
+    inv = ONE / (R - S)
+    assert (inv * Scalar(p)).num is p
+    assert (Scalar(p) * inv).num is p
+
+
 def test_startup_and_fast_selftest_leave_sympy_unimported():
     script = ("import json, sys, qgc.cli\n"
               "at_import = 'sympy' in sys.modules\n"
