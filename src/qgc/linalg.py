@@ -1,19 +1,23 @@
 """Small exact linear algebra over the scalar field.
 
 One sparse Gauss-Jordan elimination, `Echelon`, serves graded-basis
-reduction, ranks, Gram inversion (on [G | I]) and the parity-kernel probe
-through `rref`, the centrality solver and the irreducible quotients; row
-updates touch only nonzero entries.  Over canonical scalars it never forms
-the large leading minors that a fraction-free elimination of a Gram block
-builds, while the inverse entries themselves stay small.  The solver feeds
-its equations sparsest first, so the many redundant dense rows of the
+reduction (relator rows go in sparse), ranks, Gram inversion (on [G | I])
+and the parity-kernel probe through `rref`, the centrality solver and the
+irreducible quotients; row updates touch only nonzero entries.  Over
+canonical scalars it never forms the large leading minors that a
+fraction-free elimination of a Gram block builds, while the inverse entries
+themselves stay small.  A row reduction canonicalizes once per column and
+denominator: the products it subtracts are summed as raw numerators over
+their (already canonical) product denominators, so the gcd work follows the
+small final entries rather than every partial sum.  The solver feeds its
+equations sparsest first, so the many redundant dense rows of the
 centrality system reduce against short pivot rows.
 """
 
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ONE, ZERO, accumulate
+from .scalars import ONE, ZERO, Scalar, _times, accumulate
 
 
 class Echelon:
@@ -28,13 +32,48 @@ class Echelon:
         self.rows = {}
 
     def reduce(self, row):
-        """A new row: ``row`` with the current pivots eliminated."""
+        """A new row: ``row`` with the current pivots eliminated.
+
+        Each product c * cp of a row entry and a pivot-row entry is kept as
+        its raw numerator over the product of the two canonical denominators,
+        which is canonical itself.  The numerators are summed per (column,
+        denominator), with the row's own entry joining the sum of its
+        denominator; each sum is canonicalized once (over 1 with no gcd),
+        and a column adds its few sums.  Reduced echelon form and canonical
+        form are both unique, so the row is the one that adding the products
+        one at a time gives.
+        """
         rows = self.rows
-        out = {k: c for k, c in row.items() if k not in rows and not c.is_zero()}
+        out = {}
+        sums = {}  # column -> {denominator: summed numerator}
         for p, c in row.items():
-            if p in rows and not c.is_zero():
-                for k, cp in rows[p].items():
-                    accumulate(out, k, -(c * cp))
+            if c.is_zero():
+                continue
+            prow = rows.get(p)
+            if prow is None:
+                out[p] = c
+                continue
+            for k, cp in prow.items():
+                col = sums.get(k)
+                if col is None:
+                    col = sums[k] = {}
+                den = _times(c.den, cp.den)
+                num = _times(c.num, cp.num)
+                acc = col.get(den)
+                col[den] = num if acc is None else acc + num
+        for k, col in sums.items():
+            total = out.get(k, ZERO)
+            if total.den in col:  # fold the row's own entry into its bucket
+                col[total.den] = col[total.den] - total.num
+                total = ZERO
+            for den, num in col.items():
+                if not num.is_zero():
+                    total = total + (Scalar.from_laurent(-num) if den.is_one()
+                                     else Scalar(-num, den))
+            if not total.is_zero():
+                out[k] = total
+            elif k in out:
+                del out[k]
         return out
 
     def add(self, row):

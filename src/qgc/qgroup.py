@@ -391,7 +391,15 @@ class Algebra:
     # -- Serre relators and graded bases -------------------------------------
 
     def serre_relators(self, sign):
-        """Degree-homogeneous relators of one triangular half, as word maps."""
+        """Degree-homogeneous relators of one triangular half, as word maps.
+
+        Built once per sign and memoized in ``memo("serre")``; callers must
+        not mutate the returned list or its maps.
+        """
+        table = self.memo("serre")
+        hit = table.get(sign)
+        if hit is not None:
+            return hit
         n = self.n
         rels = []
         for i in range(1, n + 1):
@@ -434,6 +442,7 @@ class Algebra:
                     (n, n, n - 1, n): prod * big,
                     (n, n, n, n - 1): -(prod ** 3),
                 })
+        table[sign] = rels
         return rels
 
     def words_of_content(self, nu):
@@ -473,7 +482,9 @@ class Algebra:
         cache[key] = basis
         return basis
 
-    def _build_graded_basis(self, sign, nu):
+    def relator_rows(self, sign, nu):
+        """The words of content nu, lex-descending, and the Serre relators
+        u*rel*w of that content as sparse rows {word index: coefficient}."""
         words = self.words_of_content(nu)
         # pivot selection prefers lex-greater words, so sort columns descending
         words.sort(reverse=True)
@@ -488,20 +499,19 @@ class Algebra:
                 right = tuple(a - b for a, b in zip(rest, left))
                 for u in self.words_of_content(left):
                     for w in self.words_of_content(right):
-                        row = [ZERO] * len(words)
-                        for mid, c in rel.items():
-                            row[index[u + mid + w]] = c
-                        rows.append(row)
-        reduced, pivots = linalg.rref(rows) if rows else ([], [])
-        pivot_set = set(pivots)
-        reps = sorted(w for w, k in index.items() if k not in pivot_set)
+                        rows.append({index[u + mid + w]: c for mid, c in rel.items()})
+        return words, rows
+
+    def _build_graded_basis(self, sign, nu):
+        words, rows = self.relator_rows(sign, nu)
+        ech = linalg.Echelon()
+        for row in rows:
+            ech.add(row)
+        reps = sorted(w for k, w in enumerate(words) if k not in ech.rows)
         reduction = {w: {w: ONE} for w in reps}
-        for rrow, pcol in zip(reduced, pivots):
-            expansion = {}
-            for k, c in enumerate(rrow):
-                if k != pcol and not c.is_zero():
-                    expansion[words[k]] = -c
-            reduction[words[pcol]] = expansion
+        # in column order, so cached and printed expansions keep their order
+        for pcol, row in sorted(ech.rows.items()):
+            reduction[words[pcol]] = {words[k]: -c for k, c in sorted(row.items())}
         return GradedBasis(sign, nu, reps, reduction)
 
     def reduce_word(self, sign, word):
@@ -611,8 +621,8 @@ class Algebra:
                     a2, b2 = _word_shift(cross2, ej)
                     key = (f1 + fj, _vec_add(_vec_add(eta1, etaj), eta2),
                            _vec_add(_vec_add(phi1, phij), phi2), ej + e2, mu)
-                    accumulate(raw, key, (c * Scalar.from_laurent(nj))
-                               .shift(a1 + a2, b1 + b2))
+                    cn = c if nj.is_one() else c * Scalar.from_laurent(nj)
+                    accumulate(raw, key, cn.shift(a1 + a2, b1 + b2))
         grouped = {}
         for (fw, eta, phi, ew, mu), c in raw.items():
             for f_rep, cf in self.reduce_word("-", fw).items():
@@ -622,7 +632,9 @@ class Algebra:
         del raw  # free the raw sums before the divisions allocate
         out = {}
         for (fw, eta, phi, ew, mu), c in grouped.items():
-            accumulate(out, (fw, eta, phi, ew), c * self.inverse_denominator(mu))
+            if mu != self._zero:  # D(0) = 1
+                c = c * self.inverse_denominator(mu)
+            accumulate(out, (fw, eta, phi, ew), c)
         return Element(self, out)
 
     def junction(self, ew, fw):

@@ -1,6 +1,11 @@
+import itertools
+import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgc import pairing
 from qgc.errors import NonUniqueSolution, NoSolution, SingularGram
@@ -108,6 +113,86 @@ def test_rref_matches_dense_reference():
         c = rng.choice(pool[3:])
         rows.append([c * a + b for a, b in zip(rows[0], rows[-1])])
         assert rref(rows) == dense_rref(rows), trial
+
+
+def augmented(g):
+    d = len(g)
+    return [list(row) + [ONE if c == i else ZERO for c in range(d)]
+            for i, row in enumerate(g)]
+
+
+def test_rref_matches_dense_reference_on_rank3_gram_blocks(alg3):
+    for nu in itertools.product(range(3), repeat=3):
+        if any(nu):
+            aug = augmented(pairing.gram(alg3, nu))
+            assert rref(aug) == dense_rref(aug), nu
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_rref_matches_dense_reference_on_relators(alg3, sign):
+    words, rows = alg3.relator_rows(sign, (2, 2, 2))
+    dense = [[row.get(k, ZERO) for k in range(len(words))] for row in rows]
+    assert rref(dense) == dense_rref(dense)
+
+
+def test_invert_gcd_work(alg3):
+    # one canonicalization per (column, denominator) sum of a row reduction;
+    # adding each product to its column one at a time made 3,321 gcds
+    g = pairing.gram(alg3, (2, 2, 2))
+    with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                           side_effect=LaurentBi.gcd) as gcd:
+        inv = invert(g)
+    assert gcd.call_count <= 1500
+    assert matmul(g, inv) == identity(len(g))
+
+
+# numerators, and denominators built from a few ladder factors, so that many
+# products of a reduction land on a shared denominator
+NUMERATORS = [ONE, -ONE, Scalar.from_int(2), R, -S, R - S, R * S + S * S]
+LADDER = [R - S, R + S, R * R + S * S]
+ladder_dens = st.lists(st.sampled_from(LADDER), max_size=2).map(
+    lambda fs: math.prod(fs, start=ONE))
+entries = st.builds(lambda n, d: n / d, st.sampled_from(NUMERATORS), ladder_dens)
+sparse_rows = st.integers(3, 7).flatmap(lambda ncols: st.lists(
+    st.dictionaries(st.integers(0, ncols - 1), entries, min_size=1),
+    min_size=2, max_size=6))
+
+
+def naive_reduce(ech, row):
+    """row minus c times each pivot row, one product at a time."""
+    out = {k: c for k, c in row.items() if k not in ech.rows and not c.is_zero()}
+    for p, c in row.items():
+        for k, cp in ech.rows.get(p, {}).items():
+            out[k] = out.get(k, ZERO) - c * cp
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_rows)
+def test_echelon_matches_dense_on_shared_denominators(rows):
+    ncols = 1 + max(max(row) for row in rows)
+    dense = [[row.get(k, ZERO) for k in range(ncols)] for row in rows]
+    assert rref(dense) == dense_rref(dense)
+    ech = Echelon()
+    for row in rows[:-1]:
+        ech.add(row)
+    assert ech.reduce(rows[-1]) == naive_reduce(ech, rows[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(NUMERATORS), st.sampled_from(NUMERATORS), entries,
+       ladder_dens, st.sampled_from(LADDER))
+def test_echelon_reduce_cancelling_sums(x, y, z, d1, d2):
+    a, b = x / d1, y / d1
+    ech = Echelon()
+    for row in ({0: ONE, 5: a}, {1: ONE, 5: ONE / d2},
+                {2: ONE, 4: b}, {3: ONE, 4: b}):
+        ech.add(row)
+    # column 4: the products b and -b share a denominator, so their bucket
+    # sums to zero and the row's own entry z is left; column 5: a over d1
+    # and (-a d2) (1/d2) over d1 d2 cancel once each sum is canonical
+    row = {0: ONE, 1: -a * d2, 2: ONE, 3: -ONE, 4: z}
+    assert ech.reduce(row) == naive_reduce(ech, row) == {4: z}
 
 
 def test_echelon_ignores_row_order():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 
-from qgc import center
+from qgc import center, linalg
 from qgc.errors import NonIntegralSecondArgument
 from qgc.qgroup import Algebra, Element, word_content
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
@@ -293,6 +293,53 @@ def test_graded_dims_match_kostant():
                 for sign in "+-":
                     assert alg.graded_dim(sign, nu) == alg.rs.kostant_count(nu), \
                         (n, sign, nu)
+
+
+def reference_graded_basis(alg, sign, nu):
+    """The dense build: every relator row as a full list over the words of
+    the content, reduced through ``rref``; returns (reps, reduction)."""
+    words = sorted(alg.words_of_content(nu), reverse=True)
+    index = {w: k for k, w in enumerate(words)}
+    rows = []
+    for rel in alg.serre_relators(sign):
+        rest = tuple(a - b for a, b in zip(nu, word_content(alg.n, next(iter(rel)))))
+        if any(c < 0 for c in rest):
+            continue
+        for left in itertools.product(*(range(c + 1) for c in rest)):
+            right = tuple(a - b for a, b in zip(rest, left))
+            for u in alg.words_of_content(left):
+                for w in alg.words_of_content(right):
+                    row = [ZERO] * len(words)
+                    for mid, c in rel.items():
+                        row[index[u + mid + w]] = c
+                    rows.append(row)
+    reduced, pivots = linalg.rref(rows) if rows else ([], [])
+    reps = sorted(w for w, k in index.items() if k not in pivots)
+    reduction = {w: {w: ONE} for w in reps}
+    for rrow, pcol in zip(reduced, pivots):
+        reduction[words[pcol]] = {words[k]: -c for k, c in enumerate(rrow)
+                                  if k != pcol and not c.is_zero()}
+    return reps, reduction
+
+
+@pytest.mark.parametrize("n, top", [(2, 3), (3, 2)])
+def test_graded_basis_matches_dense_build(n, top):
+    alg = Algebra(n)
+    for nu in itertools.product(range(top + 1), repeat=n):
+        for sign in "+-":
+            basis = alg.graded_basis(sign, nu)
+            reps, reduction = reference_graded_basis(alg, sign, nu)
+            assert basis.words == reps, (sign, nu)
+            # equal maps in the same order, so cached and printed bases agree
+            assert [(w, list(e.items())) for w, e in basis.reduction.items()] \
+                == [(w, list(e.items())) for w, e in reduction.items()], (sign, nu)
+
+
+def test_serre_relators_built_once():
+    alg = Algebra(3)
+    for sign in "+-":
+        assert alg.serre_relators(sign) is alg.serre_relators(sign)
+    assert alg.serre_relators("+") is not alg.serre_relators("-")
 
 
 def test_reduction_idempotent(alg2):
