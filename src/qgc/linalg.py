@@ -1,7 +1,7 @@
 """Small exact linear algebra over the scalar field.
 
-One sparse Gauss-Jordan elimination, `Echelon`, serves graded-basis
-reduction (relator rows go in sparse), ranks, Gram inversion (on [G | I])
+One sparse Gauss-Jordan elimination, `Echelon`, serves the relations of
+the graded bases (fed as sparse rows), ranks, Gram inversion (on [G | I])
 and the parity-kernel probe through `rref`, the centrality solver and the
 irreducible quotients; row updates touch only nonzero entries.  Over
 canonical scalars it never forms the large leading minors that a

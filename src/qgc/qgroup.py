@@ -3,24 +3,20 @@
 Elements are kept in triangular normal form: each term is a lowering word, a
 toral monomial w'_eta w_phi, a raising word, and a scalar, with both words
 drawn from graded-basis representatives of the halves modulo the Serre
-ideal.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
+ideal.  The graded bases are built by induction on the last letter: a
+content is spanned by the representatives one letter lower, each followed
+by that letter, and only the Serre relators placed at the end of a word add
+relations.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
 junction e1 f2, whose normal form is tabulated per (raising word, lowering
 word) pair by peeling raising letters through [e_i, f_i] = (w'_i - w_i) /
 (s_i - r_i), as Laurent numerators over D(mu) = prod_j (s_j - r_j)^mu_j for
 the peeled content mu.  The torals cross the remaining words as unit
-monomials u^a v^b, the joined pure words are reduced degreewise by linear
-algebra over the scalar field, and each normal-form term is divided by its
-D(mu) once.
+monomials u^a v^b, the joined pure words are reduced letter by letter
+through those bases, and each normal-form term is divided by its D(mu) once.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import itertools
-import json
-import os
-import tempfile
 from fractions import Fraction
 
 from . import linalg
@@ -31,17 +27,6 @@ from .errors import (
 )
 from .rootdata import RootSystemB
 from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate
-
-
-@functools.cache
-def _cache_format():
-    """Tag of the disk-cached basis format: a short sha256 of the source that
-    determines a basis, so bases written by other code are never read."""
-    digest = hashlib.sha256()
-    for name in ("scalars.py", "rootdata.py", "qgroup.py"):
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as fh:
-            digest.update(fh.read())
-    return "qgc-basis-" + digest.hexdigest()[:12]
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -79,19 +64,21 @@ def word_content(n, word):
 
 
 class GradedBasis:
-    """Basis of one graded slice of a triangular half, with its reduction map.
+    """Basis of one graded slice of a triangular half.
 
     words: representative words, ascending lex.
-    reduction: every word of this content -> {representative: Scalar}.
+    expansion: each word of the spanning set S (a representative of a
+    content one letter lower, then that letter) -> {representative: Scalar};
+    ``Algebra.reduce_word`` composes these for any other word.
     """
 
-    __slots__ = ("sign", "nu", "words", "reduction")
+    __slots__ = ("sign", "nu", "words", "expansion")
 
-    def __init__(self, sign, nu, words, reduction):
+    def __init__(self, sign, nu, words, expansion):
         self.sign = sign
         self.nu = nu
         self.words = words
-        self.reduction = reduction
+        self.expansion = expansion
 
     @property
     def dim(self):
@@ -465,6 +452,16 @@ class Algebra:
         return out
 
     def graded_basis(self, sign, nu) -> GradedBasis:
+        """The basis of content nu, by induction on the last letter.
+
+        A prefix of a standard word is standard, so U_nu is spanned by the
+        words S = {b i : b a representative of nu - alpha_i}.  A relator
+        placement u rel w with w nonempty already vanishes on S, so the only
+        new relations are b rel, for b a representative of nu - content(rel),
+        written over S through ``reduce_word``.  The columns are S sorted
+        descending, so each pivot is the lex-greatest word of its relation
+        and the representatives are the standard words.
+        """
         nu = tuple(nu)
         if len(nu) != self.n:
             raise RankMismatch("content length mismatch")
@@ -473,48 +470,44 @@ class Algebra:
         key = (sign, nu)
         cache = self.memo("graded_basis")
         hit = cache.get(key)
-        if hit is not None:
-            return hit
-        basis = self._load_disk_basis(sign, nu)
-        if basis is None:
-            basis = self._build_graded_basis(sign, nu)
-            self._store_disk_basis(basis)
-        cache[key] = basis
-        return basis
-
-    def relator_rows(self, sign, nu):
-        """The words of content nu, lex-descending, and the Serre relators
-        u*rel*w of that content as sparse rows {word index: coefficient}."""
-        words = self.words_of_content(nu)
-        # pivot selection prefers lex-greater words, so sort columns descending
-        words.sort(reverse=True)
-        index = {w: k for k, w in enumerate(words)}
-        rows = []
-        for rel in self.serre_relators(sign):
-            rel_content = word_content(self.n, next(iter(rel)))
-            rest = tuple(a - b for a, b in zip(nu, rel_content))
-            if any(c < 0 for c in rest):
-                continue
-            for left in itertools.product(*(range(c + 1) for c in rest)):
-                right = tuple(a - b for a, b in zip(rest, left))
-                for u in self.words_of_content(left):
-                    for w in self.words_of_content(right):
-                        rows.append({index[u + mid + w]: c for mid, c in rel.items()})
-        return words, rows
+        if hit is None:
+            hit = cache[key] = self._build_graded_basis(sign, nu)
+        return hit
 
     def _build_graded_basis(self, sign, nu):
-        words, rows = self.relator_rows(sign, nu)
+        if not any(nu):
+            return GradedBasis(sign, nu, [()], {(): {(): ONE}})
+        span = []
+        for i in range(1, self.n + 1):
+            if nu[i - 1]:
+                lower = _vec_add(nu, _vec_neg(_unit(self.n, i)))
+                span += [b + (i,) for b in self.graded_basis(sign, lower).words]
+        span.sort(reverse=True)
+        index = {w: k for k, w in enumerate(span)}
         ech = linalg.Echelon()
-        for row in rows:
-            ech.add(row)
-        reps = sorted(w for k, w in enumerate(words) if k not in ech.rows)
-        reduction = {w: {w: ONE} for w in reps}
-        # in column order, so cached and printed expansions keep their order
+        for rel in self.serre_relators(sign):
+            rest = _vec_add(nu, _vec_neg(word_content(self.n, next(iter(rel)))))
+            if any(c < 0 for c in rest):
+                continue
+            for b in self.graded_basis(sign, rest).words:
+                row = {}
+                for mid, c in rel.items():
+                    for rep, cr in self.reduce_word(sign, b + mid[:-1]).items():
+                        accumulate(row, index[rep + mid[-1:]], c * cr)
+                ech.add(row)
+        reps = sorted(w for k, w in enumerate(span) if k not in ech.rows)
+        expansion = {w: {w: ONE} for w in reps}
         for pcol, row in sorted(ech.rows.items()):
-            reduction[words[pcol]] = {words[k]: -c for k, c in sorted(row.items())}
-        return GradedBasis(sign, nu, reps, reduction)
+            expansion[span[pcol]] = {span[k]: -c for k, c in sorted(row.items())}
+        return GradedBasis(sign, nu, reps, expansion)
 
     def reduce_word(self, sign, word):
+        """A word as {representative: Scalar}, representatives descending.
+
+        The prefix word[:-1] is reduced first; each of its representatives b
+        followed by the last letter is a word of S, whose expansion the
+        basis of the content stores.  Memoized per word met.
+        """
         word = tuple(word)
         if len(word) <= 1:
             return {word: ONE}
@@ -522,80 +515,16 @@ class Algebra:
         cache = self.memo("reduce_word")
         hit = cache.get(key)
         if hit is None:
-            nu = word_content(self.n, word)
-            hit = cache[key] = self.graded_basis(sign, nu).reduction[word]
+            expansion = self.graded_basis(sign, word_content(self.n, word)).expansion
+            out = {}
+            for b, c in self.reduce_word(sign, word[:-1]).items():
+                for rep, cr in expansion[b + word[-1:]].items():
+                    accumulate(out, rep, c * cr)
+            hit = cache[key] = dict(sorted(out.items(), reverse=True))
         return hit
 
     def graded_dim(self, sign, nu) -> int:
         return self.graded_basis(sign, nu).dim
-
-    # -- on-disk memoization of graded bases ---------------------------------
-
-    def _cache_path(self, sign, nu):
-        root = os.environ.get("QGC_CACHE_DIR")
-        if not root:
-            return None
-        tag = "p" if sign == "+" else "m"
-        name = f"{_cache_format()}-n{self.n}-{tag}-" + "_".join(map(str, nu)) + ".json"
-        return os.path.join(root, name)
-
-    def _load_disk_basis(self, sign, nu):
-        path = self._cache_path(sign, nu)
-        if not path or not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if data["format"] != _cache_format() or data["n"] != self.n:
-                return None
-            words = [tuple(w) for w in data["words"]]
-            reduction = {}
-            for wstr, expansion in data["reduction"].items():
-                w = tuple(int(x) for x in wstr.split(",")) if wstr else ()
-                reduction[w] = {tuple(rw): Scalar.from_json(cj)
-                                for rw, cj in expansion}
-        except (OSError, ValueError, KeyError, TypeError, AttributeError,
-                ZeroDivisionError):
-            return None
-        basis = GradedBasis(sign, tuple(nu), words, reduction)
-        return basis if self._is_sound(basis) else None
-
-    def _is_sound(self, basis):
-        """Kostant dimension, a reduction for every word of the content, and
-        representatives that reduce to themselves and span every expansion."""
-        reps, red = set(basis.words), basis.reduction
-        return len(reps) == len(basis.words) == self.rs.kostant_count(basis.nu) \
-            and set(red) == set(self.words_of_content(basis.nu)) \
-            and all(red[w] == {w: ONE} for w in reps) \
-            and all(set(expansion) <= reps for expansion in red.values())
-
-    def _store_disk_basis(self, basis):
-        """Write through a temporary file, so readers never see a partial one."""
-        path = self._cache_path(basis.sign, basis.nu)
-        if not path:
-            return
-        tmp = None
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            data = {
-                "format": _cache_format(),
-                "n": self.n,
-                "sign": basis.sign,
-                "nu": list(basis.nu),
-                "words": [list(w) for w in basis.words],
-                "reduction": {
-                    ",".join(map(str, w)): [[list(rw), c.to_json()]
-                                            for rw, c in expansion.items()]
-                    for w, expansion in basis.reduction.items()
-                },
-            }
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
-            os.replace(tmp, path)
-        except OSError:
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
 
     # -- straightening --------------------------------------------------------
 

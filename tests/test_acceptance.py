@@ -239,6 +239,14 @@ def test_irreducibles_match_freudenthal(algebras):
                 assert mults[alg.rs.reflect(i, w)] == m
 
 
+def test_rank4_vector_irreducible(algebras):
+    alg = algebras[4]
+    lam = (2, 0, 0, 0)
+    module = repn.irreducible(alg, lam)
+    assert module.dim == alg.rs.weyl_dim(lam) == 9
+    assert module.weight_multiplicities() == alg.rs.freudenthal_mults(lam)
+
+
 def test_qint_action_identity(algebras):
     alg = algebras[2]
     mus = [(0, 0), (2, 2), (1, 1), (1, -1)]

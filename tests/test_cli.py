@@ -166,30 +166,3 @@ def test_internal_inconsistency_is_structured(monkeypatch, capsys):
     assert code == 1
     assert report["status"] == "fail"
     assert report["payload"]["error"] == "InternalInconsistency"
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QGC_CACHE_DIR", str(tmp_path))
-    code, report1 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
-                                     "--nu", "1,2"])
-    assert code == 0
-    assert any(p.suffix == ".json" for p in tmp_path.iterdir())
-    # second run hits the on-disk cache and reproduces the report
-    code, report2 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
-                                     "--nu", "1,2"])
-    assert report1 == report2
-    # a well-formed entry that lost one representative is not trusted
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    dropped = data["words"].pop()
-    del data["reduction"][",".join(map(str, dropped))]
-    path.write_text(json.dumps(data))
-    code, report3 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
-                                     "--nu", "1,2"])
-    assert report1 == report3
-    # corrupt cache entries are ignored
-    for p in tmp_path.iterdir():
-        p.write_text("not json")
-    code, report4 = run_cli(capsys, ["graded-dim", "--n", "2", "--sign", "-",
-                                     "--nu", "1,2"])
-    assert report1 == report4

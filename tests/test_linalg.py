@@ -12,6 +12,7 @@ from qgc.errors import NonUniqueSolution, NoSolution, SingularGram
 from qgc.linalg import _RHS, Echelon, invert, rank, rref, solve_unique
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
+from test_qgroup import dense_relator_rows
 
 
 def identity(d):
@@ -130,7 +131,7 @@ def test_rref_matches_dense_reference_on_rank3_gram_blocks(alg3):
 
 @pytest.mark.parametrize("sign", "+-")
 def test_rref_matches_dense_reference_on_relators(alg3, sign):
-    words, rows = alg3.relator_rows(sign, (2, 2, 2))
+    words, rows = dense_relator_rows(alg3, sign, (2, 2, 2))
     dense = [[row.get(k, ZERO) for k in range(len(words))] for row in rows]
     assert rref(dense) == dense_rref(dense)
 

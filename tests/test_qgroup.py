@@ -1,5 +1,4 @@
 import itertools
-import json
 import random
 from fractions import Fraction
 from unittest import mock
@@ -295,9 +294,9 @@ def test_graded_dims_match_kostant():
                         (n, sign, nu)
 
 
-def reference_graded_basis(alg, sign, nu):
-    """The dense build: every relator row as a full list over the words of
-    the content, reduced through ``rref``; returns (reps, reduction)."""
+def dense_relator_rows(alg, sign, nu):
+    """The words of content nu, lex-descending, and every Serre relator
+    placement u*rel*w of that content as a sparse row {word index: coeff}."""
     words = sorted(alg.words_of_content(nu), reverse=True)
     index = {w: k for k, w in enumerate(words)}
     rows = []
@@ -309,12 +308,18 @@ def reference_graded_basis(alg, sign, nu):
             right = tuple(a - b for a, b in zip(rest, left))
             for u in alg.words_of_content(left):
                 for w in alg.words_of_content(right):
-                    row = [ZERO] * len(words)
-                    for mid, c in rel.items():
-                        row[index[u + mid + w]] = c
-                    rows.append(row)
+                    rows.append({index[u + mid + w]: c for mid, c in rel.items()})
+    return words, rows
+
+
+def reference_graded_basis(alg, sign, nu):
+    """The dense build: every relator row as a full list over all words of
+    the content, reduced through ``rref``; returns (reps, reduction), with a
+    reduction for every word of the content."""
+    words, sparse = dense_relator_rows(alg, sign, nu)
+    rows = [[row.get(k, ZERO) for k in range(len(words))] for row in sparse]
     reduced, pivots = linalg.rref(rows) if rows else ([], [])
-    reps = sorted(w for w, k in index.items() if k not in pivots)
+    reps = sorted(w for k, w in enumerate(words) if k not in pivots)
     reduction = {w: {w: ONE} for w in reps}
     for rrow, pcol in zip(reduced, pivots):
         reduction[words[pcol]] = {words[k]: -c for k, c in enumerate(rrow)
@@ -322,17 +327,60 @@ def reference_graded_basis(alg, sign, nu):
     return reps, reduction
 
 
+def assert_matches_dense_build(alg, sign, nu):
+    basis = alg.graded_basis(sign, nu)
+    reps, reduction = reference_graded_basis(alg, sign, nu)
+    assert basis.words == reps, (sign, nu)
+    # every word of the content, with its items in the same order, so printed
+    # and hashed normal forms agree
+    for w in alg.words_of_content(nu):
+        assert list(alg.reduce_word(sign, w).items()) == list(reduction[w].items()), \
+            (sign, nu, w)
+
+
 @pytest.mark.parametrize("n, top", [(2, 3), (3, 2)])
 def test_graded_basis_matches_dense_build(n, top):
     alg = Algebra(n)
     for nu in itertools.product(range(top + 1), repeat=n):
         for sign in "+-":
-            basis = alg.graded_basis(sign, nu)
-            reps, reduction = reference_graded_basis(alg, sign, nu)
-            assert basis.words == reps, (sign, nu)
-            # equal maps in the same order, so cached and printed bases agree
-            assert [(w, list(e.items())) for w, e in basis.reduction.items()] \
-                == [(w, list(e.items())) for w, e in reduction.items()], (sign, nu)
+            assert_matches_dense_build(alg, sign, nu)
+
+
+def test_rank4_graded_basis_matches_dense_build():
+    alg = Algebra(4)
+    for nu in [(1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 2, 1), (1, 1, 2, 2), (2, 2, 2, 0)]:
+        for sign in "+-":
+            assert_matches_dense_build(alg, sign, nu)
+
+
+def test_rank4_graded_dims_match_kostant():
+    alg = Algebra(4)
+    for nu in itertools.product(range(3), repeat=4):
+        for sign in "+-":
+            assert alg.graded_dim(sign, nu) == alg.rs.kostant_count(nu), (sign, nu)
+
+
+def test_expansions_cover_the_spanning_words_only():
+    alg = Algebra(3)
+    nu = (2, 2, 2)
+    for sign in "+-":
+        span = {b + (i,) for i in (1, 2, 3)
+                for b in alg.graded_basis(sign, tuple(
+                    c - (k == i - 1) for k, c in enumerate(nu))).words}
+        assert set(alg.graded_basis(sign, nu).expansion) == span
+        assert len(span) < len(alg.words_of_content(nu)) == 90
+
+
+def test_graded_basis_relation_rows():
+    # only the relators placed at the end of a spanning word are fed: 88 rows
+    # over rank-3 contents up to (2,2,2), against 428 for every placement
+    alg = Algebra(3)
+    with mock.patch.object(linalg.Echelon, "add", autospec=True,
+                           side_effect=linalg.Echelon.add) as add:
+        for nu in itertools.product(range(3), repeat=3):
+            for sign in "+-":
+                alg.graded_basis(sign, nu)
+    assert add.call_count <= 100
 
 
 def test_serre_relators_built_once():
@@ -345,9 +393,9 @@ def test_serre_relators_built_once():
 def test_reduction_idempotent(alg2):
     basis = alg2.graded_basis("+", (2, 2))
     for w in basis.words:
-        assert basis.reduction[w] == {w: ONE}
-    for w, expansion in basis.reduction.items():
-        for rep in expansion:
+        assert alg2.reduce_word("+", w) == {w: ONE}
+    for w in alg2.words_of_content((2, 2)):
+        for rep in alg2.reduce_word("+", w):
             assert rep in basis.words
 
 
@@ -642,36 +690,3 @@ def test_element_text_and_json(alg2):
     blob = x.to_json()
     assert blob == [{"f": [2, 1], "eta": [0, 1], "phi": [1, 0],
                      "e": [1, 2], "coeff": ONE.to_json()}]
-
-
-def test_disk_cache_ignores_bases_of_other_code(tmp_path, monkeypatch):
-    from qgc import qgroup
-
-    monkeypatch.setenv("QGC_CACHE_DIR", str(tmp_path))
-    nu = (2, 1)
-    good = Algebra(2).graded_basis("-", nu).reduction
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    assert path.name.startswith(data["format"] + "-")
-    assert data["format"] == qgroup._cache_format()
-
-    # a sound file whose one relation coefficient is doubled: read back when
-    # its tag is current, which shows the tag is all that keeps it out below
-    rw, coeff = data["reduction"]["2,1,1"][0]
-    data["reduction"]["2,1,1"][0] = [rw, (Scalar.from_json(coeff) * 2).to_json()]
-    path.write_text(json.dumps(data))
-    assert Algebra(2).graded_basis("-", nu).reduction != good
-
-    # the same file tagged by other code is ignored, rebuilt and rewritten
-    data["format"] = "qgc-basis-000000000000"
-    path.write_text(json.dumps(data))
-    assert Algebra(2).graded_basis("-", nu).reduction == good
-    assert json.loads(path.read_text())["format"] == qgroup._cache_format()
-
-    # a change of code changes the tag, and the old code's file, doubled
-    # coefficient and all, is no longer looked at
-    data["format"] = qgroup._cache_format()
-    path.write_text(json.dumps(data))
-    monkeypatch.setattr(qgroup, "_cache_format", lambda: "qgc-basis-ffffffffffff")
-    assert Algebra(2).graded_basis("-", nu).reduction == good
-    assert len(list(tmp_path.iterdir())) == 2
