@@ -49,10 +49,6 @@ def toral_is_balanced(t):
     return all(phi == tuple(-x for x in eta) for eta, phi in t)
 
 
-def toral_element(alg: Algebra, t) -> Element:
-    return Element(alg, {((), eta, phi, ()): c for (eta, phi), c in t.items()})
-
-
 def hc_xi(alg: Algebra, x: Element):
     """Harish-Chandra image: project onto toral terms, then shift by -rho.
 

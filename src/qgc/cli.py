@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 import time
@@ -157,7 +158,7 @@ def _cmd_root_data(args):
         "positive_roots": [list(a) for a in rs.positive_roots],
         "rho": list(rs.rho),
         "fundamental_weights": [list(w) for w in rs.fundamental_weights],
-        "weyl_order": len(rs.weyl_group()),
+        "weyl_order": 2 ** args.n * math.factorial(args.n),
     }
     return "value", payload
 

@@ -1,10 +1,13 @@
 """Weight modules as explicit matrices over the scalar field.
 
-Truncated highest-weight modules are spanned by the graded-basis
-representative words of the lowering half up to a depth bound; irreducible
-quotients are cut out by the lowering-closure of the singular vectors
-f_i^((lam, a_i^vee)+1) v.  Generator actions are sparse column maps; the
-grading operator acts on a weight-mu vector by (r s^-1)^(-2 (rho, mu)).
+One class, `WeightModule`, serves both kinds of module: its rows are
+lowering representative words w (the vectors f_w v) over a down-closed set
+of contents.  A truncated highest-weight module takes every content up to a
+depth bound; the irreducible V(lam) takes the box {nu <= 2 lam} and drops
+the words that the lowering closure of the singular vectors
+f_i^((lam, a_i^vee)+1) v pivots on.  Generator actions are sparse column
+maps; the grading operator acts on a weight-mu vector by
+(r s^-1)^(-2 (rho, mu)).
 """
 
 from __future__ import annotations
@@ -113,23 +116,30 @@ def _heights(n, h):
 class WeightModule:
     """Weight-graded module given by sparse generator columns.
 
-    Rows are labelled by (nu, k): the k-th representative lowering word of
-    content nu applied to the highest-weight vector.  ``exact`` is False for
-    depth-truncated modules, where lowering at the boundary is dropped.
+    Rows are labelled by lowering representative words w, the vectors
+    f_w v, over a down-closed list of contents: by height, then content,
+    then word.  ``reduction`` writes each word of those contents that is not
+    a row over the rows (empty for a Verma module).  ``exact`` is False for
+    depth-truncated modules, where lowering out of the contents overflows;
+    in a quotient, lowering out of them gives zero.
     """
 
-    def __init__(self, alg: Algebra, lam, mu, depth, exact):
+    def __init__(self, alg: Algebra, lam, mu, contents, reduction, exact):
         self.algebra = alg
         self.lam = tuple(lam)
         self.mu = tuple(mu)
-        self.depth = depth
         self.exact = exact
-        self.labels = []
-        self.index = {}
-        self.weights = []
+        self.reduction = reduction
+        self._contents = set(contents)
+        self.labels = [w for nu in contents
+                       for w in alg.graded_basis("-", nu).words
+                       if w not in reduction]
+        self.index = {w: row for row, w in enumerate(self.labels)}
+        self.weights = [tuple(a - b for a, b in zip(
+            self.lam, alg.rs.from_alpha(word_content(alg.n, w))))
+            for w in self.labels]
         self._char_cache = {}
-        self._ecols = {}
-        self._fcols = {}
+        self._cols = {}
         self._overflow = set()
         self._act_cache = {}
 
@@ -137,29 +147,52 @@ class WeightModule:
     def dim(self):
         return len(self.labels)
 
-    def _add_label(self, label):
-        self.index[label] = len(self.labels)
-        self.labels.append(label)
-        nu, _ = label
-        self.weights.append(tuple(a - b for a, b in
-                                  zip(self.lam, self.algebra.rs.from_alpha(nu))))
+    def _in_basis(self, vec):
+        """A vector {word: Scalar} over representative words, over the rows."""
+        out = {}
+        for w, c in vec.items():
+            row = self.index.get(w)
+            if row is not None:
+                accumulate(out, row, c)
+                continue
+            for w2, c2 in self.reduction[w].items():
+                accumulate(out, self.index[w2], c * c2)
+        return out
 
     # -- generator columns ---------------------------------------------------
 
-    def e_col(self, i, col):
-        cached = self._ecols.get((i, col))
-        if cached is not None:
-            return cached
-        out = self._compute_e_col(i, col)
-        self._ecols[(i, col)] = out
+    def f_col(self, i, col):
+        """f_i f_w v: the word i w, reduced to representatives."""
+        key = ("-", i, col)
+        out = self._cols.get(key)
+        if out is None:
+            alg = self.algebra
+            word = (i,) + self.labels[col]
+            if word_content(alg.n, word) in self._contents:
+                out = self._in_basis(alg.reduce_word("-", word))
+            else:
+                out = {}
+                if not self.exact:
+                    self._overflow.add((i, col))
+            self._cols[key] = out
         return out
 
-    def f_col(self, i, col):
-        cached = self._fcols.get((i, col))
-        if cached is not None:
-            return cached
-        out = self._compute_f_col(i, col)
-        self._fcols[(i, col)] = out
+    def e_col(self, i, col):
+        """e_i f_w v: the E.F junction of (i) and w, torals at the top weight."""
+        key = ("+", i, col)
+        out = self._cols.get(key)
+        if out is None:
+            alg = self.algebra
+            vec = {}
+            for (fw, eta, phi, ew), (num, mu) in \
+                    alg.junction((i,), self.labels[col]).items():
+                if ew:
+                    continue
+                val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
+                    * char_value(alg, self.lam, self.mu, eta, phi)
+                for rep, cr in alg.reduce_word("-", fw).items():
+                    accumulate(vec, rep, val * cr)
+            out = self._cols[key] = self._in_basis(vec)
         return out
 
     def char_diag(self, eta, phi):
@@ -177,7 +210,7 @@ class WeightModule:
         """Image of a coordinate vector {row: Scalar} under x."""
         out = {}
         for (fw, eta, phi, ew), c in x.terms.items():
-            cur = dict(vec)
+            cur = vec
             for i in reversed(ew):
                 cur = self._apply_cols(self.e_col, i, cur, strict)
                 if not cur:
@@ -187,26 +220,21 @@ class WeightModule:
             if any(eta) or any(phi):
                 diag = self.char_diag(eta, phi)
                 cur = {r: v * diag[r] for r, v in cur.items()}
-            skip = False
             for i in reversed(fw):
                 cur = self._apply_cols(self.f_col, i, cur, strict)
                 if not cur:
-                    skip = True
                     break
-            if skip:
-                continue
             for r, v in cur.items():
                 accumulate(out, r, c * v)
         return out
 
     def _apply_cols(self, colfun, i, vec, strict):
         out = {}
-        lowering = colfun == self.f_col
         for r, v in vec.items():
             col = colfun(i, r)
-            if strict and lowering and not self.exact and (i, r) in self._overflow:
+            if strict and colfun == self.f_col and (i, r) in self._overflow:
                 raise TruncationOverflow(
-                    f"lowering by {i} leaves the depth-{self.depth} truncation")
+                    f"lowering {self.labels[r]} by {i} leaves the truncation")
             for r2, w in col.items():
                 accumulate(out, r2, v * w)
         return out
@@ -232,98 +260,26 @@ class WeightModule:
         return out
 
 
-class VermaModule(WeightModule):
-    """Depth-truncated universal highest-weight module for a character pair."""
-
-    def __init__(self, alg: Algebra, lam, mu, depth):
-        super().__init__(alg, lam, mu, depth, exact=False)
-        for h in range(depth + 1):
-            for nu in _heights(alg.n, h):
-                basis = alg.graded_basis("-", nu)
-                for k in range(basis.dim):
-                    self._add_label((nu, k))
-        self._words = {}
-        for nu_set in {lab[0] for lab in self.labels}:
-            self._words[nu_set] = alg.graded_basis("-", nu_set).words
-
-    def _rep_word(self, label):
-        nu, k = label
-        return self._words[nu][k]
-
-    def _compute_f_col(self, i, col):
-        alg = self.algebra
-        nu, k = self.labels[col]
-        word = (i,) + self._rep_word((nu, k))
-        nu2 = word_content(alg.n, word)
-        out = {}
-        if sum(nu2) > self.depth:
-            self._overflow.add((i, col))
-            return out
-        for rep, c in alg.reduce_word("-", word).items():
-            accumulate(out, self.index[(nu2, self._words[nu2].index(rep))], c)
-        return out
-
-    def _compute_e_col(self, i, col):
-        alg = self.algebra
-        word = self._rep_word(self.labels[col])
-        out = {}
-        for (fw, eta, phi, ew), (num, mu) in alg.junction((i,), word).items():
-            if ew:
-                continue
-            val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
-                * char_value(alg, self.lam, self.mu, eta, phi)
-            for rep, cr in alg.reduce_word("-", fw).items():
-                nu2 = word_content(alg.n, rep)
-                row = self.index[(nu2, self._words[nu2].index(rep))]
-                accumulate(out, row, val * cr)
-        return out
-
-
-class QuotientModule(WeightModule):
-    """Quotient of a truncated highest-weight module by a lowering-closed span."""
-
-    def __init__(self, parent: VermaModule, reduction, kept_labels):
-        super().__init__(parent.algebra, parent.lam, parent.mu,
-                         parent.depth, exact=True)
-        self.parent = parent
-        self._reduction = reduction
-        for label in kept_labels:
-            self._add_label(label)
-
-    def _project(self, parent_vec):
-        out = {}
-        for prow, v in parent_vec.items():
-            label = self.parent.labels[prow]
-            for qlabel, c in self._reduction[label].items():
-                row = self.index[qlabel]
-                accumulate(out, row, v * c)
-        return out
-
-    def _compute_f_col(self, i, col):
-        prow = self.parent.index[self.labels[col]]
-        return self._project(self.parent.f_col(i, prow))
-
-    def _compute_e_col(self, i, col):
-        prow = self.parent.index[self.labels[col]]
-        return self._project(self.parent.e_col(i, prow))
-
-
-def verma(alg: Algebra, lam, mu, depth: int) -> VermaModule:
+def verma(alg: Algebra, lam, mu, depth: int) -> WeightModule:
     """Truncated universal module with highest-weight character pair (lam, mu)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if len(lam) != alg.n or len(mu) != alg.n:
         raise RankMismatch("weight length mismatch")
-    return VermaModule(alg, lam, mu, depth)
+    contents = [nu for h in range(depth + 1) for nu in _heights(alg.n, h)]
+    return WeightModule(alg, lam, mu, contents, {}, exact=False)
 
 
-def irreducible(alg: Algebra, lam) -> QuotientModule:
+def irreducible(alg: Algebra, lam) -> WeightModule:
     """The finite-dimensional irreducible module of a dominant weight.
 
-    Quotients the truncated universal module at depth ht(2 lam) by the
-    lowering-closure of the singular vectors; the result has the
-    multiplicities of the classical recursion and total dimension given by
-    the product formula.
+    Every weight lam - nu of V(lam) has nu <= lam - w0 lam = 2 lam, and the
+    lowering closure of the singular vectors f_i^((lam, a_i^vee)+1) v meets
+    a content only through contents below it.  So the closure runs on the
+    representative words of the box {nu <= 2 lam} alone, dropping images
+    that leave it, and the rows are the words of the box it does not pivot
+    on.  The result has the multiplicities of the classical recursion and
+    total dimension given by the product formula.
     """
     lam = tuple(lam)
     if not alg.rs.in_weight_lattice(lam) or not alg.rs.is_dominant(lam):
@@ -332,38 +288,36 @@ def irreducible(alg: Algebra, lam) -> QuotientModule:
     hit = cache.get(lam)
     if hit is not None:
         return hit
-    two_lam = tuple(2 * x for x in lam)
-    depth = int(sum(alg.rs.alpha_coords(two_lam)))
-    parent = VermaModule(alg, lam, (0,) * alg.n, depth)
+    box = tuple(int(c) for c in alg.rs.alpha_coords(tuple(2 * x for x in lam)))
+    contents = [nu for h in range(sum(box) + 1) for nu in _heights(alg.n, h)
+                if all(a <= b for a, b in zip(nu, box))]
+    in_box = set(contents)
 
-    span = Echelon()  # the lowering-closed span, keyed by parent labels
+    # The lowering-closed span, keyed by words.  Every vector in it has one
+    # content, so each pivot is the least representative word of its content.
+    span = Echelon()
     work = []
     for i in range(1, alg.n + 1):
-        m = int(alg.rs.coroot_pair(lam, i))
-        if m + 1 > depth:
-            continue
-        nu = tuple((m + 1) if k == i - 1 else 0 for k in range(alg.n))
-        work.append({(nu, 0): ONE})
+        word = (i,) * (int(alg.rs.coroot_pair(lam, i)) + 1)
+        if word_content(alg.n, word) in in_box:
+            work.append({word: ONE})
     while work:
         lead = span.add(work.pop())
         if lead is None:
             continue
         vec = {lead: ONE, **span.rows[lead]}
         for i in range(1, alg.n + 1):
+            if word_content(alg.n, (i,) + lead) not in in_box:
+                continue
             img = {}
-            for label, c in vec.items():
-                prow = parent.index[label]
-                for row2, v in parent.f_col(i, prow).items():
-                    lab2 = parent.labels[row2]
-                    accumulate(img, lab2, c * v)
+            for w, c in vec.items():
+                for rep, cr in alg.reduce_word("-", (i,) + w).items():
+                    accumulate(img, rep, c * cr)
             if img:
                 work.append(img)
 
-    kept = [lab for lab in parent.labels if lab not in span.rows]
-    reduction = {lab: {lab: ONE} for lab in kept}
-    for plab, prow in span.rows.items():
-        reduction[plab] = {lab: -c for lab, c in prow.items()}
-    module = QuotientModule(parent, reduction, kept)
+    reduction = {w: {k: -c for k, c in row.items()} for w, row in span.rows.items()}
+    module = WeightModule(alg, lam, (0,) * alg.n, contents, reduction, exact=True)
     expect = alg.rs.weyl_dim(lam)
     if module.dim != expect:
         raise InternalInconsistency(

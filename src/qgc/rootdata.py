@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (IndexOutOfRange, InternalInconsistency, NotDominant,
                      NotInPositiveCone, RankMismatch)
@@ -87,6 +86,7 @@ class RootSystemB:
         self.fundamental_weights.append((1,) * n)
         self.rho_alpha = self.alpha_coords(self.rho)
         self._pos_alpha = [self.root_coords(r) for r in self.positive_roots]
+        self._kostant_table = {}
 
     def _positive_roots(self):
         n = self.n
@@ -313,8 +313,11 @@ class RootSystemB:
             raise NotInPositiveCone(f"{nu_alpha} has negative coefficients")
         return self._kostant(tuple(nu_alpha), 0)
 
-    @lru_cache(maxsize=None)
     def _kostant(self, nu, idx):
+        key = (nu, idx)
+        hit = self._kostant_table.get(key)
+        if hit is not None:
+            return hit
         if all(c == 0 for c in nu):
             return 1
         if idx == len(self._pos_alpha):
@@ -328,6 +331,7 @@ class RootSystemB:
             if any(c < 0 for c in nxt):
                 break
             cur = nxt
+        self._kostant_table[key] = total
         return total
 
     def __repr__(self):

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -32,6 +33,19 @@ def test_root_data(capsys):
     validate("root-data", report)
     assert report["payload"]["rho"] == [3, 1]
     assert report["payload"]["weyl_order"] == 8
+
+
+def test_root_data_weyl_order_without_the_group(capsys):
+    # 2^n n! signed permutations; the group itself is only built for small n
+    for n in range(1, 5):
+        code, report = run_cli(capsys, ["root-data", "--n", str(n)])
+        assert code == 0
+        assert report["payload"]["weyl_order"] == len(RootSystemB(n).weyl_group())
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["root-data", "--n", "9"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["payload"]["weyl_order"] == 185_794_560
 
 
 def test_graded_dim(capsys):

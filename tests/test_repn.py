@@ -3,9 +3,11 @@ import random
 import pytest
 
 from qgc.errors import NotDominant, TruncationOverflow
-from qgc.qgroup import Algebra
+from qgc.linalg import Echelon
+from qgc.qgroup import Algebra, word_content
 from qgc.repn import (
     ColMatrix,
+    WeightModule,
     act,
     char_value,
     irreducible,
@@ -23,8 +25,37 @@ def alg2():
     return Algebra(2)
 
 
+def reference_irreducible(alg, lam):
+    """V(lam) as the quotient of the depth-ht(2 lam) Verma module.
+
+    The lowering closure of the singular vectors runs over every content of
+    height at most ht(2 lam), through the Verma module's own columns, with
+    no box.
+    """
+    depth = int(sum(alg.rs.alpha_coords(tuple(2 * x for x in lam))))
+    M = verma(alg, lam, (0,) * alg.n, depth)
+    span = Echelon()
+    work = []
+    for i in range(1, alg.n + 1):
+        m = int(alg.rs.coroot_pair(lam, i))
+        if m + 1 <= depth:
+            work.append({(i,) * (m + 1): ONE})
+    while work:
+        lead = span.add(work.pop())
+        if lead is None:
+            continue
+        vec = {M.index[w]: c for w, c in {lead: ONE, **span.rows[lead]}.items()}
+        for i in range(1, alg.n + 1):
+            img = M._apply_cols(M.f_col, i, vec, strict=False)
+            if img:
+                work.append({M.labels[r]: c for r, c in img.items()})
+    reduction = {w: {k: -c for k, c in row.items()} for w, row in span.rows.items()}
+    contents = list(dict.fromkeys(word_content(alg.n, w) for w in M.labels))
+    return WeightModule(alg, lam, (0,) * alg.n, contents, reduction, exact=True)
+
+
 def columns_below_depth(module, h):
-    return [c for c, (nu, _) in enumerate(module.labels) if sum(nu) <= h]
+    return [c for c, w in enumerate(module.labels) if len(w) <= h]
 
 
 def assert_equal_on_columns(m1, m2, cols):
@@ -35,7 +66,8 @@ def assert_equal_on_columns(m1, m2, cols):
 def test_verma_grading_and_highest_weight(alg2):
     lam, mu = (2, 0), (1, 1)
     M = verma(alg2, lam, mu, depth=3)
-    for row, (nu, _) in enumerate(M.labels):
+    for row, w in enumerate(M.labels):
+        nu = word_content(alg2.n, w)
         expect = tuple(a - b for a, b in zip(lam, alg2.rs.from_alpha(nu)))
         assert M.weights[row] == expect
     # raising kills the highest weight vector
@@ -234,10 +266,10 @@ def test_trace_decomposes_into_matrix_coeffs(alg2):
 def test_truncation_overflow_strict(alg2):
     M = verma(alg2, (2, 0), (0, 0), depth=1)
     with pytest.raises(TruncationOverflow):
-        vec = {M.index[((1, 0), 0)]: ONE}
+        vec = {M.index[(1,)]: ONE}
         M._apply_cols(M.f_col, 1, vec, strict=True)
     # non-strict application silently truncates
-    vec = {M.index[((1, 0), 0)]: ONE}
+    vec = {M.index[(1,)]: ONE}
     assert M._apply_cols(M.f_col, 1, vec, strict=False) == {}
 
 
@@ -246,3 +278,25 @@ def test_irreducible_requires_dominant(alg2):
         irreducible(alg2, (0, 2))
     with pytest.raises(NotDominant):
         irreducible(alg2, (1, 0))
+
+
+@pytest.mark.parametrize("n,lam", [(2, (2, 0)), (2, (1, 1)), (2, (2, 2)),
+                                   (3, (2, 0, 0)), (3, (1, 1, 1))])
+def test_irreducible_matches_verma_quotient(n, lam):
+    alg = Algebra(n)
+    ref = reference_irreducible(alg, lam)
+    L = irreducible(alg, lam)
+    assert L.labels == ref.labels
+    assert L.weights == ref.weights
+    for i in range(1, n + 1):
+        for g in (alg.e(i), alg.f(i), alg.omega(i), alg.omega_prime(i)):
+            assert act(g, L) == act(g, ref)
+
+
+def test_irreducible_stays_in_its_box():
+    # the weights of V(2 eps_1) lie in lam - {nu <= (2, 2, 2)}
+    alg = Algebra(3)
+    irreducible(alg, (2, 0, 0))
+    built = [nu for sign, nu in alg.memo("graded_basis") if sign == "-"]
+    assert (2, 2, 2) in built
+    assert all(all(c <= 2 for c in nu) for nu in built)

@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from qgc.errors import NotDominant
+from qgc.qgroup import Algebra
 from qgc.rootdata import RootSystemB, WeylElement
 
 
@@ -169,6 +172,16 @@ def test_kostant_counts(b2):
     assert b2.kostant_count((2, 1)) == 2
     assert b2.kostant_count((1, 2)) == 3
     assert b2.kostant_count((2, 2)) == 4
+
+
+def test_dropped_algebra_frees_its_root_system():
+    # Kostant counts are memoized per root system, not process-wide
+    alg = Algebra(3)
+    assert alg.rs.kostant_count((2, 2, 2)) == alg.graded_dim("+", (2, 2, 2))
+    ref = weakref.ref(alg.rs)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_dominance(b2):
