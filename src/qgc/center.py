@@ -246,7 +246,8 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     to the support of the trace recipe; the degree-zero block is pinned to
     the graded character values, and the remaining coefficients must be
     uniquely determined by ad-invariance under all raising and lowering
-    generators.
+    generators.  The ansatz reads the graded bases alone: the solver uses
+    no pairing and no Gram inverse, none of the dual bases of the trace.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
@@ -257,8 +258,8 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     variables = []
     pinned = {}
     for nu in _weight_blocks(alg, module):
-        pair = dual_basis(alg, nu)
         fwords = alg.graded_basis("-", nu).words
+        ewords = alg.graded_basis("+", nu).words
         supports = set()
         for w in weight_set:
             w_up = tuple(a + b for a, b in zip(w, alg.rs.from_alpha(nu)))
@@ -267,8 +268,8 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
                 phi = tuple(-(a + b) for a, b in zip(eta, nu))
                 supports.add((eta, phi))
         for eta, phi in sorted(supports):
-            for a, fw in enumerate(fwords):
-                for b, ew in enumerate(pair.e_words):
+            for fw in fwords:
+                for ew in ewords:
                     key = (fw, eta, phi, ew)
                     if nu == zero:
                         w = alg.rs.from_alpha(eta)

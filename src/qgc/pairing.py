@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .errors import SingularGram, WrongSide
 from .linalg import invert
-from .qgroup import Algebra, Element, word_content
-from .scalars import ZERO, LaurentBi, Scalar, accumulate, rs_ratio_power
+from .qgroup import _NUM_ONE, Algebra, Element, _unit, word_content
+from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, rs_ratio_power
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -67,7 +67,7 @@ def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
         j, tail = fword[0], fword[1:]
         # <w'_j, w_l> = u^cu[l-1] v^cv[l-1], read off how w'_j crosses f_l
         cu, cv = alg._crossing(_unit(alg.n, j), zero)
-        total = _NUM_ZERO
+        total = _L_ZERO
         a = b = 0
         for t, letter in enumerate(eword):
             if letter == j:
@@ -78,14 +78,6 @@ def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
         return total
 
     return rec(fw, ew)
-
-
-_NUM_ZERO = LaurentBi()
-_NUM_ONE = LaurentBi.const(1)
-
-
-def _unit(n, i):
-    return tuple(1 if k == i - 1 else 0 for k in range(n))
 
 
 def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
@@ -121,15 +113,9 @@ def _over_denominators(alg: Algebra, sums) -> Scalar:
 def gram(alg: Algebra, nu):
     """Gram matrix of the graded slice: rows lowering words, columns raising."""
     nu = tuple(nu)
-    cache = alg.memo("gram")
-    hit = cache.get(nu)
-    if hit is not None:
-        return hit
     fbasis = alg.graded_basis("-", nu).words
     ebasis = alg.graded_basis("+", nu).words
-    mat = [[word_pair(alg, fw, ew) for ew in ebasis] for fw in fbasis]
-    cache[nu] = mat
-    return mat
+    return [[word_pair(alg, fw, ew) for ew in ebasis] for fw in fbasis]
 
 
 class DualBasisPair:
@@ -148,11 +134,10 @@ class DualBasisPair:
         return len(self.e_words)
 
     def dual_vector(self, alg: Algebra, i: int) -> Element:
-        out = alg.zero()
-        for k, c in enumerate(self.coeffs[i]):
-            if not c.is_zero():
-                out = out + alg.fword_element(self.f_words[k], c)
-        return out
+        """The i-th dual vector, sum_k coeffs[i][k] f_(f_words[k])."""
+        zero = (0,) * alg.n
+        return Element(alg, {(fw, zero, zero, ()): c
+                             for fw, c in zip(self.f_words, self.coeffs[i])})
 
 
 def dual_basis(alg: Algebra, nu) -> DualBasisPair:

@@ -141,7 +141,6 @@ class WeightModule:
         self._char_cache = {}
         self._cols = {}
         self._overflow = set()
-        self._act_cache = {}
 
     @property
     def dim(self):
@@ -206,13 +205,13 @@ class WeightModule:
 
     # -- the action of a normal-form element ----------------------------------
 
-    def apply(self, x: Element, vec, strict=False):
+    def apply(self, x: Element, vec):
         """Image of a coordinate vector {row: Scalar} under x."""
         out = {}
         for (fw, eta, phi, ew), c in x.terms.items():
             cur = vec
             for i in reversed(ew):
-                cur = self._apply_cols(self.e_col, i, cur, strict)
+                cur = self._apply_cols(self.e_col, i, cur)
                 if not cur:
                     break
             if not cur:
@@ -221,14 +220,15 @@ class WeightModule:
                 diag = self.char_diag(eta, phi)
                 cur = {r: v * diag[r] for r, v in cur.items()}
             for i in reversed(fw):
-                cur = self._apply_cols(self.f_col, i, cur, strict)
+                cur = self._apply_cols(self.f_col, i, cur)
                 if not cur:
                     break
             for r, v in cur.items():
                 accumulate(out, r, c * v)
         return out
 
-    def _apply_cols(self, colfun, i, vec, strict):
+    def _apply_cols(self, colfun, i, vec, strict=False):
+        """Image of vec under colfun(i, .); strict raises on truncation overflow."""
         out = {}
         for r, v in vec.items():
             col = colfun(i, r)
@@ -239,18 +239,11 @@ class WeightModule:
                 accumulate(out, r2, v * w)
         return out
 
-    def act(self, x: Element, strict=False) -> ColMatrix:
-        key = None
-        if not strict:
-            key = tuple(sorted(x.terms.items(), key=lambda kv: kv[0]))
-            cached = self._act_cache.get(key)
-            if cached is not None:
-                return cached
+    def act(self, x: Element) -> ColMatrix:
+        """Matrix of x, one apply per column; lowerings out of a truncation vanish."""
         mat = ColMatrix(self.dim)
         for cidx in range(self.dim):
-            mat.cols[cidx] = self.apply(x, {cidx: ONE}, strict)
-        if key is not None:
-            self._act_cache[key] = mat
+            mat.cols[cidx] = self.apply(x, {cidx: ONE})
         return mat
 
     def weight_multiplicities(self):
@@ -327,11 +320,11 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
     return module
 
 
-def act(x: Element, module: WeightModule, strict=False) -> ColMatrix:
+def act(x: Element, module: WeightModule) -> ColMatrix:
     """Matrix of x on the module basis; multiplicative within the truncation."""
     if x.algebra is not module.algebra:
         raise RankMismatch("element and module belong to different algebras")
-    return module.act(x, strict=strict)
+    return module.act(x)
 
 
 def theta(module: WeightModule):

@@ -412,7 +412,7 @@ class Scalar:
     plain structural equality of canonical forms.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentBi, den: LaurentBi = _L_ONE, _canonical=False):
         if den.is_zero():
@@ -421,7 +421,6 @@ class Scalar:
             num, den = _canon(num, den)
         self.num = num
         self.den = den
-        self._hash = None
 
     # -- constructors -------------------------------------------------------
 
@@ -581,9 +580,7 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num, self.den))
-        return self._hash
+        return hash((self.num, self.den))
 
     # -- evaluation / io ----------------------------------------------------
 

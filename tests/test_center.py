@@ -123,6 +123,17 @@ def test_solver_matches_trace(alg2, z_vec):
     assert cand.element == z_vec.element
 
 
+def test_solver_uses_no_pairing(monkeypatch, z_vec):
+    # the oracle must not lean on the dual bases that the trace element uses
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver reached the pairing")
+
+    monkeypatch.setattr("qgc.center.dual_basis", forbidden)
+    monkeypatch.setattr("qgc.pairing.invert", forbidden)
+    cand = center.central_by_solve(Algebra(2), (2, 0))
+    assert cand.element.terms == z_vec.element.terms
+
+
 def test_central_element_represents_graded_trace(alg2, z_vec):
     # pairing z against any element reproduces the twisted trace
     from qgc.pairing import rosso

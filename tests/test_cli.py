@@ -1,6 +1,8 @@
+import hashlib
 import json
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,22 @@ def load_schema(name):
 
 def validate(name, report):
     jsonschema.validate(report, load_schema(name))
+
+
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" /
+                     "golden.json").read_text())["cli"]
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN))
+def test_stdout_matches_golden(capsys, args):
+    # the byte-level stdout contract of the benchmark corpus, in-process
+    try:
+        code = cli.main(args.split())
+    except SystemExit as exc:  # argparse usage errors exit with 2
+        code = exc.code
+    out = capsys.readouterr().out.encode()
+    assert code == GOLDEN[args]["exit"]
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[args]["stdout_sha256"]
 
 
 def test_root_data(capsys):
