@@ -545,11 +545,12 @@ class Algebra:
             cross1 = self._crossing(eta1, phi1)
             for (f2, eta2, phi2, e2), c2, cross2 in ys:
                 c = c1 * c2
+                eta12, phi12 = _vec_add(eta1, eta2), _vec_add(phi1, phi2)
                 for (fj, etaj, phij, ej), (nj, mu) in self.junction(e1, f2).items():
                     a1, b1 = _word_shift(cross1, fj)
                     a2, b2 = _word_shift(cross2, ej)
-                    key = (f1 + fj, _vec_add(_vec_add(eta1, etaj), eta2),
-                           _vec_add(_vec_add(phi1, phij), phi2), ej + e2, mu)
+                    key = (f1 + fj, _vec_add(eta12, etaj), _vec_add(phi12, phij),
+                           ej + e2, mu)
                     cn = c if nj.is_one() else c * Scalar.from_laurent(nj)
                     accumulate(raw, key, cn.shift(a1 + a2, b1 + b2))
         grouped = {}
@@ -706,6 +707,23 @@ class Algebra:
                 prod = prod * img
             out = out + prod.scale(c)
         return out
+
+    def tau(self, x: Element) -> Element:
+        """The anti-automorphism tau: r <-> s, e_i <-> f_i, w_i <-> w'_i.
+
+        tau (Benkart-Witherspoon; Bergeron-Gao-Hu for types B-D) is
+        Q-linear and reverses products, so c f_a w'_eta w_phi e_b maps to
+        swap(c) f_(b reversed) w'_phi w_eta e_(a reversed): one word
+        reversal and reduction per half, and no straightening.
+        """
+        out = {}
+        for (fw, eta, phi, ew), c in x.terms.items():
+            c = c.swap()
+            for f_rep, cf in self.reduce_word("-", ew[::-1]).items():
+                cf = c * cf
+                for e_rep, ce in self.reduce_word("+", fw[::-1]).items():
+                    accumulate(out, (f_rep, phi, eta, e_rep), cf * ce)
+        return Element(self, out)
 
     def counit(self, x: Element) -> Scalar:
         return sum((c for (fw, _, _, ew), c in x.terms.items()

@@ -546,6 +546,18 @@ class Scalar:
             return self
         return Scalar(self.num.shift(a, b), self.den, _canonical=True)
 
+    def swap(self):
+        """The image under the field automorphism u <-> v (r <-> s).
+
+        Swapping the variables keeps num and den coprime and the den free
+        of monomial factors; only its graded-lex lead, and so the sign of
+        the canonical form, can change.
+        """
+        num = LaurentBi._of({(b, a): c for (a, b), c in self.num.terms.items()})
+        den = LaurentBi._of({(b, a): c for (a, b), c in self.den.terms.items()})
+        num, den = _normalize_unit(num, den)
+        return Scalar(num, den, _canonical=True)
+
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")

@@ -7,7 +7,7 @@ from qgc import center
 from qgc.errors import NoSolution, NotInRootLattice, NotInUb0
 from qgc.qgroup import Algebra
 from qgc.repn import char_value
-from qgc.scalars import ONE, Scalar, rs_ratio_power
+from qgc.scalars import ONE, R, Scalar, rs_ratio_power
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,46 @@ def test_character_twist_by_weyl_action(alg2):
                 rhs = center.char_eval(
                     alg2, lam, mu, center.weyl_act(alg2, sigma.inverse(), u))
                 assert lhs == rhs
+
+
+def reference_centrality_failures(alg, z):
+    """The adjoint-action criterion on all 4n generators, each computed."""
+    bad = []
+    for i in range(1, alg.n + 1):
+        if not alg.ad(alg.e(i), z).is_zero():
+            bad.append(("e", i))
+        if not alg.ad(alg.f(i), z).is_zero():
+            bad.append(("f", i))
+        if alg.ad(alg.omega(i), z) != z:
+            bad.append(("w", i))
+        if alg.ad(alg.omega_prime(i), z) != z:
+            bad.append(("w'", i))
+    return bad
+
+
+def test_centrality_failures_match_the_generator_loop(alg2, z_vec):
+    # the tau shortcut against the 4n-generator loop, on tau-invariant
+    # elements (central or not) and on ones the fallback must handle
+    alg3 = Algebra(3)
+    z20 = z_vec.element
+    z22 = center.central_from_trace(alg2, (2, 2)).element
+    z200 = center.central_from_trace(alg3, (2, 0, 0)).element
+    e1, f1 = alg2.e(1), alg2.f(1)
+    cases = {
+        "z20": (alg2, z20, True, True),
+        "z22": (alg2, z22, True, True),
+        "z200": (alg3, z200, True, True),
+        "e1 f1": (alg2, e1 * f1, True, False),
+        "z + e1 f1": (alg2, z20 + e1 * f1, True, False),
+        "r z": (alg2, z20.scale(R), False, True),
+        "r f1 e1": (alg2, (f1 * e1).scale(R), False, False),
+        "e1": (alg2, e1, False, False),
+    }
+    for name, (alg, x, fixed, central) in cases.items():
+        assert (alg.tau(x) == x) == fixed, name
+        got = center.centrality_failures(alg, x)
+        assert got == reference_centrality_failures(alg, x), name
+        assert (got == []) == central, name
 
 
 def test_central_trivial_weight(alg2):

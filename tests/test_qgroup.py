@@ -506,6 +506,20 @@ def test_certificate_divides_once_per_normal_form_term(alg2, z22):
     assert gcd.call_count <= 4 * len(z22.terms)
 
 
+def test_certificate_straightens_raising_generators_only(alg2, z22):
+    # z22 commutes with the torals and is fixed by tau, so its lowering
+    # generators follow from the raising ones: ad(e_i) straightens e_i z and
+    # (w_i z w_i^-1) e_i, and ad(f_i) is never computed.  r z22 is central but not fixed
+    # by tau, so its ad(f_i) are computed as well.
+    rz = z22.scale(R)
+    for z, calls in ((z22, 2 * alg2.n), (rz, 4 * alg2.n)):
+        assert center.centrality_failures(alg2, z) == []
+        with mock.patch.object(Algebra, "straighten", autospec=True,
+                               side_effect=Algebra.straighten) as straighten:
+            assert center.centrality_failures(alg2, z) == []
+        assert straighten.call_count == calls
+
+
 def test_associativity_random(alg2):
     rng = random.Random(17)
     for _ in range(12):
@@ -616,6 +630,42 @@ def test_antipode_squared_twist(alg2):
         from qgc.scalars import rs_ratio_power
         twist = rs_ratio_power(pow2)
         assert alg2.antipode(alg2.antipode(x)) == x.scale(twist)
+
+
+def test_tau_generators(algebras):
+    for n, alg in algebras.items():
+        for i in range(1, n + 1):
+            assert alg.tau(alg.e(i)) == alg.f(i)
+            assert alg.tau(alg.f(i)) == alg.e(i)
+            assert alg.tau(alg.omega(i)) == alg.omega_prime(i)
+            assert alg.tau(alg.omega_prime(i, -1)) == alg.omega(i, -1)
+        assert alg.tau(alg.scalar(R)) == alg.scalar(S)
+        assert alg.tau(alg.scalar(R - S).scale(ONE / (R + S * S))) == \
+            alg.scalar(S - R).scale(ONE / (S + R * R))
+
+
+@pytest.mark.parametrize("n, trials", [(2, 60), (3, 60)])
+def test_tau_reverses_products(algebras, n, trials):
+    # tau(x y) = tau(y) tau(x), both products taken by the letter rewriter;
+    # the coefficients are not symmetric in r and s, and the torals carry
+    # exponents of both signs
+    alg = algebras[n]
+    ref = LetterRewriter(alg)
+    rng = random.Random(300 + n)
+    skew = (R + S * S * 2) / (R * S - 3)
+    for _ in range(trials):
+        x = rand_normal_element(alg, rng, e_len=(0, 1, 2), f_len=(0, 1, 2))
+        y = rand_normal_element(alg, rng, e_len=(0, 1, 2), f_len=(0, 1, 2))
+        x = x.scale(skew)
+        assert alg.tau(alg.tau(x)) == x
+        assert alg.tau(ref.product(x, y)) == ref.product(alg.tau(y), alg.tau(x))
+
+
+def test_tau_fixes_trace_elements(alg2, z22):
+    z20 = center.central_from_trace(alg2, (2, 0)).element
+    assert alg2.tau(z20) == z20
+    assert alg2.tau(z22) == z22
+    assert alg2.tau(z20.scale(R)) == z20.scale(S) != z20.scale(R)
 
 
 # -- adjoint action -------------------------------------------------------------------

@@ -364,6 +364,33 @@ def test_field_ops_give_the_canonical_form(pair, u0, v0):
             assert got.eval_numeric(u0, v0) == op(xa, xb), name
 
 
+def swapped(p):
+    return LaurentBi({(b, a): c for (a, b), c in p.terms.items()})
+
+
+def test_swap_can_flip_the_canonical_sign():
+    # u - v has a positive graded-lex lead, v - u a negative one
+    assert (ONE / (R - S)).swap() == ONE / (S - R) == -(ONE / (R - S))
+    assert (R + S / 2).swap() == S + R / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_pairs(), points, points)
+def test_swap_is_the_field_automorphism(pair, u0, v0):
+    a, b = pair
+    sa = a.swap()
+    assert sa.swap() == a
+    scratch = Scalar(swapped(a.num), swapped(a.den))
+    assert (sa.num, sa.den) == (scratch.num, scratch.den)
+    assert (a + b).swap() == sa + b.swap()
+    assert (a * b).swap() == sa * b.swap()
+    try:
+        value = a.eval_numeric(v0, u0)
+    except PoleAtPoint:
+        return
+    assert sa.eval_numeric(u0, v0) == value
+
+
 def test_canonical_inputs_skip_needless_gcds():
     p, q = R - S, R * R + Scalar.from_int(3) * S
     a, b = ONE / (R - S), R / (R + S)
