@@ -266,9 +266,9 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     The ansatz runs over y_a w'_eta w_phi x_b with (nu, eta, phi) restricted
     to the support of the trace recipe; the degree-zero block is pinned to
     the graded character values, and the remaining coefficients must be
-    uniquely determined by ad-invariance under all raising and lowering
-    generators.  The ansatz reads the graded bases alone: the solver uses
-    no pairing and no Gram inverse, none of the dual bases of the trace.
+    uniquely determined by ad(e_1..e_n), then ad(f_1..f_n), fed one generator
+    at a time until no unknown is free; the certificate covers the rest.
+    The ansatz reads the graded bases alone: no pairing, no Gram inverse.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
@@ -302,29 +302,21 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     if not variables and any(x for x in lam):
         raise NoSolution("empty ansatz for a nonzero weight")
 
-    equations = {}
-    rhs = {}
-    gens = [alg.e(i) for i in range(1, alg.n + 1)] + \
-           [alg.f(i) for i in range(1, alg.n + 1)]
-    for gi, g in enumerate(gens):
-        for var in variables:
-            img = alg.ad(g, alg.element_from_term(var))
-            for key2, c in img.terms.items():
-                accumulate(equations.setdefault((gi, key2), {}), var, c)
-        for key, val in pinned.items():
-            img = alg.ad(g, alg.element_from_term(key))
-            for key2, c in img.terms.items():
-                equations.setdefault((gi, key2), {})  # a lone rhs is inconsistent
-                accumulate(rhs, (gi, key2), -(c * val))
+    def batches():
+        # one batch per generator, raising first; each ad image built lazily
+        for g in [alg.e(i) for i in range(1, alg.n + 1)] + \
+                 [alg.f(i) for i in range(1, alg.n + 1)]:
+            equations = {}
+            for var in variables:
+                img = alg.ad(g, alg.element_from_term(var))
+                for key2, c in img.terms.items():
+                    accumulate(equations.setdefault(key2, {}), var, c)
+            rhs = alg.ad(g, Element(alg, pinned)).terms
+            yield [(equations.get(k, {}), -rhs.get(k, ZERO))
+                   for k in {**equations, **rhs}]  # a lone rhs is inconsistent
 
-    solution = linalg.solve_unique(
-        ((coeffs, rhs.get(key, ZERO)) for key, coeffs in equations.items()),
-        variables)
-    terms = dict(pinned)
-    for var, val in solution.items():
-        if not val.is_zero():
-            terms[var] = val
-    z = Element(alg, terms)
+    solution = linalg.solve_unique(batches(), variables)
+    z = Element(alg, {**pinned, **solution})
     bad = centrality_failures(alg, z)
     if bad:
         raise CentralityCheckFailed(f"solver output fails adjoint test at {bad}")

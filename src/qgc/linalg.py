@@ -10,8 +10,8 @@ themselves stay small.  A row reduction canonicalizes once per column and
 denominator: the products it subtracts are summed as raw numerators over
 their (already canonical) product denominators, so the gcd work follows the
 small final entries rather than every partial sum.  The solver feeds its
-equations sparsest first, so the many redundant dense rows of the
-centrality system reduce against short pivot rows.
+equations in batches, each sparsest first, and stops once every unknown
+is a pivot.
 """
 
 from __future__ import annotations
@@ -143,19 +143,25 @@ class _Last:
 _RHS = _Last()
 
 
-def solve_unique(equations, variables):
+def solve_unique(batches, variables):
     """Solve a linear system expecting exactly one solution.
 
-    equations: iterable of (coeffs: dict[var, Scalar], rhs: Scalar), fed
-    to the elimination in a stable order of fewest coefficients first.
+    batches: iterable of lists of (coeffs: dict[var, Scalar], rhs: Scalar).
+    Each batch is fed in full, fewest coefficients first, so a bad row
+    anywhere in it raises.  None is pulled once every unknown is a pivot:
+    the caller checks the unused rows itself.
     variables: all unknowns that must be determined.
     Raises NoSolution / NonUniqueSolution accordingly.
     """
     ech = Echelon()
-    for coeffs, rhs in sorted(equations, key=lambda eq: len(eq[0])):
-        if ech.add({**coeffs, _RHS: rhs}) is _RHS:
-            raise NoSolution("inconsistent linear system")
-    missing = [v for v in variables if v not in ech.rows]
+    missing = list(variables)
+    for batch in batches:
+        for coeffs, rhs in sorted(batch, key=lambda eq: len(eq[0])):
+            if ech.add({**coeffs, _RHS: rhs}) is _RHS:
+                raise NoSolution("inconsistent linear system")
+        missing = [v for v in missing if v not in ech.rows]
+        if not missing:
+            break
     if missing:
         raise NonUniqueSolution(f"{len(missing)} free unknowns remain")
     # each listed unknown is a pivot, and its row's right-hand side its value

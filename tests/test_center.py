@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -161,6 +162,23 @@ def test_central_from_trace_vector_rep(alg2, z_vec):
 def test_solver_matches_trace(alg2, z_vec):
     cand = center.central_by_solve(alg2, (2, 0))
     assert cand.element == z_vec.element
+
+
+def test_solver_matches_trace_adjoint(alg2):
+    assert center.central_by_solve(alg2, (2, 2)).element == \
+        center.central_from_trace(alg2, (2, 2)).element
+
+
+def test_solver_builds_no_lowering_images(alg2):
+    # the rows of e_1, e_2 pin every unknown of the (2,2) ansatz, and the
+    # certificate checks f_1, f_2 of the tau-invariant output through tau
+    center.central_by_solve(alg2, (2, 2))
+    with mock.patch.object(Algebra, "ad", autospec=True,
+                           side_effect=Algebra.ad) as ad:
+        center.central_by_solve(alg2, (2, 2))
+    gens = [call.args[1] for call in ad.call_args_list]
+    assert alg2.e(1) in gens and alg2.e(2) in gens
+    assert alg2.f(1) not in gens and alg2.f(2) not in gens
 
 
 def test_solver_uses_no_pairing(monkeypatch, z_vec):

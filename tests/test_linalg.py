@@ -220,26 +220,26 @@ def test_solve_unique_unique_solution():
     # x + r y = 1 and s x = r - 1: the second row meets y only through x's
     # pivot, after its right-hand side, which must still sort last
     x, y = ("x",), ("y",)
-    sol = solve_unique([({x: ONE, y: R}, ONE), ({x: S}, R - ONE),
-                        ({x: ZERO}, ZERO)], [x, y])
+    sol = solve_unique([[({x: ONE, y: R}, ONE), ({x: S}, R - ONE),
+                         ({x: ZERO}, ZERO)]], [x, y])
     assert sol == {x: (R - ONE) / S, y: (ONE - (R - ONE) / S) / R}
-    assert solve_unique([({"a": R}, S)], ["a"]) == {"a": S / R}
+    assert solve_unique([[({"a": R}, S)]], ["a"]) == {"a": S / R}
 
 
 def test_solve_unique_inconsistent():
     with pytest.raises(NoSolution):
-        solve_unique([({"a": ONE, "b": ONE}, ONE), ({"a": R, "b": R}, S)],
+        solve_unique([[({"a": ONE, "b": ONE}, ONE), ({"a": R, "b": R}, S)]],
                      ["a", "b"])
     with pytest.raises(NoSolution):
-        solve_unique([({"a": ZERO}, ONE)], ["a"])
+        solve_unique([[({"a": ZERO}, ONE)]], ["a"])
 
 
 def test_solve_unique_underdetermined():
     with pytest.raises(NonUniqueSolution):
-        solve_unique([({"a": ONE, "b": R}, ONE), ({"a": S, "b": R * S}, S)],
+        solve_unique([[({"a": ONE, "b": R}, ONE), ({"a": S, "b": R * S}, S)]],
                      ["a", "b"])
     with pytest.raises(NonUniqueSolution):
-        solve_unique([], ["a"])
+        solve_unique([[]], ["a"])
 
 
 def random_system(rng):
@@ -268,7 +268,7 @@ def test_solve_unique_ignores_equation_order():
         equations, names, solution = random_system(rng)
         for seed in range(3):
             random.Random(seed).shuffle(equations)
-            assert solve_unique(equations, names) == solution, (trial, seed)
+            assert solve_unique([equations], names) == solution, (trial, seed)
 
 
 def test_solve_unique_inconsistent_anywhere():
@@ -280,7 +280,39 @@ def test_solve_unique_inconsistent_anywhere():
     for bad in (sparse, dense):
         for system in ([bad] + equations, equations + [bad]):
             with pytest.raises(NoSolution):
-                solve_unique(system, names)
+                solve_unique([system], names)
+
+
+def test_solve_unique_stops_once_every_unknown_is_a_pivot():
+    equations, names, solution = random_system(random.Random(20140108))
+
+    def batches():
+        yield equations[:2]  # two rows leave unknowns free
+        yield equations[2:]
+        raise AssertionError("a batch was pulled after the unknowns were pinned")
+
+    assert solve_unique(batches(), names) == solution
+
+
+def test_solve_unique_bad_row_in_a_consumed_batch():
+    # a wrong row in the batch that pins the last unknown, sparse or dense,
+    # is still fed; one in a batch that is never pulled is not seen
+    equations, names, solution = random_system(random.Random(20140109))
+    sparse = ({"x0": ONE}, solution["x0"] + ONE)
+    dense = ({x: ONE for x in names}, sum(solution.values(), ONE))
+    for bad in (sparse, dense):
+        for last in ([bad] + equations[3:], equations[3:] + [bad]):
+            with pytest.raises(NoSolution):
+                solve_unique([equations[:3], last], names)
+        assert solve_unique([equations, [bad]], names) == solution
+
+
+def test_solve_unique_free_unknowns_after_the_last_batch():
+    equations, names, _ = random_system(random.Random(20140110))
+    with pytest.raises(NonUniqueSolution):
+        solve_unique([equations[:2], equations[2:4]], names)
+    with pytest.raises(NonUniqueSolution):
+        solve_unique([], names)
 
 
 def test_full_rank_reduction_is_substitution():
