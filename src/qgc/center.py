@@ -346,48 +346,30 @@ def parity_kernel(n: int, bound: int, mode: str = "lambda_only"):
 
     mode 'lambda_only' requires the first-index characters of all
     fundamental weights to take value 1; mode 'full' adds the second-index
-    family.  Exponent conditions are integer-linear in (eta, phi); the
-    kernel is solved exactly and intersected with the coordinate box.
+    family.  Each character is a unit monomial u^a v^b whose exponents are
+    integer-linear in (eta, phi), read off at the 2n unit exponent vectors;
+    it is 1 exactly where a = b = 0.  The kernel is solved exactly and
+    intersected with the coordinate box.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if mode not in ("lambda_only", "full"):
         raise ValueError(f"unknown mode {mode!r}")
     alg = Algebra(n)
-    rs = alg.rs
-    rows = []
-    for j in range(n):
-        w_alpha = rs.alpha_coords(rs.fundamental_weights[j])
-        # value of the character at w'_eta w_phi is
-        #   g(eta, w)^-1 g(w, phi) with g the group-like pairing
-        row_u = [Fraction(0)] * (2 * n)
-        row_v = [Fraction(0)] * (2 * n)
-        for k in range(n):
-            acc_u = sum(Fraction(alg._gr[k][l]) * w_alpha[l] for l in range(n))
-            acc_v = sum(Fraction(alg._gs[k][l]) * w_alpha[l] for l in range(n))
-            row_u[k] -= 2 * acc_u
-            row_v[k] -= 2 * acc_v
-            acc_u = sum(w_alpha[l] * Fraction(alg._gr[l][k]) for l in range(n))
-            acc_v = sum(w_alpha[l] * Fraction(alg._gs[l][k]) for l in range(n))
-            row_u[n + k] += 2 * acc_u
-            row_v[n + k] += 2 * acc_v
-        rows.append(row_u)
-        rows.append(row_v)
+    zero = (0,) * n
+    pairs = [(w, zero) for w in alg.rs.fundamental_weights]
     if mode == "full":
-        for j in range(n):
-            w = rs.fundamental_weights[j]
-            row = [Fraction(0)] * (2 * n)
-            for k in range(n):
-                val = 2 * rs.inner(rs.from_alpha(tuple(
-                    1 if t == k else 0 for t in range(n))), w)
-                row[k] += val
-                row[n + k] += val
-            rows.append(row)
-    assert all(c.denominator == 1 for row in rows for c in row)
+        pairs += [(zero, w) for w in alg.rs.fundamental_weights]
+    units = [tuple(int(k == t) for t in range(2 * n)) for k in range(2 * n)]
+    rows = []
+    for lam, mu in pairs:
+        exps = [next(iter(char_value(alg, lam, mu, e[:n], e[n:]).num.terms))
+                for e in units]
+        rows += [[a for a, _ in exps], [b for _, b in exps]]
 
     # reduced row echelon over the rationals
     reduced, pivots = linalg.rref(
-        [[Scalar.from_fraction(c) for c in row] for row in rows])
+        [[Scalar.from_int(c) for c in row] for row in rows])
     mat = [[x.as_fraction() for x in row] for row in reduced]
     ncols = 2 * n
     free_cols = [c for c in range(ncols) if c not in pivots]

@@ -29,7 +29,8 @@ from __future__ import annotations
 from .errors import SingularGram, WrongSide
 from .linalg import invert
 from .qgroup import _NUM_ONE, Algebra, Element, _unit, word_content
-from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, rs_ratio_power
+from .scalars import (_L_ZERO, ZERO, LaurentBi, Scalar, accumulate, memoized,
+                      rs_ratio_power)
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -52,32 +53,22 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
     return Scalar.from_laurent(_numerator(alg, fw, ew)) * alg.inverse_denominator(nu)
 
 
+@memoized
 def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
-    """N(fw, ew) for words of one content, memoized per (fword, eword)."""
-    cache = alg.memo("word_pair")
-    zero = (0,) * alg.n
-
-    def rec(fword, eword):
-        if not fword:
-            return _NUM_ONE
-        key = (fword, eword)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        j, tail = fword[0], fword[1:]
-        # <w'_j, w_l> = u^cu[l-1] v^cv[l-1], read off how w'_j crosses f_l
-        cu, cv = alg._crossing(_unit(alg.n, j), zero)
-        total = _L_ZERO
-        a = b = 0
-        for t, letter in enumerate(eword):
-            if letter == j:
-                total = total + rec(tail, eword[:t] + eword[t + 1:]).shift(a, b)
-            a += cu[letter - 1]
-            b += cv[letter - 1]
-        cache[key] = total
-        return total
-
-    return rec(fw, ew)
+    """N(fw, ew) for words of one content, by peeling the leftmost f_j."""
+    if not fw:
+        return _NUM_ONE
+    j, tail = fw[0], fw[1:]
+    # <w'_j, w_l> = u^cu[l-1] v^cv[l-1], read off how w'_j crosses f_l
+    cu, cv = alg._crossing(_unit(alg.n, j), (0,) * alg.n)
+    total = _L_ZERO
+    a = b = 0
+    for t, letter in enumerate(ew):
+        if letter == j:
+            total = total + _numerator(alg, tail, ew[:t] + ew[t + 1:]).shift(a, b)
+        a += cu[letter - 1]
+        b += cv[letter - 1]
+    return total
 
 
 def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
@@ -141,11 +132,11 @@ class DualBasisPair:
 
 
 def dual_basis(alg: Algebra, nu) -> DualBasisPair:
-    nu = tuple(nu)
-    cache = alg.memo("dual_basis")
-    hit = cache.get(nu)
-    if hit is not None:
-        return hit
+    return _dual_basis(alg, tuple(nu))
+
+
+@memoized
+def _dual_basis(alg: Algebra, nu) -> DualBasisPair:
     g = gram(alg, nu)
     try:
         inv = invert(g)
@@ -153,9 +144,7 @@ def dual_basis(alg: Algebra, nu) -> DualBasisPair:
         raise SingularGram(f"graded Gram matrix at {nu} is singular") from exc
     fbasis = alg.graded_basis("-", nu).words
     ebasis = alg.graded_basis("+", nu).words
-    pair = DualBasisPair(nu, ebasis, fbasis, inv)
-    cache[nu] = pair
-    return pair
+    return DualBasisPair(nu, ebasis, fbasis, inv)
 
 
 def s2_twist(alg: Algebra, nu) -> Scalar:

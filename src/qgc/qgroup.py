@@ -26,7 +26,7 @@ from .errors import (
     RankMismatch,
 )
 from .rootdata import RootSystemB
-from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate
+from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate, memoized
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -243,8 +243,10 @@ class Algebra:
         self._zero = (0,) * n
 
     def memo(self, name):
-        """The memo table ``name`` of this algebra, created empty on first use."""
-        return self._memo.setdefault(name, {})
+        """The table of the ``memoized`` method or function ``name`` (less
+        its leading underscore), keyed by its arguments; empty before its
+        first call.  Read it, do not write it."""
+        return self._memo.get(name) or {}
 
     def _eps_dot_alpha(self, eps_index, alpha_doubled):
         # (eps_k, alpha) with alpha in doubled coordinates
@@ -377,16 +379,13 @@ class Algebra:
 
     # -- Serre relators and graded bases -------------------------------------
 
+    @memoized
     def serre_relators(self, sign):
         """Degree-homogeneous relators of one triangular half, as word maps.
 
-        Built once per sign and memoized in ``memo("serre")``; callers must
-        not mutate the returned list or its maps.
+        Built once per sign; callers must not mutate the returned list or
+        its maps.
         """
-        table = self.memo("serre")
-        hit = table.get(sign)
-        if hit is not None:
-            return hit
         n = self.n
         rels = []
         for i in range(1, n + 1):
@@ -429,7 +428,6 @@ class Algebra:
                     (n, n, n - 1, n): prod * big,
                     (n, n, n, n - 1): -(prod ** 3),
                 })
-        table[sign] = rels
         return rels
 
     def words_of_content(self, nu):
@@ -467,14 +465,10 @@ class Algebra:
             raise RankMismatch("content length mismatch")
         if any(c < 0 for c in nu):
             raise NotInPositiveCone(f"{nu} is not in the positive cone")
-        key = (sign, nu)
-        cache = self.memo("graded_basis")
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = self._build_graded_basis(sign, nu)
-        return hit
+        return self._graded_basis(sign, nu)
 
-    def _build_graded_basis(self, sign, nu):
+    @memoized
+    def _graded_basis(self, sign, nu):
         if not any(nu):
             return GradedBasis(sign, nu, [()], {(): {(): ONE}})
         span = []
@@ -511,17 +505,16 @@ class Algebra:
         word = tuple(word)
         if len(word) <= 1:
             return {word: ONE}
-        key = (sign, word)
-        cache = self.memo("reduce_word")
-        hit = cache.get(key)
-        if hit is None:
-            expansion = self.graded_basis(sign, word_content(self.n, word)).expansion
-            out = {}
-            for b, c in self.reduce_word(sign, word[:-1]).items():
-                for rep, cr in expansion[b + word[-1:]].items():
-                    accumulate(out, rep, c * cr)
-            hit = cache[key] = dict(sorted(out.items(), reverse=True))
-        return hit
+        return self._reduce_word(sign, word)
+
+    @memoized
+    def _reduce_word(self, sign, word):
+        expansion = self.graded_basis(sign, word_content(self.n, word)).expansion
+        out = {}
+        for b, c in self.reduce_word(sign, word[:-1]).items():
+            for rep, cr in expansion[b + word[-1:]].items():
+                accumulate(out, rep, c * cr)
+        return dict(sorted(out.items(), reverse=True))
 
     def graded_dim(self, sign, nu) -> int:
         return self.graded_basis(sign, nu).dim
@@ -567,6 +560,7 @@ class Algebra:
             accumulate(out, (fw, eta, phi, ew), c)
         return Element(self, out)
 
+    @memoized
     def junction(self, ew, fw):
         """Normal form of the raising word ew times the lowering word fw.
 
@@ -578,11 +572,6 @@ class Algebra:
         are unit monomials, so N takes no gcd.  Every (ew, fw) pair met on
         the way is memoized.
         """
-        key = (ew, fw)
-        table = self.memo("junction")
-        hit = table.get(key)
-        if hit is not None:
-            return hit
         zero = self._zero
         if not ew or not fw:
             num = {(fw, zero, zero, ew): _NUM_ONE}
@@ -608,40 +597,30 @@ class Algebra:
                     else:
                         accumulate(num, (f2, _vec_add(eta2, eta),
                                          _vec_add(phi2, phi), e), n1 * n2)
-        table[key] = out = {k: (nk, _vec_add(k[1], k[2])) for k, nk in num.items()}
-        return out
+        return {k: (nk, _vec_add(k[1], k[2])) for k, nk in num.items()}
 
+    @memoized
     def inverse_denominator(self, mu) -> Scalar:
         """1 / D(mu), D(mu) = prod_j (s_j - r_j)^mu_j: the denominator of the
         junction and pairing numerators of content mu, one per content."""
-        table = self.memo("pair_denominator")
-        hit = table.get(mu)
-        if hit is None:
-            den = _NUM_ONE
-            for j, k in enumerate(mu, 1):
-                den = den * (self.s_i(j).num - self.r_i(j).num) ** k
-            table[mu] = hit = Scalar.from_laurent(den).inverse()
-        return hit
+        den = _NUM_ONE
+        for j, k in enumerate(mu, 1):
+            den = den * (self.s_i(j).num - self.r_i(j).num) ** k
+        return Scalar.from_laurent(den).inverse()
 
+    @memoized
     def _crossing(self, eta, phi):
         """Exponents of the toral t = w'_eta w_phi crossing one letter.
 
         Returns (cu, cv) with t f_l = u^cu[l-1] v^cv[l-1] f_l t, which is
-        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l.  Memoized per
-        (eta, phi) in the "crossing" table as tuples.
+        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l, as tuples.
         """
-        table = self.memo("crossing")
-        key = (eta, phi)
-        hit = table.get(key)
-        if hit is not None:
-            return hit
         n, gr, gs = self.n, self._gr, self._gs
         cu = tuple(_exponent(2 * sum(eta[k] * gr[k][l] - gr[l][k] * phi[k]
                                      for k in range(n))) for l in range(n))
         cv = tuple(_exponent(2 * sum(eta[k] * gs[k][l] - gs[l][k] * phi[k]
                                      for k in range(n))) for l in range(n))
-        table[key] = hit = (cu, cv)
-        return hit
+        return cu, cv
 
     def _conjugate(self, eta, phi, z: Element) -> Element:
         """t z t^-1 for t = w'_eta w_phi: one unit monomial per term."""

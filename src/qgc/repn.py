@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import InternalInconsistency, NotDominant, RankMismatch, TruncationOverflow
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
-from .scalars import ONE, ZERO, Scalar, accumulate, rs_ratio_power
+from .scalars import ONE, ZERO, Scalar, accumulate, memoized, rs_ratio_power
 
 
 def char_value(alg: Algebra, lam, mu, eta, phi) -> Scalar:
@@ -138,8 +138,7 @@ class WeightModule:
         self.weights = [tuple(a - b for a, b in zip(
             self.lam, alg.rs.from_alpha(word_content(alg.n, w))))
             for w in self.labels]
-        self._char_cache = {}
-        self._cols = {}
+        self._memo = {}
         self._overflow = set()
 
     @property
@@ -160,48 +159,37 @@ class WeightModule:
 
     # -- generator columns ---------------------------------------------------
 
+    @memoized
     def f_col(self, i, col):
         """f_i f_w v: the word i w, reduced to representatives."""
-        key = ("-", i, col)
-        out = self._cols.get(key)
-        if out is None:
-            alg = self.algebra
-            word = (i,) + self.labels[col]
-            if word_content(alg.n, word) in self._contents:
-                out = self._in_basis(alg.reduce_word("-", word))
-            else:
-                out = {}
-                if not self.exact:
-                    self._overflow.add((i, col))
-            self._cols[key] = out
-        return out
+        alg = self.algebra
+        word = (i,) + self.labels[col]
+        if word_content(alg.n, word) in self._contents:
+            return self._in_basis(alg.reduce_word("-", word))
+        if not self.exact:
+            self._overflow.add((i, col))
+        return {}
 
+    @memoized
     def e_col(self, i, col):
         """e_i f_w v: the E.F junction of (i) and w, torals at the top weight."""
-        key = ("+", i, col)
-        out = self._cols.get(key)
-        if out is None:
-            alg = self.algebra
-            vec = {}
-            for (fw, eta, phi, ew), (num, mu) in \
-                    alg.junction((i,), self.labels[col]).items():
-                if ew:
-                    continue
-                val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
-                    * char_value(alg, self.lam, self.mu, eta, phi)
-                for rep, cr in alg.reduce_word("-", fw).items():
-                    accumulate(vec, rep, val * cr)
-            out = self._cols[key] = self._in_basis(vec)
-        return out
+        alg = self.algebra
+        vec = {}
+        for (fw, eta, phi, ew), (num, mu) in \
+                alg.junction((i,), self.labels[col]).items():
+            if ew:
+                continue
+            val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
+                * char_value(alg, self.lam, self.mu, eta, phi)
+            for rep, cr in alg.reduce_word("-", fw).items():
+                accumulate(vec, rep, val * cr)
+        return self._in_basis(vec)
 
+    @memoized
     def char_diag(self, eta, phi):
-        key = (tuple(eta), tuple(phi))
-        cached = self._char_cache.get(key)
-        if cached is None:
-            cached = [char_value(self.algebra, w, self.mu, key[0], key[1])
-                      for w in self.weights]
-            self._char_cache[key] = cached
-        return cached
+        """The character of w'_eta w_phi at each row, as a list."""
+        return [char_value(self.algebra, w, self.mu, eta, phi)
+                for w in self.weights]
 
     # -- the action of a normal-form element ----------------------------------
 
@@ -277,10 +265,6 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
     lam = tuple(lam)
     if not alg.rs.in_weight_lattice(lam) or not alg.rs.is_dominant(lam):
         raise NotDominant(f"{lam} is not a dominant lattice weight")
-    cache = alg.memo("irreducible")
-    hit = cache.get(lam)
-    if hit is not None:
-        return hit
     box = tuple(int(c) for c in alg.rs.alpha_coords(tuple(2 * x for x in lam)))
     contents = [nu for h in range(sum(box) + 1) for nu in _heights(alg.n, h)
                 if all(a <= b for a, b in zip(nu, box))]
@@ -316,7 +300,6 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
         raise InternalInconsistency(
             f"irreducible quotient came out {module.dim}-dimensional, "
             f"product formula gives {expect}")
-    cache[lam] = module
     return module
 
 

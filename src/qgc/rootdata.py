@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import (IndexOutOfRange, InternalInconsistency, NotDominant,
                      NotInPositiveCone, RankMismatch)
+from .scalars import memoized
 
 
 class WeylElement:
@@ -86,7 +87,7 @@ class RootSystemB:
         self.fundamental_weights.append((1,) * n)
         self.rho_alpha = self.alpha_coords(self.rho)
         self._pos_alpha = [self.root_coords(r) for r in self.positive_roots]
-        self._kostant_table = {}
+        self._memo = {}
 
     def _positive_roots(self):
         n = self.n
@@ -214,18 +215,11 @@ class RootSystemB:
         return tuple(int(x) if Fraction(x).denominator == 1 else x for x in out)
 
     def weyl_orbit(self, lam):
-        seen = {tuple(lam)}
-        frontier = [tuple(lam)]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i in range(1, self.n + 1):
-                    img = self.reflect(i, w)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+        """W lam: W(B_n) acts on epsilon coordinates by signed permutations."""
+        self._check(lam)
+        return {tuple(s * x for s, x in zip(signs, perm))
+                for perm in itertools.permutations(lam)
+                for signs in itertools.product((1, -1), repeat=self.n)}
 
     def weyl_group(self):
         """All 2^n n! signed permutations."""
@@ -313,11 +307,8 @@ class RootSystemB:
             raise NotInPositiveCone(f"{nu_alpha} has negative coefficients")
         return self._kostant(tuple(nu_alpha), 0)
 
+    @memoized
     def _kostant(self, nu, idx):
-        key = (nu, idx)
-        hit = self._kostant_table.get(key)
-        if hit is not None:
-            return hit
         if all(c == 0 for c in nu):
             return 1
         if idx == len(self._pos_alpha):
@@ -331,7 +322,6 @@ class RootSystemB:
             if any(c < 0 for c in nxt):
                 break
             cur = nxt
-        self._kostant_table[key] = total
         return total
 
     def __repr__(self):

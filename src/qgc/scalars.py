@@ -24,6 +24,7 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -682,6 +683,27 @@ def accumulate(out, key, c):
         out[key] = c
     elif acc is not None:
         del out[key]
+
+
+def memoized(fn):
+    """fn(owner, *args), kept in owner._memo[name] under the key args.
+
+    name is fn's name without its leading underscore.  A build that raises
+    stores nothing, and a recursive build stores every key it meets.
+    """
+    name = fn.__name__.lstrip("_")
+
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        table = owner._memo.get(name)
+        if table is None:
+            table = owner._memo[name] = {}
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = fn(owner, *args)
+        return hit
+
+    return cached
 
 
 def rs_ratio_power(q) -> Scalar:

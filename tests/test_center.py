@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -318,3 +319,18 @@ def test_parity_kernel_rank_two_and_three():
     assert ((1, 0, 1), (1, 0, 1)) in got
     assert center.parity_kernel(2, 2, "full") == []
     assert center.parity_kernel(3, 2, "full") == []
+
+
+@pytest.mark.parametrize("n, bound", [(1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("mode", ["lambda_only", "full"])
+def test_parity_kernel_is_where_every_character_is_one(n, bound, mode):
+    alg = Algebra(n)
+    zero = (0,) * n
+    pairs = [(w, zero) for w in alg.rs.fundamental_weights]
+    if mode == "full":
+        pairs += [(zero, w) for w in alg.rs.fundamental_weights]
+    expect = [(v[:n], v[n:]) for v in itertools.product(range(-bound, bound + 1),
+                                                         repeat=2 * n)
+              if any(v) and all(char_value(alg, lam, mu, v[:n], v[n:]).is_one()
+                                for lam, mu in pairs)]
+    assert center.parity_kernel(n, bound, mode) == sorted(expect)

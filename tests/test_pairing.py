@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from qgc import pairing
-from qgc.errors import WrongSide
+from qgc.errors import SingularGram, WrongSide
 from qgc.linalg import rank
 from qgc.pairing import (
     check_ad_invariance,
@@ -319,3 +319,13 @@ def test_gram_canonicalizes_each_entry_once():
         g = gram(alg, nu)
     assert 0 < gcd.call_count <= dim * dim
     assert rank(g) == dim
+
+
+def test_a_failed_dual_basis_build_stores_nothing():
+    alg = Algebra(2)
+    with mock.patch.object(pairing, "invert", side_effect=ArithmeticError):
+        with pytest.raises(SingularGram):
+            dual_basis(alg, (1, 1))
+    assert ((1, 1),) not in alg.memo("dual_basis")
+    pair = dual_basis(alg, (1, 1))
+    assert alg.memo("dual_basis")[((1, 1),)] is pair

@@ -740,3 +740,43 @@ def test_element_text_and_json(alg2):
     blob = x.to_json()
     assert blob == [{"f": [2, 1], "eta": [0, 1], "phi": [1, 0],
                      "e": [1, 2], "coeff": ONE.to_json()}]
+
+
+def test_memo_tables_are_per_algebra():
+    a, b = Algebra(2), Algebra(2)
+    a.graded_basis("+", (1, 1))
+    assert ("+", (1, 1)) in a.memo("graded_basis")
+    assert not b.memo("graded_basis")
+    b.graded_basis("+", (1, 1))
+    assert a._memo.keys() == b._memo.keys()
+    assert all(a._memo[name] is not b._memo[name] for name in a._memo)
+
+
+def test_memo_key_is_the_argument_tuple():
+    alg = Algebra(2)
+    alg.serre_relators("-")
+    assert set(alg.memo("serre_relators")) == {("-",)}
+    alg.inverse_denominator((1, 0))
+    assert set(alg.memo("inverse_denominator")) == {((1, 0),)}
+    alg.reduce_word("+", [2, 1])
+    alg.reduce_word("+", [1])  # one letter: no lookup
+    assert set(alg.memo("reduce_word")) == {("+", (2, 1))}
+    assert alg.memo("reduce_word")[("+", (2, 1))] is alg.reduce_word("+", (2, 1))
+
+
+def test_recursive_junction_memoizes_every_pair_it_meets():
+    alg = Algebra(2)
+    alg.junction((1, 2), (2, 1))
+    met = {((1, 2), (2, 1)), ((2,), (2, 1)), ((2,), (1,)), ((2,), ())}
+    assert met <= set(alg.memo("junction"))
+    before = dict(alg.memo("junction"))
+    alg.junction((1, 2), (2, 1))
+    assert alg.memo("junction") == before
+
+
+def test_memo_reads_register_no_table():
+    alg = Algebra(2)
+    assert len(alg.memo("absent")) == 0
+    assert "absent" not in alg._memo
+    alg.junction((1,), (1,))
+    assert alg.memo("junction") is alg.memo("junction")

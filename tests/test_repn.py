@@ -300,3 +300,10 @@ def test_irreducible_stays_in_its_box():
     built = [nu for sign, nu in alg.memo("graded_basis") if sign == "-"]
     assert (2, 2, 2) in built
     assert all(all(c <= 2 for c in nu) for nu in built)
+
+
+def test_irreducible_keeps_no_table():
+    alg = Algebra(2)
+    a, b = irreducible(alg, (2, 0)), irreducible(alg, (2, 0))
+    assert a is not b and a.labels == b.labels
+    assert "irreducible" not in alg._memo

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -191,3 +192,27 @@ def test_dominance(b2):
     # spin weights are incomparable with integer weights
     assert not b2.dominance_leq((1, 1), w1)
     assert not b2.dominance_leq(w1, (1, 1))
+
+
+def test_kostant_recursion_memoizes_every_key_it_meets():
+    rs = RootSystemB(2)
+    assert rs.kostant_count((1, 2)) == 3
+    table = rs._memo["kostant"]
+    # the first root eps_1 - eps_2 = alpha_1 is taken 0 or 1 times
+    assert {((1, 2), 0), ((1, 2), 1), ((0, 2), 1)} <= set(table)
+    assert table[((1, 2), 0)] == 3
+    size = len(table)
+    assert rs.kostant_count((1, 2)) == 3
+    assert len(table) == size
+
+
+def test_weyl_orbit_is_the_reflection_closure():
+    for n in (1, 2, 3):
+        rs = RootSystemB(n)
+        for lam in itertools.product(range(-2, 3), repeat=n):
+            seen, frontier = {lam}, [lam]
+            while frontier:
+                frontier = [img for w in frontier for i in range(1, n + 1)
+                            for img in [rs.reflect(i, w)] if img not in seen]
+                seen.update(frontier)
+            assert rs.weyl_orbit(lam) == seen, lam
