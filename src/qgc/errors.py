@@ -26,7 +26,8 @@ class NonIntegralSecondArgument(QgcError, ValueError):
 
 
 class WrongSide(QgcError, ValueError):
-    """Skew-pairing argument contains letters from the other triangular half."""
+    """A skew-pairing argument contains letters from the other triangular
+    half, or a sign names neither half."""
 
 
 class InternalInconsistency(QgcError, ArithmeticError):

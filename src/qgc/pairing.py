@@ -19,16 +19,18 @@ monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
 D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
 gcd, and each value is canonicalized once; all entries of a Gram block share
 the one D(nu) of their content.  The forms skew_pair and rosso sum c N per
-content and divide each sum once.  The table of 1/D(nu) belongs to the
-algebra (Algebra.inverse_denominator), which the junction of straightening
-shares.
+content and divide each sum once.  The peeling step, each match of f_j in
+the raising word with its crossing factor (Algebra.peel), is the one that
+the junction of straightening takes, since <f, e> is the w'_nu term of e f.
+Each keeps its own table of numerators; the table of 1/D(nu) belongs to the
+algebra (Algebra.inverse_denominator), which both share.
 """
 
 from __future__ import annotations
 
 from .errors import SingularGram, WrongSide
 from .linalg import invert
-from .qgroup import _NUM_ONE, Algebra, Element, _unit, word_content
+from .qgroup import _NUM_ONE, Algebra, Element, word_content
 from .scalars import (_L_ZERO, ZERO, LaurentBi, Scalar, accumulate, memoized,
                       rs_ratio_power)
 
@@ -55,19 +57,13 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
 
 @memoized
 def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
-    """N(fw, ew) for words of one content, by peeling the leftmost f_j."""
+    """N(fw, ew) for words of one content, peeling f_j off fw by ``peel``."""
     if not fw:
         return _NUM_ONE
-    j, tail = fw[0], fw[1:]
-    # <w'_j, w_l> = u^cu[l-1] v^cv[l-1], read off how w'_j crosses f_l
-    cu, cv = alg._crossing(_unit(alg.n, j), (0,) * alg.n)
+    tail = fw[1:]
     total = _L_ZERO
-    a = b = 0
-    for t, letter in enumerate(ew):
-        if letter == j:
-            total = total + _numerator(alg, tail, ew[:t] + ew[t + 1:]).shift(a, b)
-        a += cu[letter - 1]
-        b += cv[letter - 1]
+    for sub, a, b in alg.peel(ew, fw[0]):
+        total = total + _numerator(alg, tail, sub).shift(a, b)
     return total
 
 

@@ -8,11 +8,13 @@ content is spanned by the representatives one letter lower, each followed
 by that letter, and only the Serre relators placed at the end of a word add
 relations.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
 junction e1 f2, whose normal form is tabulated per (raising word, lowering
-word) pair by peeling raising letters through [e_i, f_i] = (w'_i - w_i) /
-(s_i - r_i), as Laurent numerators over D(mu) = prod_j (s_j - r_j)^mu_j for
-the peeled content mu.  The torals cross the remaining words as unit
-monomials u^a v^b, the joined pure words are reduced letter by letter
-through those bases, and each normal-form term is divided by its D(mu) once.
+word) pair by peeling the leftmost lowering letter f_j against each e_j of
+the raising word through [e_j, f_j] = (w'_j - w_j) / (s_j - r_j), the peel
+that the pairing numerators share (``Algebra.peel``), as Laurent numerators
+over D(mu) = prod_j (s_j - r_j)^mu_j for the peeled content mu.  The torals
+cross the remaining words as unit monomials u^a v^b, the joined pure words
+are reduced letter by letter through those bases, and each normal-form term
+is divided by its D(mu) once.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     NonIntegralSecondArgument,
     NotInPositiveCone,
     RankMismatch,
+    WrongSide,
 )
 from .rootdata import RootSystemB
 from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate, memoized
@@ -460,6 +463,8 @@ class Algebra:
         descending, so each pivot is the lex-greatest word of its relation
         and the representatives are the standard words.
         """
+        if sign not in ("+", "-"):
+            raise WrongSide(f"sign {sign!r} is not '+' (raising) or '-' (lowering)")
         nu = tuple(nu)
         if len(nu) != self.n:
             raise RankMismatch("content length mismatch")
@@ -500,18 +505,23 @@ class Algebra:
 
         The prefix word[:-1] is reduced first; each of its representatives b
         followed by the last letter is a word of S, whose expansion the
-        basis of the content stores.  Memoized per word met.
+        basis of the content stores.  Memoized per word met; a bad letter,
+        or a bad sign on a longer word, raises before anything is stored.
         """
         word = tuple(word)
         if len(word) <= 1:
+            if word:
+                self._check_index(word[0])
             return {word: ONE}
         return self._reduce_word(sign, word)
 
     @memoized
     def _reduce_word(self, sign, word):
+        prefix = self.reduce_word(sign, word[:-1])  # checks its letters
+        self._check_index(word[-1])
         expansion = self.graded_basis(sign, word_content(self.n, word)).expansion
         out = {}
-        for b, c in self.reduce_word(sign, word[:-1]).items():
+        for b, c in prefix.items():
             for rep, cr in expansion[b + word[-1:]].items():
                 accumulate(out, rep, c * cr)
         return dict(sorted(out.items(), reverse=True))
@@ -560,43 +570,46 @@ class Algebra:
             accumulate(out, (fw, eta, phi, ew), c)
         return Element(self, out)
 
+    def peel(self, ew, j):
+        """Each match e_j in the raising word ew, peeled by [e_j, f_j] =
+        (w'_j - w_j) / (s_j - r_j): yields (ew less it, a, b) with u^a v^b =
+        <w'_j, w_l> over the letters l left of it, read off how w'_j crosses
+        them (``_crossing``).  The junction and the pairing share this step."""
+        cu, cv = self._crossing(_unit(self.n, j), self._zero)
+        a = b = 0
+        for t, letter in enumerate(ew):
+            if letter == j:
+                yield ew[:t] + ew[t + 1:], a, b
+            a += cu[letter - 1]
+            b += cv[letter - 1]
+
     @memoized
     def junction(self, ew, fw):
         """Normal form of the raising word ew times the lowering word fw.
 
         Maps (fword, eta, phi, eword) -> (N, mu) for the coefficient
         N / D(mu), where the words are subwords of fw and ew, not yet
-        reduced, and mu = eta + phi is the content peeled off fw.  Raising
-        letters are peeled off the left one at a time with e_i f_j w =
-        f_j (e_i w) + d_ij (w'_i - w_i) w / (s_i - r_i), whose other factors
-        are unit monomials, so N takes no gcd.  Every (ew, fw) pair met on
-        the way is memoized.
+        reduced, and mu = eta + phi is the content peeled off fw.  Peeling
+        f_j off fw, e_ew f_j = f_j e_ew + the sum over ``peel`` of u^a v^b
+        (w'_j - w_j) e_(ew less the match) / (s_j - r_j), whose torals cross
+        junction(ew less the match, rest) as unit monomials: N takes shifts
+        and sums alone, no product and no gcd.  Every pair met is memoized.
         """
         zero = self._zero
         if not ew or not fw:
-            num = {(fw, zero, zero, ew): _NUM_ONE}
-        elif len(ew) == 1:
-            i, j, rest = ew[0], fw[0], fw[1:]
-            num = {((j,) + f, eta, phi, e): nj
-                   for (f, eta, phi, e), (nj, _) in self.junction(ew, rest).items()}
-            if i == j:
-                unit = _unit(self.n, i)
-                a, b = _word_shift(self._crossing(unit, zero), rest)
-                accumulate(num, (rest, unit, zero, ()), LaurentBi.monomial(1, a, b))
-                a, b = _word_shift(self._crossing(zero, unit), rest)
-                accumulate(num, (rest, zero, unit, ()), LaurentBi.monomial(-1, a, b))
-        else:
-            head = ew[:1]
-            num = {}
-            for (f, eta, phi, e), (n1, _) in self.junction(ew[1:], fw).items():
-                for (f2, eta2, phi2, e2), (n2, _) in self.junction(head, f).items():
-                    if e2:  # e_i is left over and crosses w'_eta w_phi
-                        a, b = _word_shift(self._crossing(eta, phi), head)
-                        accumulate(num, (f2, eta, phi, head + e),
-                                   (n1 * n2).shift(a, b))
-                    else:
-                        accumulate(num, (f2, _vec_add(eta2, eta),
-                                         _vec_add(phi2, phi), e), n1 * n2)
+            return {(fw, zero, zero, ew): (_NUM_ONE, zero)}
+        j, rest = fw[0], fw[1:]
+        num = {((j,) + f, eta, phi, e): nk
+               for (f, eta, phi, e), (nk, _) in self.junction(ew, rest).items()}
+        unit = _unit(self.n, j)
+        cross = self._crossing(unit, zero)
+        for sub, a, b in self.peel(ew, j):
+            for (f, eta, phi, e), (nk, _) in self.junction(sub, rest).items():
+                fa, fb = _word_shift(cross, f)
+                a1, b1 = a + fa, b + fb
+                # w_j crosses as w'_j does with r <-> s swapped (see ``tau``)
+                accumulate(num, (f, _vec_add(eta, unit), phi, e), nk.shift(a1, b1))
+                accumulate(num, (f, eta, _vec_add(phi, unit), e), -nk.shift(b1, a1))
         return {k: (nk, _vec_add(k[1], k[2])) for k, nk in num.items()}
 
     @memoized

@@ -5,8 +5,8 @@ from unittest import mock
 
 import pytest
 
-from qgc import center, linalg
-from qgc.errors import NonIntegralSecondArgument
+from qgc import center, linalg, pairing
+from qgc.errors import NonIntegralSecondArgument, RankMismatch, WrongSide
 from qgc.qgroup import Algebra, Element, word_content
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
 
@@ -135,11 +135,14 @@ def toral_move(alg, eta, phi, i):
 
 
 def reference_junction(alg, ew, fw, memo):
-    """The junction recursion with every coefficient a canonical Scalar.
+    """The junction by peeling raising letters, every coefficient a Scalar.
 
     Peels raising letters off the left one at a time with
-    e_i f_j w = f_j (e_i w) + d_ij (w_i - w'_i) w / (r_i - s_i); the torals
-    cross letters through the group-like pairing (toral_move).
+    e_i f_j w = f_j (e_i w) + d_ij (w_i - w'_i) w / (r_i - s_i), and composes
+    two tables per entry; the torals cross letters through the group-like
+    pairing (toral_move).  Algebra.junction peels lowering letters instead,
+    as Laurent numerators built by shifts, so this is an independent
+    recursion.
     """
     key = (ew, fw)
     hit = memo.get(key)
@@ -399,6 +402,29 @@ def test_reduction_idempotent(alg2):
             assert rep in basis.words
 
 
+def test_graded_basis_rejects_a_bad_sign():
+    alg = Algebra(2)
+    with pytest.raises(WrongSide):
+        alg.graded_basis("x", (1, 1))
+    assert len(alg.memo("graded_basis")) == 0
+
+
+@pytest.mark.parametrize("word", [(0,), (0, 1), (3, 1), (1, 3)])
+@pytest.mark.parametrize("half", ["fword_element", "eword_element"])
+def test_words_reject_a_bad_letter(half, word):
+    alg = Algebra(2)
+    with pytest.raises(RankMismatch):
+        getattr(alg, half)(word)
+    assert len(alg.memo("reduce_word")) == 0
+
+
+def test_reduce_word_rejects_a_bad_sign():
+    alg = Algebra(2)
+    with pytest.raises(WrongSide):
+        alg.reduce_word("x", (1, 2))
+    assert len(alg.memo("reduce_word")) == 0
+
+
 # -- straightening ----------------------------------------------------------------
 
 
@@ -453,7 +479,7 @@ def _words_up_to(alg, top):
             for w in alg.words_of_content(nu)]
 
 
-@pytest.mark.parametrize("n, top", [(2, (2, 2)), (3, (1, 1, 1))])
+@pytest.mark.parametrize("n, top", [(2, (2, 2)), (3, (1, 1, 1)), (3, (1, 2, 1))])
 def test_junction_matches_scalar_recursion(n, top):
     # every entry of every (raising word, lowering word) pair up to the
     # content top: the Laurent numerator over D(mu) against the per-step
@@ -472,6 +498,20 @@ def test_junction_matches_scalar_recursion(n, top):
                 assert mu == removed == tuple(a + b for a, b in zip(eta, phi))
                 assert Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
                     == ref[(f, eta, phi, e)], (ew, fw, f, eta, phi, e)
+
+
+def test_junction_and_pairing_numerators_take_no_product():
+    # both recursions build their numerators by shifts and sums alone
+    alg = Algebra(2)
+    words = _words_up_to(alg, (2, 2))
+    with mock.patch.object(LaurentBi, "__mul__",
+                           side_effect=AssertionError("LaurentBi product")):
+        for ew in words:
+            for fw in words:
+                alg.junction(ew, fw)
+                if word_content(2, fw) == word_content(2, ew):
+                    pairing._numerator(alg, fw, ew)
+    assert len(alg.memo("junction")) >= len(words) ** 2 == 361
 
 
 @pytest.fixture(scope="module")
@@ -767,7 +807,10 @@ def test_memo_key_is_the_argument_tuple():
 def test_recursive_junction_memoizes_every_pair_it_meets():
     alg = Algebra(2)
     alg.junction((1, 2), (2, 1))
-    met = {((1, 2), (2, 1)), ((2,), (2, 1)), ((2,), (1,)), ((2,), ())}
+    # peeling f_2, then f_1, off the lowering word; each match of a raising
+    # letter drops it from the raising word
+    met = {((1, 2), (2, 1)), ((1, 2), (1,)), ((1,), (1,)), ((1, 2), ()),
+           ((2,), ()), ((1,), ()), ((), ())}
     assert met <= set(alg.memo("junction"))
     before = dict(alg.memo("junction"))
     alg.junction((1, 2), (2, 1))
