@@ -30,25 +30,12 @@ from .pairing import dual_basis
 from .qgroup import Algebra, Element
 from .repn import act, char_value, irreducible, theta, verma
 from .rootdata import WeylElement
-from .scalars import ZERO, Scalar, accumulate, rs_ratio_power
+from .scalars import ZERO, Scalar, accumulate, add_scaled, rs_ratio_power
 
 
 # ---------------------------------------------------------------------------
 # toral parts: dict {(eta, phi): Scalar} over alpha-coordinate exponents
 # ---------------------------------------------------------------------------
-
-def toral_add(t1, t2):
-    out = dict(t1)
-    for k, c in t2.items():
-        accumulate(out, k, c)
-    return out
-
-
-def toral_scale(t, c):
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in t.items()}
-
 
 def toral_is_balanced(t):
     return all(phi == tuple(-x for x in eta) for eta, phi in t)
@@ -121,7 +108,7 @@ def av_expand(alg: Algebra, t):
             coeffs[dom] = c * Scalar.from_int(len(alg.rs.weyl_orbit(dom)))
     recon = {}
     for dom, c in coeffs.items():
-        recon = toral_add(recon, toral_scale(av(alg, dom), c))
+        add_scaled(recon, av(alg, dom), c)
     if recon != t:
         raise NotInUb0("toral part is not Weyl-invariant")
     return coeffs

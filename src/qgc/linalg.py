@@ -17,7 +17,7 @@ is a pivot.
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ONE, ZERO, Scalar, _times, accumulate
+from .scalars import ONE, ZERO, Scalar, _times, add_scaled
 
 
 class Echelon:
@@ -91,8 +91,7 @@ class Echelon:
         for other in self.rows.values():
             c = other.pop(pivot, None)
             if c is not None:
-                for k, ck in row.items():
-                    accumulate(other, k, -(c * ck))
+                add_scaled(other, row, -c)
         self.rows[pivot] = row
         return pivot
 

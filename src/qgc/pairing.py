@@ -19,11 +19,13 @@ monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
 D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
 gcd, and each value is canonicalized once; all entries of a Gram block share
 the one D(nu) of their content.  The forms skew_pair and rosso sum c N per
-content and divide each sum once.  The peeling step, each match of f_j in
-the raising word with its crossing factor (Algebra.peel), is the one that
-the junction of straightening takes, since <f, e> is the w'_nu term of e f.
-Each keeps its own table of numerators; the table of 1/D(nu) belongs to the
-algebra (Algebra.inverse_denominator), which both share.
+content and hand the sums to the algebra's one grouped division
+(Algebra.over_denominators), which straightening also ends in.  The peeling
+step, each match of f_j in the raising word with its crossing factor
+(Algebra.peel), is the one that the junction of straightening takes, since
+<f, e> is the w'_nu term of e f.  Each keeps its own table of numerators;
+the table of 1/D(nu) belongs to the algebra (Algebra.inverse_denominator),
+which both share.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
 def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
     """<y, x> for y in the lowering Hopf half and x in the raising one.
 
-    The terms c N(fw, ew) are summed per content nu and each sum is divided
-    by D(nu) once.
+    The terms c N(fw, ew) are summed per content nu, and
+    ``Algebra.over_denominators`` divides each sum by D(nu) once.
     """
     sums = {}
     for (fw_y, eta_y, phi_y, ew_y), cy in y.terms.items():
@@ -84,17 +86,9 @@ def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
             if word_content(alg.n, ew_x) != nu:
                 continue
             toral = alg.gpair(eta_y, phi_x) * alg.gpair(nu, phi_x)
-            accumulate(sums, nu, cy * cx * toral *
+            accumulate(sums.setdefault(nu, {}), None, cy * cx * toral *
                        Scalar.from_laurent(_numerator(alg, fw_y, ew_x)))
-    return _over_denominators(alg, sums)
-
-
-def _over_denominators(alg: Algebra, sums) -> Scalar:
-    """The sum of sums[nu] / D(nu)."""
-    total = ZERO
-    for nu, c in sums.items():
-        total = total + c * alg.inverse_denominator(nu)
-    return total
+    return alg.over_denominators(sums).get(None, ZERO)
 
 
 def gram(alg: Algebra, nu):
@@ -179,8 +173,9 @@ def rosso(alg: Algebra, x: Element, y: Element) -> Scalar:
             val = alg.gpair(eta_y, phi_x) * alg.gpair(nu_b, phi_x) \
                 * alg.gpair(eta_x, phi_y) * alg.gpair(nu_a, phi_y) \
                 * s2_twist(alg, nu_a)
-            accumulate(sums, nu, cx * cy * val * Scalar.from_laurent(num))
-    return _over_denominators(alg, sums)
+            accumulate(sums.setdefault(nu, {}), None,
+                       cx * cy * val * Scalar.from_laurent(num))
+    return alg.over_denominators(sums).get(None, ZERO)
 
 
 def check_ad_invariance(alg: Algebra, a: Element, b: Element, c: Element) -> bool:

@@ -12,9 +12,13 @@ word) pair by peeling the leftmost lowering letter f_j against each e_j of
 the raising word through [e_j, f_j] = (w'_j - w_j) / (s_j - r_j), the peel
 that the pairing numerators share (``Algebra.peel``), as Laurent numerators
 over D(mu) = prod_j (s_j - r_j)^mu_j for the peeled content mu.  The torals
-cross the remaining words as unit monomials u^a v^b, the joined pure words
-are reduced letter by letter through those bases, and each normal-form term
-is divided by its D(mu) once.
+cross the remaining words as unit monomials u^a v^b.  Products, the
+anti-automorphism tau and the module columns then take one normal-form pass
+(``Algebra.normal_form``): the joined pure words are reduced letter by
+letter through those bases, the terms are summed per content mu and key,
+and each sum is divided by its D(mu) once (``Algebra.over_denominators``,
+which the pairings share).  Sparse vectors are added through the one
+vector add, ``scalars.add_scaled``.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     WrongSide,
 )
 from .rootdata import RootSystemB
-from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate, memoized
+from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -57,6 +61,11 @@ def _exponent(x) -> int:
     if type(x) is not int and Fraction(x).denominator != 1:
         raise ValueError(f"exponent {x} leaves the half-power lattice")
     return int(x)
+
+
+def _check_sign(sign):
+    if sign not in ("+", "-"):
+        raise WrongSide(f"sign {sign!r} is not '+' (raising) or '-' (lowering)")
 
 
 def word_content(n, word):
@@ -106,10 +115,7 @@ class Element:
 
     def __add__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(terms, k, c)
-        return Element(self.algebra, terms)
+        return Element(self.algebra, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -193,10 +199,8 @@ class TensorElement:
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            accumulate(terms, k, c)
-        return TensorElement(self.algebra, terms)
+        return TensorElement(self.algebra,
+                             add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + TensorElement(self.algebra,
@@ -389,6 +393,7 @@ class Algebra:
         Built once per sign; callers must not mutate the returned list or
         its maps.
         """
+        _check_sign(sign)  # raises before the memo stores anything
         n = self.n
         rels = []
         for i in range(1, n + 1):
@@ -463,8 +468,7 @@ class Algebra:
         descending, so each pivot is the lex-greatest word of its relation
         and the representatives are the standard words.
         """
-        if sign not in ("+", "-"):
-            raise WrongSide(f"sign {sign!r} is not '+' (raising) or '-' (lowering)")
+        _check_sign(sign)
         nu = tuple(nu)
         if len(nu) != self.n:
             raise RankMismatch("content length mismatch")
@@ -505,11 +509,12 @@ class Algebra:
 
         The prefix word[:-1] is reduced first; each of its representatives b
         followed by the last letter is a word of S, whose expansion the
-        basis of the content stores.  Memoized per word met; a bad letter,
-        or a bad sign on a longer word, raises before anything is stored.
+        basis of the content stores.  Memoized per word met; a bad sign or
+        letter raises before anything is stored.
         """
         word = tuple(word)
         if len(word) <= 1:
+            _check_sign(sign)  # a longer word reaches this through its prefix
             if word:
                 self._check_index(word[0])
             return {word: ONE}
@@ -522,8 +527,7 @@ class Algebra:
         expansion = self.graded_basis(sign, word_content(self.n, word)).expansion
         out = {}
         for b, c in prefix.items():
-            for rep, cr in expansion[b + word[-1:]].items():
-                accumulate(out, rep, c * cr)
+            add_scaled(out, expansion[b + word[-1:]], c)
         return dict(sorted(out.items(), reverse=True))
 
     def graded_dim(self, sign, nu) -> int:
@@ -536,10 +540,9 @@ class Algebra:
 
         (f1 t1 e1)(f2 t2 e2) = f1 t1 [e1 f2] t2 e2: the junction comes from
         the (E-word, F-word) table, t1 moves right past its lowering part and
-        t2 left past its raising part by unit monomials, and the joined words
-        are reduced to graded-basis representatives.  The terms c N are
-        summed per normal-form key and junction content mu, and each sum is
-        divided by D(mu) once.
+        t2 left past its raising part by unit monomials, and the terms c N
+        are summed per joined key and junction content mu for
+        ``normal_form``.
         """
         raw = {}
         ys = [(key, c, self._crossing(key[1], key[2]))
@@ -556,19 +559,29 @@ class Algebra:
                            ej + e2, mu)
                     cn = c if nj.is_one() else c * Scalar.from_laurent(nj)
                     accumulate(raw, key, cn.shift(a1 + a2, b1 + b2))
+        return Element(self, self.normal_form(raw.items()))
+
+    def normal_form(self, terms):
+        """Terms ((fw, eta, phi, ew, mu), c) for c / D(mu), with unreduced
+        words, as a normal-form term map: both words reduced through
+        ``reduce_word``, summed per content mu and key, and each sum divided
+        by D(mu) once."""
         grouped = {}
-        for (fw, eta, phi, ew, mu), c in raw.items():
+        for (fw, eta, phi, ew, mu), c in terms:
+            group = grouped.setdefault(mu, {})
             for f_rep, cf in self.reduce_word("-", fw).items():
                 cf = c * cf
                 for e_rep, ce in self.reduce_word("+", ew).items():
-                    accumulate(grouped, (f_rep, eta, phi, e_rep, mu), cf * ce)
-        del raw  # free the raw sums before the divisions allocate
+                    accumulate(group, (f_rep, eta, phi, e_rep), cf * ce)
+        return self.over_denominators(grouped)
+
+    def over_denominators(self, grouped):
+        """{mu: {key: c}} as {key: the sum over mu of c / D(mu)}: each sum
+        is divided once, by one vector add per content."""
         out = {}
-        for (fw, eta, phi, ew, mu), c in grouped.items():
-            if mu != self._zero:  # D(0) = 1
-                c = c * self.inverse_denominator(mu)
-            accumulate(out, (fw, eta, phi, ew), c)
-        return Element(self, out)
+        for mu, sums in grouped.items():
+            add_scaled(out, sums, self.inverse_denominator(mu))
+        return out
 
     def peel(self, ew, j):
         """Each match e_j in the raising word ew, peeled by [e_j, f_j] =
@@ -682,7 +695,7 @@ class Algebra:
         return total
 
     def antipode(self, x: Element) -> Element:
-        out = self.zero()
+        out = {}
         for letters, c in x.letters():
             prod = self.one()
             for letter in reversed(letters):
@@ -697,8 +710,8 @@ class Algebra:
                 else:
                     img = self.toral(_vec_neg(letter[1]), _vec_neg(letter[2]))
                 prod = prod * img
-            out = out + prod.scale(c)
-        return out
+            add_scaled(out, prod.terms, c)
+        return Element(self, out)
 
     def tau(self, x: Element) -> Element:
         """The anti-automorphism tau: r <-> s, e_i <-> f_i, w_i <-> w'_i.
@@ -706,16 +719,12 @@ class Algebra:
         tau (Benkart-Witherspoon; Bergeron-Gao-Hu for types B-D) is
         Q-linear and reverses products, so c f_a w'_eta w_phi e_b maps to
         swap(c) f_(b reversed) w'_phi w_eta e_(a reversed): one word
-        reversal and reduction per half, and no straightening.
+        reversal per half, then ``normal_form``, and no straightening.
         """
-        out = {}
-        for (fw, eta, phi, ew), c in x.terms.items():
-            c = c.swap()
-            for f_rep, cf in self.reduce_word("-", ew[::-1]).items():
-                cf = c * cf
-                for e_rep, ce in self.reduce_word("+", fw[::-1]).items():
-                    accumulate(out, (f_rep, phi, eta, e_rep), cf * ce)
-        return Element(self, out)
+        zero = self._zero
+        return Element(self, self.normal_form(
+            ((ew[::-1], phi, eta, fw[::-1], zero), c.swap())
+            for (fw, eta, phi, ew), c in x.terms.items()))
 
     def counit(self, x: Element) -> Scalar:
         return sum((c for (fw, _, _, ew), c in x.terms.items()
@@ -724,15 +733,15 @@ class Algebra:
     # -- adjoint action ----------------------------------------------------------
 
     def ad(self, x: Element, z: Element) -> Element:
-        out = self.zero()
+        out = {}
         for letters, c in x.letters():
             w = z
             for letter in reversed(letters):
                 w = self._ad_letter(letter, w)
                 if w.is_zero():
                     break
-            out = out + w.scale(c)
-        return out
+            add_scaled(out, w.terms, c)
+        return Element(self, out)
 
     def _ad_letter(self, letter, z: Element) -> Element:
         if letter[0] == "E":

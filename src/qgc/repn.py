@@ -15,7 +15,8 @@ from __future__ import annotations
 from .errors import InternalInconsistency, NotDominant, RankMismatch, TruncationOverflow
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
-from .scalars import ONE, ZERO, Scalar, accumulate, memoized, rs_ratio_power
+from .scalars import (ONE, ZERO, Scalar, accumulate, add_scaled, memoized,
+                      rs_ratio_power)
 
 
 def char_value(alg: Algebra, lam, mu, eta, phi) -> Scalar:
@@ -52,19 +53,13 @@ class ColMatrix:
         """self applied after other."""
         out = ColMatrix(self.dim)
         for c in range(self.dim):
-            acc = out.cols[c]
             for mid, v in other.cols[c].items():
-                for r, w in self.cols[mid].items():
-                    accumulate(acc, r, v * w)
+                add_scaled(out.cols[c], self.cols[mid], v)
         return out
 
     def add_scaled(self, other: "ColMatrix", c: Scalar) -> "ColMatrix":
-        out = ColMatrix(self.dim, [dict(col) for col in self.cols])
-        for j, col in enumerate(other.cols):
-            acc = out.cols[j]
-            for r, v in col.items():
-                accumulate(acc, r, c * v)
-        return out
+        return ColMatrix(self.dim, [add_scaled(dict(col), ocol, c)
+                                    for col, ocol in zip(self.cols, other.cols)])
 
     def scale(self, c: Scalar) -> "ColMatrix":
         if c.is_zero():
@@ -129,12 +124,15 @@ class WeightModule:
         self.lam = tuple(lam)
         self.mu = tuple(mu)
         self.exact = exact
-        self.reduction = reduction
         self._contents = set(contents)
         self.labels = [w for nu in contents
                        for w in alg.graded_basis("-", nu).words
                        if w not in reduction]
         self.index = {w: row for row, w in enumerate(self.labels)}
+        # each representative word of the contents, over the rows
+        self._coords = {w: {row: ONE} for w, row in self.index.items()}
+        self._coords.update((w, {self.index[k]: c for k, c in red.items()})
+                            for w, red in reduction.items())
         self.weights = [tuple(a - b for a, b in zip(
             self.lam, alg.rs.from_alpha(word_content(alg.n, w))))
             for w in self.labels]
@@ -149,12 +147,7 @@ class WeightModule:
         """A vector {word: Scalar} over representative words, over the rows."""
         out = {}
         for w, c in vec.items():
-            row = self.index.get(w)
-            if row is not None:
-                accumulate(out, row, c)
-                continue
-            for w2, c2 in self.reduction[w].items():
-                accumulate(out, self.index[w2], c * c2)
+            add_scaled(out, self._coords[w], c)
         return out
 
     # -- generator columns ---------------------------------------------------
@@ -172,18 +165,18 @@ class WeightModule:
 
     @memoized
     def e_col(self, i, col):
-        """e_i f_w v: the E.F junction of (i) and w, torals at the top weight."""
+        """e_i f_w v: the E.F junction of (i) and w, torals at the top
+        weight, summed per content and put in normal form."""
         alg = self.algebra
-        vec = {}
+        zero = (0,) * alg.n
+        raw = {}
         for (fw, eta, phi, ew), (num, mu) in \
                 alg.junction((i,), self.labels[col]).items():
-            if ew:
-                continue
-            val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
-                * char_value(alg, self.lam, self.mu, eta, phi)
-            for rep, cr in alg.reduce_word("-", fw).items():
-                accumulate(vec, rep, val * cr)
-        return self._in_basis(vec)
+            if not ew:
+                accumulate(raw, (fw, zero, zero, (), mu), Scalar.from_laurent(num)
+                           * char_value(alg, self.lam, self.mu, eta, phi))
+        return self._in_basis({fw: c for (fw, _, _, _), c
+                               in alg.normal_form(raw.items()).items()})
 
     @memoized
     def char_diag(self, eta, phi):
@@ -211,8 +204,7 @@ class WeightModule:
                 cur = self._apply_cols(self.f_col, i, cur)
                 if not cur:
                     break
-            for r, v in cur.items():
-                accumulate(out, r, c * v)
+            add_scaled(out, cur, c)
         return out
 
     def _apply_cols(self, colfun, i, vec, strict=False):
@@ -223,8 +215,7 @@ class WeightModule:
             if strict and colfun == self.f_col and (i, r) in self._overflow:
                 raise TruncationOverflow(
                     f"lowering {self.labels[r]} by {i} leaves the truncation")
-            for r2, w in col.items():
-                accumulate(out, r2, v * w)
+            add_scaled(out, col, v)
         return out
 
     def act(self, x: Element) -> ColMatrix:
@@ -288,8 +279,7 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
                 continue
             img = {}
             for w, c in vec.items():
-                for rep, cr in alg.reduce_word("-", (i,) + w).items():
-                    accumulate(img, rep, c * cr)
+                add_scaled(img, alg.reduce_word("-", (i,) + w), c)
             if img:
                 work.append(img)
 

@@ -685,6 +685,15 @@ def accumulate(out, key, c):
         del out[key]
 
 
+def add_scaled(out, vec, c=ONE):
+    """out[k] += c * vec[k] for every key of vec, through ``accumulate``;
+    returns out.  The one way a sparse vector is added into another."""
+    if not c.is_zero():
+        for k, v in vec.items():
+            accumulate(out, k, c * v)
+    return out
+
+
 def memoized(fn):
     """fn(owner, *args), kept in owner._memo[name] under the key args.
 

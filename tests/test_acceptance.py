@@ -11,7 +11,7 @@ import pytest
 
 from qgc import center, linalg, pairing, repn
 from qgc.qgroup import Algebra
-from qgc.scalars import ONE, R, S, ZERO, Scalar
+from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
 from test_center import reference_centrality_failures
 
 
@@ -351,7 +351,7 @@ def test_rank3_vector_trace_element_hc_image(algebras, z_vector_rank3):
     coeffs = center.av_expand(alg, image)
     recon = {}
     for dom, c in coeffs.items():
-        recon = center.toral_add(recon, center.toral_scale(center.av(alg, dom), c))
+        add_scaled(recon, center.av(alg, dom), c)
     assert recon == image
     lead = coeffs[lam].as_fraction()
     assert lead.denominator == 1 and lead > 0

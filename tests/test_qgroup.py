@@ -420,9 +420,34 @@ def test_words_reject_a_bad_letter(half, word):
 
 def test_reduce_word_rejects_a_bad_sign():
     alg = Algebra(2)
-    with pytest.raises(WrongSide):
-        alg.reduce_word("x", (1, 2))
+    for word in ((1, 2), (1,), ()):  # short words skip the memo table
+        with pytest.raises(WrongSide):
+            alg.reduce_word("x", word)
     assert len(alg.memo("reduce_word")) == 0
+
+
+def test_serre_relators_reject_a_bad_sign():
+    alg = Algebra(2)
+    with pytest.raises(WrongSide):
+        alg.serre_relators("x")
+    assert len(alg.memo("serre_relators")) == 0
+    assert alg.serre_relators("+") != alg.serre_relators("-")
+
+
+def test_over_denominators_divides_each_content_once(monkeypatch):
+    # one key over three contents, and a key whose two sums cancel
+    alg = Algebra(2)
+    d1, d2 = alg.s_i(1) - alg.r_i(1), alg.s_i(2) - alg.r_i(2)
+    a, b, c = R, S + ONE, R * S
+    grouped = {(1, 0): {"k": a, "z": ONE}, (0, 2): {"k": b},
+               (0, 0): {"k": c}, (1, 1): {"z": -d2}}
+    calls = []
+    table = alg.inverse_denominator
+    monkeypatch.setattr(alg, "inverse_denominator",
+                        lambda mu: calls.append(mu) or table(mu))
+    out = alg.over_denominators(grouped)
+    assert out == {"k": a / d1 + b / (d2 * d2) + c}
+    assert sorted(calls) == [(0, 0), (0, 2), (1, 0), (1, 1)]
 
 
 # -- straightening ----------------------------------------------------------------

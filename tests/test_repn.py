@@ -17,7 +17,8 @@ from qgc.repn import (
     trace_fn,
     verma,
 )
-from qgc.scalars import ONE, ZERO, Scalar, rs_ratio_power, rs_product_power, r_power
+from qgc.scalars import (ONE, ZERO, Scalar, accumulate, rs_ratio_power, rs_product_power,
+                         r_power)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,22 @@ def reference_irreducible(alg, lam):
     reduction = {w: {k: -c for k, c in row.items()} for w, row in span.rows.items()}
     contents = list(dict.fromkeys(word_content(alg.n, w) for w in M.labels))
     return WeightModule(alg, lam, (0,) * alg.n, contents, reduction, exact=True)
+
+
+def reference_e_col(module, i, col):
+    """e_i f_w v term by term: each junction term is divided by its own
+    D(mu) and its lowering word reduced on its own, with no grouping."""
+    alg = module.algebra
+    vec = {}
+    for (fw, eta, phi, ew), (num, mu) in \
+            alg.junction((i,), module.labels[col]).items():
+        if ew:
+            continue
+        val = Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
+            * char_value(alg, module.lam, module.mu, eta, phi)
+        for rep, cr in alg.reduce_word("-", fw).items():
+            accumulate(vec, rep, val * cr)
+    return module._in_basis(vec)
 
 
 def columns_below_depth(module, h):
@@ -307,3 +324,16 @@ def test_irreducible_keeps_no_table():
     a, b = irreducible(alg, (2, 0)), irreducible(alg, (2, 0))
     assert a is not b and a.labels == b.labels
     assert "irreducible" not in alg._memo
+
+
+@pytest.mark.parametrize("n,lam,mu,depth", [
+    (2, (3, 1), (2, 0), 3), (2, (2, 2), None, None),
+    (3, (2, 2, 0), (1, 0, 1), 2), (3, (2, 0, 0), None, None),
+    (3, (1, 1, 1), None, None)])
+def test_e_col_matches_the_per_term_formula(n, lam, mu, depth):
+    # Verma modules (with a depth) and irreducibles (without), ranks 2-3
+    alg = Algebra(n)
+    module = irreducible(alg, lam) if depth is None else verma(alg, lam, mu, depth)
+    for i in range(1, n + 1):
+        for col in range(module.dim):
+            assert module.e_col(i, col) == reference_e_col(module, i, col)

@@ -21,6 +21,7 @@ from qgc.scalars import (
     LaurentBi,
     PoleAtPoint,
     Scalar,
+    add_scaled,
     rs_ratio_power,
 )
 
@@ -441,6 +442,19 @@ def test_rank2_trace_element_needs_no_sympy(monkeypatch):
     alg = Algebra(2)
     z = center.central_from_trace(alg, (2, 0)).element
     assert len(center.hc_xi(alg, z)) == 5
+
+
+def test_add_scaled_drops_a_cancelled_key_and_returns_out():
+    out = {"a": R, "b": ONE}
+    assert add_scaled(out, {"a": ONE, "c": S}, -R) is out
+    assert out == {"b": ONE, "c": -(R * S)}
+    assert add_scaled(out, {"b": ONE}) == {"b": Scalar.from_int(2), "c": -(R * S)}
+
+
+def test_add_scaled_by_zero_stores_nothing():
+    out = {"a": R}
+    assert add_scaled(out, {"a": ONE, "d": S}, ZERO) is out
+    assert out == {"a": R}
 
 
 def test_json_roundtrip():
