@@ -2,9 +2,10 @@
 
 Toral parts live on monomials w'_eta w_phi; the Harish-Chandra image of an
 element drops all terms with raising or lowering content and rescales the
-rest by the character of -rho.  Central candidates are assembled from
-matrix coefficients of an irreducible module against graded dual bases and
-certified by the adjoint-action criterion: z is central exactly when every
+rest by the character of -rho.  Central candidates live on the blocks of
+one table (``_blocks``); they are assembled from matrix coefficients of an
+irreducible module against graded dual bases, or solved for, and certified
+by the adjoint-action criterion: z is central exactly when every
 generator acts on it through the counit.  The lowering generators are
 certified through the anti-automorphism tau (r <-> s, e_i <-> f_i,
 w_i <-> w'_i; Benkart-Witherspoon, Bergeron-Gao-Hu): a z that commutes
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
+    BadArgument,
     CentralityCheckFailed,
     NoSolution,
     NotDominant,
@@ -27,10 +29,10 @@ from .errors import (
     NotInUb0,
 )
 from .pairing import dual_basis
-from .qgroup import Algebra, Element
+from .qgroup import Algebra, Element, word_content
 from .repn import act, char_value, irreducible, theta, verma
 from .rootdata import WeylElement
-from .scalars import ZERO, Scalar, accumulate, add_scaled, rs_ratio_power
+from .scalars import ZERO, Scalar, accumulate, add_scaled
 
 
 # ---------------------------------------------------------------------------
@@ -173,62 +175,59 @@ def centrality_failures(alg: Algebra, z: Element):
     return bad
 
 
-def _weight_blocks(alg, module):
-    """Raising contents nu that connect two weights of the module."""
-    weights = set(module.weights)
-    blocks = set()
-    for w1 in weights:
-        for w2 in weights:
-            diff = tuple(a - b for a, b in zip(w2, w1))
-            if alg.rs.in_root_lattice(diff):
-                coords = alg.rs.root_coords(diff)
-                if all(c >= 0 for c in coords):
-                    blocks.add(coords)
-    return sorted(blocks)
+def _blocks(alg: Algebra, module):
+    """{nu: [(row, eta)]}: nu runs over the nonnegative differences of two
+    row contents, and a row belongs to block nu when its content minus nu is
+    a row content too.  Its eta is lam minus its content in alpha
+    coordinates, and the block's toral exponent is phi = -(eta + nu)."""
+    top = alg.rs.root_coords(module.lam)
+    contents = [word_content(alg.n, w) for w in module.labels]
+    present = set(contents)
+    diffs = {tuple(a - b for a, b in zip(c1, c2)) for c1 in present for c2 in present}
+    return {nu: [(row, tuple(t - c for t, c in zip(top, content)))
+                 for row, content in enumerate(contents)
+                 if tuple(c - v for c, v in zip(content, nu)) in present]
+            for nu in sorted(diffs) if min(nu) >= 0}
+
+
+def _certified(alg: Algebra, z: Element, lam, method: str) -> CentralCandidate:
+    """z as a CentralCandidate, once every generator acts on it by the counit."""
+    bad = centrality_failures(alg, z)
+    if bad:
+        raise CentralityCheckFailed(f"{method} element fails the adjoint test at {bad}")
+    return CentralCandidate(z, lam, method)
 
 
 def central_from_trace(alg: Algebra, lam) -> CentralCandidate:
     """Central element carried by the graded trace of the irreducible module.
 
-    For every basis vector m of weight w and every raising content nu that
-    stays inside the weight diagram, the block contribution is
+    For every block nu and each of its rows m, of weight w, the contribution is
 
         sum_{a,b} Psi(v_b, u_a) v_a w'_w w_(-w-nu) u_b
-            * (r s^-1)^(-2 (rho, nu)) * <w'_nu, w_(w+nu)>
+            * (r s^-1)^(-2 (rho, w + nu)) * <w'_nu, w_(w+nu)>
 
     where {u_a} is the raising graded basis, {v_a} its pairing-dual lowering
-    basis, and Psi(y, x) evaluates y x against m twisted by the grading
-    operator.  The toral exponents and the group-like correction come from
-    matching the matrix-coefficient functional against the Borel-factor
-    form.  The sum over basis vectors is certified central via the
-    adjoint-action criterion before it is returned.
+    basis, Psi(y, x) evaluates y x against m, and the power of r s^-1 is the
+    grading operator at w + nu.  The toral exponents and the group-like
+    correction come from matching the matrix-coefficient functional against
+    the Borel-factor form.  The sum is certified central before it is returned.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
-    th = theta(module)
-    weight_set = set(module.weights)
     terms = {}
-    for nu in _weight_blocks(alg, module):
+    for nu, rows in _blocks(alg, module).items():
         pair = dual_basis(alg, nu)
         d = pair.dim
         eacts = [act(alg.eword_element(ew), module) for ew in pair.e_words]
         velems = [pair.dual_vector(alg, a) for a in range(d)]
         vacts = [act(v, module) for v in velems]
-        twist = rs_ratio_power(
-            -2 * alg.rs.inner(alg.rs.rho, alg.rs.from_alpha(nu)))
-        for row in range(module.dim):
-            w = module.weights[row]
-            w_up = tuple(a + b for a, b in zip(w, alg.rs.from_alpha(nu)))
-            if w_up not in weight_set:
-                continue
-            eta = alg.rs.root_coords(w)
+        for row, eta in rows:
             shifted = tuple(a + b for a, b in zip(eta, nu))
             phi = tuple(-x for x in shifted)
-            block_scale = twist * alg.gpair(nu, shifted)
+            scale = alg.grading(alg.rs.from_alpha(shifted)) * alg.gpair(nu, shifted)
             for a in range(d):
                 for b in range(d):
-                    # Psi(v_b, u_a) on the row-th basis vector, with the
-                    # grading twist of its weight
+                    # Psi(v_b, u_a) on the row-th basis vector
                     psi = ZERO
                     for mid, v1 in eacts[a].cols[row].items():
                         v2 = vacts[b].cols[mid].get(row)
@@ -236,55 +235,40 @@ def central_from_trace(alg: Algebra, lam) -> CentralCandidate:
                             psi = psi + v1 * v2
                     if psi.is_zero():
                         continue
-                    coeff = th[row] * psi * block_scale
+                    coeff = psi * scale
                     for (fw, _, _, _), cf in velems[a].terms.items():
                         accumulate(terms, (fw, eta, phi, pair.e_words[b]),
                                    coeff * cf)
-    z = Element(alg, terms)
-    bad = centrality_failures(alg, z)
-    if bad:
-        raise CentralityCheckFailed(f"adjoint action fails at {bad}")
-    return CentralCandidate(z, lam, "trace")
+    return _certified(alg, Element(alg, terms), lam, "trace")
 
 
 def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     """Independent construction: solve the centrality equations linearly.
 
-    The ansatz runs over y_a w'_eta w_phi x_b with (nu, eta, phi) restricted
-    to the support of the trace recipe; the degree-zero block is pinned to
-    the graded character values, and the remaining coefficients must be
+    The ansatz runs over y_a w'_eta w_phi x_b on the blocks (nu, eta, phi)
+    of the trace recipe; the degree-zero block is pinned to the graded
+    character, theta summed per weight, and the remaining coefficients must be
     uniquely determined by ad(e_1..e_n), then ad(f_1..f_n), fed one generator
     at a time until no unknown is free; the certificate covers the rest.
     The ansatz reads the graded bases alone: no pairing, no Gram inverse.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
-    weight_set = set(module.weights)
-    mults = module.weight_multiplicities()
-    zero = (0,) * alg.n
+    th = theta(module)
 
     variables = []
     pinned = {}
-    for nu in _weight_blocks(alg, module):
+    for nu, rows in _blocks(alg, module).items():
+        if not any(nu):
+            for row, eta in rows:
+                accumulate(pinned, ((), eta, tuple(-x for x in eta), ()), th[row])
+            continue
         fwords = alg.graded_basis("-", nu).words
         ewords = alg.graded_basis("+", nu).words
-        supports = set()
-        for w in weight_set:
-            w_up = tuple(a + b for a, b in zip(w, alg.rs.from_alpha(nu)))
-            if w_up in weight_set:
-                eta = alg.rs.root_coords(w)
-                phi = tuple(-(a + b) for a, b in zip(eta, nu))
-                supports.add((eta, phi))
-        for eta, phi in sorted(supports):
-            for fw in fwords:
-                for ew in ewords:
-                    key = (fw, eta, phi, ew)
-                    if nu == zero:
-                        w = alg.rs.from_alpha(eta)
-                        pinned[key] = Scalar.from_int(mults[w]) * \
-                            rs_ratio_power(-2 * alg.rs.inner(alg.rs.rho, w))
-                    else:
-                        variables.append(key)
+        supports = sorted({(eta, tuple(-(a + b) for a, b in zip(eta, nu)))
+                           for _, eta in rows})
+        variables += [(fw, eta, phi, ew) for eta, phi in supports
+                      for fw in fwords for ew in ewords]
 
     if not variables and any(x for x in lam):
         raise NoSolution("empty ansatz for a nonzero weight")
@@ -303,11 +287,7 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
                    for k in {**equations, **rhs}]  # a lone rhs is inconsistent
 
     solution = linalg.solve_unique(batches(), variables)
-    z = Element(alg, {**pinned, **solution})
-    bad = centrality_failures(alg, z)
-    if bad:
-        raise CentralityCheckFailed(f"solver output fails adjoint test at {bad}")
-    return CentralCandidate(z, lam, "solve")
+    return _certified(alg, Element(alg, {**pinned, **solution}), lam, "solve")
 
 
 def central_scalar_on_verma(alg: Algebra, z: Element, lam, mu, depth: int) -> Scalar:
@@ -339,9 +319,9 @@ def parity_kernel(n: int, bound: int, mode: str = "lambda_only"):
     intersected with the coordinate box.
     """
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise BadArgument("bound must be at least 1")
     if mode not in ("lambda_only", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadArgument(f"unknown mode {mode!r}")
     alg = Algebra(n)
     zero = (0,) * n
     pairs = [(w, zero) for w in alg.rs.fundamental_weights]

@@ -5,6 +5,10 @@ class QgcError(Exception):
     """Base class for all structured errors raised by the kernel."""
 
 
+class BadArgument(QgcError, ValueError):
+    """A rank, depth, bound, count or mode outside the values it accepts."""
+
+
 class RankMismatch(QgcError, ValueError):
     pass
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 from .errors import SingularGram, WrongSide
 from .linalg import invert
 from .qgroup import _NUM_ONE, Algebra, Element, word_content
-from .scalars import (_L_ZERO, ZERO, LaurentBi, Scalar, accumulate, memoized,
-                      rs_ratio_power)
+from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, memoized
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -138,10 +137,9 @@ def _dual_basis(alg: Algebra, nu) -> DualBasisPair:
 
 
 def s2_twist(alg: Algebra, nu) -> Scalar:
-    """(r s^-1)^(2 (rho, nu)), the square of the antipode on depth nu."""
-    q = 2 * alg.rs.inner(alg.rs.from_alpha(nu),
-                         alg.rs.from_alpha(alg.rs.rho_alpha))
-    return rs_ratio_power(q)
+    """(r s^-1)^(2 (rho, nu)), the square of the antipode on depth nu: the
+    inverse of the grading operator on the weight of nu."""
+    return alg.grading(alg.rs.from_alpha(nu)).inverse()
 
 
 def rosso(alg: Algebra, x: Element, y: Element) -> Scalar:

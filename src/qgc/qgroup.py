@@ -27,13 +27,16 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
+    BadArgument,
     NonIntegralSecondArgument,
     NotInPositiveCone,
+    NotInRootLattice,
     RankMismatch,
     WrongSide,
 )
 from .rootdata import RootSystemB
-from .scalars import ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized
+from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized,
+                      rs_ratio_power)
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -274,9 +277,13 @@ class Algebra:
     def qint(self, m: int, i: int) -> Scalar:
         """[m]_i = (r_i^m - s_i^m) / (r_i - s_i)."""
         if m < 0:
-            raise ValueError("quantum integer needs m >= 0")
+            raise BadArgument("quantum integer needs m >= 0")
         num = self.r_i(i) ** m - self.s_i(i) ** m
         return num / (self.r_i(i) - self.s_i(i))
+
+    def grading(self, w) -> Scalar:
+        """(r s^-1)^(-2 (rho, w)), the grading operator on the weight w."""
+        return rs_ratio_power(-2 * self.rs.inner(self.rs.rho, w))
 
     # -- group-like pairing -------------------------------------------------
 
@@ -355,6 +362,9 @@ class Algebra:
         eta, phi = tuple(eta), tuple(phi)
         if len(eta) != self.n or len(phi) != self.n:
             raise RankMismatch("toral exponent length mismatch")
+        if not all(isinstance(x, (int, Fraction)) and x == int(x) for x in eta + phi):
+            raise NotInRootLattice(f"toral exponents {eta}, {phi} are not all integers")
+        eta, phi = tuple(map(int, eta)), tuple(map(int, phi))  # Fraction(2) -> 2
         return Element(self, {((), eta, phi, ()): ONE})
 
     def omega(self, i: int, power: int = 1) -> Element:

@@ -12,7 +12,8 @@ maps; the grading operator acts on a weight-mu vector by
 
 from __future__ import annotations
 
-from .errors import InternalInconsistency, NotDominant, RankMismatch, TruncationOverflow
+from .errors import (BadArgument, InternalInconsistency, NotDominant, RankMismatch,
+                     TruncationOverflow)
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
 from .scalars import (ONE, ZERO, Scalar, accumulate, add_scaled, memoized,
@@ -235,7 +236,7 @@ class WeightModule:
 def verma(alg: Algebra, lam, mu, depth: int) -> WeightModule:
     """Truncated universal module with highest-weight character pair (lam, mu)."""
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise BadArgument("depth must be nonnegative")
     if len(lam) != alg.n or len(mu) != alg.n:
         raise RankMismatch("weight length mismatch")
     contents = [nu for h in range(depth + 1) for nu in _heights(alg.n, h)]
@@ -301,10 +302,8 @@ def act(x: Element, module: WeightModule) -> ColMatrix:
 
 
 def theta(module: WeightModule):
-    """Diagonal of the grading operator (r s^-1)^(-2 (rho, weight))."""
-    rs = module.algebra.rs
-    rho = rs.rho
-    return [rs_ratio_power(-2 * rs.inner(rho, w)) for w in module.weights]
+    """Diagonal of the grading operator (``Algebra.grading``) on the rows."""
+    return [module.algebra.grading(w) for w in module.weights]
 
 
 def trace_fn(alg: Algebra, lam, x: Element) -> Scalar:

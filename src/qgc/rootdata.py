@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .errors import (IndexOutOfRange, InternalInconsistency, NotDominant,
-                     NotInPositiveCone, RankMismatch)
+from .errors import (BadArgument, IndexOutOfRange, InternalInconsistency,
+                     NotDominant, NotInPositiveCone, RankMismatch)
 from .scalars import memoized
 
 
@@ -68,7 +68,7 @@ class RootSystemB:
 
     def __init__(self, n: int):
         if n < 1:
-            raise ValueError("rank must be at least 1")
+            raise BadArgument("rank must be at least 1")
         self.n = n
         self.simple_roots = []
         for i in range(n - 1):
@@ -297,7 +297,8 @@ class RootSystemB:
         out = Fraction(1)
         for alpha in self.positive_roots:
             out *= self.inner(lam_rho, alpha) / self.inner(rho, alpha)
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise InternalInconsistency(f"non-integral dimension {out} at {lam}")
         return int(out)
 
     def kostant_count(self, nu_alpha) -> int:

@@ -8,7 +8,8 @@ import pytest
 from qgc import center
 from qgc.errors import NoSolution, NotInRootLattice, NotInUb0
 from qgc.qgroup import Algebra
-from qgc.repn import char_value
+from qgc.pairing import s2_twist
+from qgc.repn import char_value, irreducible, theta
 from qgc.scalars import ONE, R, Scalar, rs_ratio_power
 
 
@@ -249,8 +250,63 @@ def test_hc_multiplicative_on_central_product():
     assert prod == img2
 
 
+def reference_weight_blocks(alg, module):
+    """The pair scan over weights: each raising content nu joining two
+    weights, with the (eta, phi) of every weight w that has w + nu."""
+    weights = set(module.weights)
+    blocks = set()
+    for w1 in weights:
+        for w2 in weights:
+            diff = tuple(a - b for a, b in zip(w2, w1))
+            if alg.rs.in_root_lattice(diff):
+                coords = alg.rs.root_coords(diff)
+                if all(c >= 0 for c in coords):
+                    blocks.add(coords)
+    out = {}
+    for nu in sorted(blocks):
+        out[nu] = set()
+        for w in weights:
+            if tuple(a + b for a, b in zip(w, alg.rs.from_alpha(nu))) in weights:
+                eta = alg.rs.root_coords(w)
+                out[nu].add((eta, tuple(-(a + b) for a, b in zip(eta, nu))))
+    return out
+
+
+@pytest.mark.parametrize("lam, count", [
+    ((2, 0), None), ((2, 2), None), ((2, 0, 0), None), ((2, 2, 0), None),
+    ((2, 0, 0, 0), 21)])
+def test_blocks_match_the_weight_pair_scan(lam, count):
+    alg = Algebra(len(lam))
+    module = irreducible(alg, lam)
+    blocks = center._blocks(alg, module)
+    expect = reference_weight_blocks(alg, module)
+    assert list(blocks) == list(expect)
+    assert count is None or len(blocks) == count
+    for nu, rows in blocks.items():
+        assert {(eta, tuple(-(a + b) for a, b in zip(eta, nu)))
+                for _, eta in rows} == expect[nu]
+        up = [tuple(a + b for a, b in zip(w, alg.rs.from_alpha(nu)))
+              for w in module.weights]
+        assert [row for row, _ in rows] == \
+            [row for row, w in enumerate(up) if w in module.weights]
+        for row, eta in rows:
+            assert alg.rs.from_alpha(eta) == module.weights[row]
+
+
+@pytest.mark.parametrize("lam", [(2, 0), (2, 2), (2, 0, 0)])
+def test_one_grading_operator(lam):
+    alg = Algebra(len(lam))
+    module = irreducible(alg, lam)
+    th = theta(module)
+    for row, w in enumerate(module.weights):
+        assert th[row] == alg.grading(w) == \
+            rs_ratio_power(-2 * alg.rs.inner(alg.rs.rho, w))
+    for nu in center._blocks(alg, module):
+        assert s2_twist(alg, nu) * alg.grading(alg.rs.from_alpha(nu)) == ONE
+
+
 def test_solver_empty_ansatz(alg2, monkeypatch):
-    monkeypatch.setattr(center, "_weight_blocks", lambda a, m: [(0, 0)])
+    monkeypatch.setattr(center, "_blocks", lambda a, m: {(0, 0): []})
     with pytest.raises(NoSolution):
         center.central_by_solve(alg2, (2, 0))
 

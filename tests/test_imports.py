@@ -1,8 +1,10 @@
-"""Every name that a module of the package imports is used in that module.
+"""Every name that a module of the package imports is used in that module,
+and no module of the package uses ``assert``.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
-included (``linalg.Echelon`` uses ``linalg``).
+included (``linalg.Echelon`` uses ``linalg``).  ``python -O`` drops assert
+statements, so a check in the package raises a ``QgcError`` instead.
 """
 
 import ast
@@ -38,3 +40,10 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(imported_names(tree)) - used_names(tree))
     assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts at lines {lines}"

@@ -5,8 +5,9 @@ from unittest import mock
 
 import pytest
 
-from qgc import center, linalg, pairing
-from qgc.errors import NonIntegralSecondArgument, RankMismatch, WrongSide
+from qgc import center, linalg, pairing, repn
+from qgc.errors import (NonIntegralSecondArgument, NotInRootLattice, QgcError,
+                        RankMismatch, WrongSide)
 from qgc.qgroup import Algebra, Element, word_content
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
 
@@ -260,6 +261,36 @@ def test_gpair_rejects_non_integral_second(alg2):
         alg2.gpair((1, 0), (Fraction(1, 2), 0))
     # half weights in the first slot are fine
     assert alg2.gpair((Fraction(1, 2), 1), (0, 1)) is not None
+
+
+def test_toral_exponents_are_integers(alg2):
+    # integral Fractions are stored as ints, so the keys match int ones
+    t = alg2.toral((Fraction(2), 0), (0, Fraction(-1, 1)))
+    assert t == alg2.toral((2, 0), (0, -1))
+    assert all(type(x) is int for key in t.terms for x in key[1] + key[2])
+    assert alg2.omega(1, Fraction(3)) == alg2.omega(1, 3)
+    for bad in (Fraction(1, 2), 0.5, 1.0, "1"):
+        with pytest.raises(NotInRootLattice):
+            alg2.toral((bad, 0), (0, 0))
+        with pytest.raises(NotInRootLattice):
+            alg2.toral((0, 0), (0, bad))
+        with pytest.raises(NotInRootLattice):
+            alg2.omega(1, bad)
+        with pytest.raises(NotInRootLattice):
+            alg2.omega_prime(2, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Algebra(0),
+    lambda: Algebra(2).qint(-1, 1),
+    lambda: repn.verma(Algebra(2), (2, 0), (0, 0), -1),
+    lambda: center.parity_kernel(2, 0),
+    lambda: center.parity_kernel(2, 1, "partial"),
+], ids=["rank-0", "qint-negative", "verma-depth", "parity-bound", "parity-mode"])
+def test_caller_input_raises_a_structured_value_error(call):
+    with pytest.raises(QgcError) as exc:
+        call()
+    assert isinstance(exc.value, ValueError)
 
 
 # -- graded bases ---------------------------------------------------------------
