@@ -30,7 +30,7 @@ from .errors import (
 )
 from .pairing import dual_basis
 from .qgroup import Algebra, Element, word_content
-from .repn import act, char_value, irreducible, theta, verma
+from .repn import act, char_exponents, char_value, irreducible, theta, verma
 from .rootdata import WeylElement
 from .scalars import ZERO, Scalar, accumulate, add_scaled
 
@@ -330,8 +330,7 @@ def parity_kernel(n: int, bound: int, mode: str = "lambda_only"):
     units = [tuple(int(k == t) for t in range(2 * n)) for k in range(2 * n)]
     rows = []
     for lam, mu in pairs:
-        exps = [next(iter(char_value(alg, lam, mu, e[:n], e[n:]).num.terms))
-                for e in units]
+        exps = [char_exponents(alg, lam, mu, e[:n], e[n:]) for e in units]
         rows += [[a for a, _ in exps], [b for _, b in exps]]
 
     # reduced row echelon over the rationals

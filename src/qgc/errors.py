@@ -6,7 +6,8 @@ class QgcError(Exception):
 
 
 class BadArgument(QgcError, ValueError):
-    """A rank, depth, bound, count or mode outside the values it accepts."""
+    """A rank, depth, bound, count, mode or exponent outside the values it
+    accepts."""
 
 
 class RankMismatch(QgcError, ValueError):

@@ -35,8 +35,8 @@ from .errors import (
     WrongSide,
 )
 from .rootdata import RootSystemB
-from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized,
-                      rs_ratio_power)
+from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, half_exponent,
+                      memoized, rs_ratio_power)
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -58,12 +58,6 @@ def _word_shift(cross, word):
     """Total crossing exponents of a word, from per-letter (cu, cv)."""
     cu, cv = cross
     return sum(cu[l - 1] for l in word), sum(cv[l - 1] for l in word)
-
-
-def _exponent(x) -> int:
-    if type(x) is not int and Fraction(x).denominator != 1:
-        raise ValueError(f"exponent {x} leaves the half-power lattice")
-    return int(x)
 
 
 def _check_sign(sign):
@@ -234,21 +228,12 @@ class Algebra:
     def __init__(self, n: int):
         self.n = n
         self.rs = RootSystemB(n)
-        # exponents (a_ij, b_ij) with <w'_i, w_j> = r^a s^b over simple roots
-        self._gr = [[0] * n for _ in range(n)]
-        self._gs = [[0] * n for _ in range(n)]
-        for i in range(n):
-            alpha_i = self.rs.simple_roots[i]
-            for j in range(n):
-                if j < n - 1:
-                    self._gr[i][j] = int(2 * self._eps_dot_alpha(j, alpha_i))
-                    self._gs[i][j] = int(2 * self._eps_dot_alpha(j + 1, alpha_i))
-                elif i < n - 1:
-                    self._gr[i][j] = int(2 * self._eps_dot_alpha(n - 1, alpha_i))
-                    self._gs[i][j] = 0
-                else:
-                    self._gr[i][j] = 1
-                    self._gs[i][j] = -1
+        # <w'_i, w_j> = r^gr[i][j] s^gs[i][j] over simple roots, read off the
+        # doubled coordinates of alpha_i, but <w'_n, w_n> = r s^-1
+        roots = self.rs.simple_roots
+        self._gr = [list(a) for a in roots]
+        self._gs = [list(a[1:]) + [0] for a in roots]
+        self._gr[-1][-1], self._gs[-1][-1] = 1, -1
         self._memo = {}
         self._zero = (0,) * n
 
@@ -259,8 +244,8 @@ class Algebra:
         return self._memo.get(name) or {}
 
     def _eps_dot_alpha(self, eps_index, alpha_doubled):
-        # (eps_k, alpha) with alpha in doubled coordinates
-        return Fraction(alpha_doubled[eps_index], 2)
+        # (eps_k, alpha) for a simple root alpha (even doubled coordinates)
+        return alpha_doubled[eps_index] // 2
 
     # -- scalars of the presentation ---------------------------------------
 
@@ -287,6 +272,18 @@ class Algebra:
 
     # -- group-like pairing -------------------------------------------------
 
+    def pair_exponents(self, eta, phi):
+        """(a, b) with <w'_eta, w_phi> = u^a v^b: the one toral exponent form.
+
+        Bilinear over alpha coordinates, with <w'_i, w_j> = r^gr[i][j]
+        s^gs[i][j] on simple roots.  Either slot may hold half-integers; a
+        value off the half powers raises ``BadArgument``.  ``gpair``,
+        ``chi``, ``_crossing`` and ``repn.char_exponents`` are read off it.
+        """
+        pairs = [(x * y, i, j) for i, x in enumerate(eta) if x for j, y in enumerate(phi) if y]
+        return (half_exponent(sum(c * self._gr[i][j] for c, i, j in pairs)),
+                half_exponent(sum(c * self._gs[i][j] for c, i, j in pairs)))
+
     def gpair(self, eta, phi) -> Scalar:
         """<w'_eta, w_phi> extended bimultiplicatively over alpha coordinates.
 
@@ -297,18 +294,13 @@ class Algebra:
             raise RankMismatch("alpha-coordinate length mismatch")
         if any(Fraction(p).denominator != 1 for p in phi):
             raise NonIntegralSecondArgument(f"{phi} is not in the root lattice")
-        return self._gpair_any(eta, phi)
-
-    def _gpair_any(self, eta, phi) -> Scalar:
-        pairs = [(Fraction(ei) * pj, i, j) for i, ei in enumerate(eta) if ei
-                 for j, pj in enumerate(phi) if pj]
-        ru = sum(c * self._gr[i][j] for c, i, j in pairs)
-        sv = sum(c * self._gs[i][j] for c, i, j in pairs)
-        return Scalar.monomial(_exponent(2 * ru), _exponent(2 * sv))
+        return Scalar.monomial(*self.pair_exponents(eta, phi))
 
     def chi(self, eta, phi, eta1, phi1) -> Scalar:
         """Toral character value <w'_eta, w_phi1> <w'_eta1, w_phi>."""
-        return self._gpair_any(eta, phi1) * self._gpair_any(eta1, phi)
+        a, b = self.pair_exponents(eta, phi1)
+        a1, b1 = self.pair_exponents(eta1, phi)
+        return Scalar.monomial(a + a1, b + b1)
 
     # -- literal conjugation tables of the presentation ---------------------
 
@@ -319,11 +311,11 @@ class Algebra:
         if j < n:
             a = self._eps_dot_alpha(j - 1, alpha_i)
             b = self._eps_dot_alpha(j, alpha_i)
-            return _pow(self.r_i(j), a) * _pow(self.s_i(j), b)
+            return self.r_i(j) ** a * self.s_i(j) ** b
         if i < n:
-            return _pow(self.r_i(n), 2 * self._eps_dot_alpha(n - 1, alpha_i))
+            return self.r_i(n) ** (2 * self._eps_dot_alpha(n - 1, alpha_i))
         e = self._eps_dot_alpha(n - 1, alpha_i)
-        return _pow(self.r_i(n), e) * _pow(self.s_i(n), -e)
+        return self.r_i(n) ** e * self.s_i(n) ** -e
 
     def conj_omega_prime_e(self, j: int, i: int) -> Scalar:
         """Scalar c with w'_j e_i w'_j^-1 = c e_i, from the defining tables."""
@@ -332,11 +324,11 @@ class Algebra:
         if j < n:
             a = self._eps_dot_alpha(j - 1, alpha_i)
             b = self._eps_dot_alpha(j, alpha_i)
-            return _pow(self.s_i(j), a) * _pow(self.r_i(j), b)
+            return self.s_i(j) ** a * self.r_i(j) ** b
         if i < n:
-            return _pow(self.s_i(n), 2 * self._eps_dot_alpha(n - 1, alpha_i))
+            return self.s_i(n) ** (2 * self._eps_dot_alpha(n - 1, alpha_i))
         e = self._eps_dot_alpha(n - 1, alpha_i)
-        return _pow(self.s_i(n), e) * _pow(self.r_i(n), -e)
+        return self.s_i(n) ** e * self.r_i(n) ** -e
 
     # -- element constructors -----------------------------------------------
 
@@ -400,8 +392,10 @@ class Algebra:
     def serre_relators(self, sign):
         """Degree-homogeneous relators of one triangular half, as word maps.
 
-        Built once per sign; callers must not mutate the returned list or
-        its maps.
+        The lowering relators are the raising ones with each word reversed:
+        tau maps e_i to f_i and reverses products, and every coefficient is
+        fixed by r <-> s.  Built once per sign; callers must not mutate the
+        returned list or its maps.
         """
         _check_sign(sign)  # raises before the memo stores anything
         n = self.n
@@ -412,40 +406,25 @@ class Algebra:
         for i in range(1, n):
             a = self.r_i(i) + self.s_i(i)
             b = self.r_i(i) * self.s_i(i)
-            if sign == "+":
-                rels.append({(i, i, i + 1): ONE, (i, i + 1, i): -a,
-                             (i + 1, i, i): b})
-            else:
-                rels.append({(i + 1, i, i): ONE, (i, i + 1, i): -a,
-                             (i, i, i + 1): b})
+            rels.append({(i, i, i + 1): ONE, (i, i + 1, i): -a, (i + 1, i, i): b})
         for j in range(1, n - 1):
             a = self.r_i(j + 1).inverse() + self.s_i(j + 1).inverse()
             b = (self.r_i(j + 1) * self.s_i(j + 1)).inverse()
-            if sign == "+":
-                rels.append({(j + 1, j + 1, j): ONE, (j + 1, j, j + 1): -a,
-                             (j, j + 1, j + 1): b})
-            else:
-                rels.append({(j, j + 1, j + 1): ONE, (j + 1, j, j + 1): -a,
-                             (j + 1, j + 1, j): b})
+            rels.append({(j + 1, j + 1, j): ONE, (j + 1, j, j + 1): -a,
+                         (j, j + 1, j + 1): b})
         if n >= 2:
             rn_inv = self.r_i(n).inverse()
             sn_inv = self.s_i(n).inverse()
             big = rn_inv ** 2 + rn_inv * sn_inv + sn_inv ** 2
             prod = rn_inv * sn_inv
-            if sign == "+":
-                rels.append({
-                    (n, n, n, n - 1): ONE,
-                    (n, n, n - 1, n): -big,
-                    (n, n - 1, n, n): prod * big,
-                    (n - 1, n, n, n): -(prod ** 3),
-                })
-            else:
-                rels.append({
-                    (n - 1, n, n, n): ONE,
-                    (n, n - 1, n, n): -big,
-                    (n, n, n - 1, n): prod * big,
-                    (n, n, n, n - 1): -(prod ** 3),
-                })
+            rels.append({
+                (n, n, n, n - 1): ONE,
+                (n, n, n - 1, n): -big,
+                (n, n - 1, n, n): prod * big,
+                (n - 1, n, n, n): -(prod ** 3),
+            })
+        if sign == "-":
+            rels = [{w[::-1]: c for w, c in rel.items()} for rel in rels]
         return rels
 
     def words_of_content(self, nu):
@@ -649,13 +628,13 @@ class Algebra:
         """Exponents of the toral t = w'_eta w_phi crossing one letter.
 
         Returns (cu, cv) with t f_l = u^cu[l-1] v^cv[l-1] f_l t, which is
-        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l, as tuples.
+        also the scalar in e_l t = u^cu[l-1] v^cv[l-1] t e_l, as tuples:
+        per letter l, the exponents of <w'_eta, w_l> <w'_l, w_phi>^-1
+        (``pair_exponents``).
         """
-        n, gr, gs = self.n, self._gr, self._gs
-        cu = tuple(_exponent(2 * sum(eta[k] * gr[k][l] - gr[l][k] * phi[k]
-                                     for k in range(n))) for l in range(n))
-        cv = tuple(_exponent(2 * sum(eta[k] * gs[k][l] - gs[l][k] * phi[k]
-                                     for k in range(n))) for l in range(n))
+        units = (_unit(self.n, l) for l in range(1, self.n + 1))
+        cu, cv = zip(*(_vec_add(self.pair_exponents(eta, u),
+                                _vec_neg(self.pair_exponents(u, phi))) for u in units))
         return cu, cv
 
     def _conjugate(self, eta, phi, z: Element) -> Element:
@@ -767,6 +746,3 @@ class Algebra:
     def __repr__(self):
         return f"Algebra(B{self.n})"
 
-
-def _pow(base: Scalar, exp) -> Scalar:
-    return base ** _exponent(exp)

@@ -16,22 +16,31 @@ from .errors import (BadArgument, InternalInconsistency, NotDominant, RankMismat
                      TruncationOverflow)
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
-from .scalars import (ONE, ZERO, Scalar, accumulate, add_scaled, memoized,
-                      rs_ratio_power)
+from .scalars import ONE, ZERO, Scalar, accumulate, add_scaled, half_exponent, memoized
+
+
+def char_exponents(alg: Algebra, lam, mu, eta, phi):
+    """(a, b) with the character of w'_eta w_phi at (lam, mu) equal to u^a v^b.
+
+    The first index acts through the toral exponent form
+    (``Algebra.pair_exponents``) as <w'_eta, w_lam>^-1 <w'_lam, w_phi>,
+    with lam in alpha coordinates (half-integers for spin weights); the
+    second through (r s^-1) raised to the pairing of eta + phi with mu.
+    """
+    lam_alpha = alg.rs.alpha_coords(lam)
+    a1, b1 = alg.pair_exponents(eta, lam_alpha)
+    a2, b2 = alg.pair_exponents(lam_alpha, phi)
+    e = 0
+    if any(mu):
+        shift = alg.rs.from_alpha(tuple(a + b for a, b in zip(eta, phi)))
+        e = half_exponent(alg.rs.inner(shift, mu))
+    return a2 - a1 + e, b2 - b1 - e
 
 
 def char_value(alg: Algebra, lam, mu, eta, phi) -> Scalar:
-    """Character of the toral monomial w'_eta w_phi at the pair (lam, mu).
-
-    The first index acts through the group-like pairing, the second through
-    (r s^-1) raised to the pairing of eta + phi with mu.
-    """
-    lam_alpha = alg.rs.alpha_coords(lam)
-    val = alg._gpair_any(eta, lam_alpha).inverse() * alg._gpair_any(lam_alpha, phi)
-    if any(mu):
-        shift = alg.rs.from_alpha(tuple(a + b for a, b in zip(eta, phi)))
-        val = val * rs_ratio_power(alg.rs.inner(shift, mu))
-    return val
+    """Character of the toral monomial w'_eta w_phi at the pair (lam, mu):
+    the unit monomial of ``char_exponents``."""
+    return Scalar.monomial(*char_exponents(alg, lam, mu, eta, phi))
 
 
 class ColMatrix:

@@ -28,6 +28,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .errors import BadArgument
+
 
 class PoleAtPoint(ZeroDivisionError):
     """Numeric evaluation hit a zero of the denominator."""
@@ -715,28 +717,19 @@ def memoized(fn):
     return cached
 
 
+def half_exponent(q) -> int:
+    """2q as an int: the exponent over u = r^(1/2) (or v = s^(1/2)) of a
+    power r^q.  Raises ``BadArgument`` when q is not in (1/2)Z."""
+    e = 2 * q
+    if type(e) is not int:
+        e = Fraction(e)
+        if e.denominator != 1:
+            raise BadArgument(f"exponent {q} leaves the half-power lattice")
+        e = int(e)
+    return e
+
+
 def rs_ratio_power(q) -> Scalar:
     """(r s^-1)^q for q in (1/2)Z, as an exact monomial."""
-    q = Fraction(q)
-    e = 2 * q
-    if e.denominator != 1:
-        raise ValueError(f"(r/s)^{q} is not representable over half powers")
-    return Scalar.monomial(int(e), -int(e))
-
-
-def rs_product_power(q) -> Scalar:
-    """(r s)^q for q in (1/2)Z, as an exact monomial."""
-    q = Fraction(q)
-    e = 2 * q
-    if e.denominator != 1:
-        raise ValueError(f"(rs)^{q} is not representable over half powers")
-    return Scalar.monomial(int(e), int(e))
-
-
-def r_power(q) -> Scalar:
-    """r^q for q in (1/2)Z."""
-    q = Fraction(q)
-    e = 2 * q
-    if e.denominator != 1:
-        raise ValueError(f"r^{q} is not representable over half powers")
-    return Scalar.monomial(int(e), 0)
+    e = half_exponent(q)
+    return Scalar.monomial(e, -e)

@@ -4,7 +4,9 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -362,6 +364,23 @@ def test_rank3_vector_trace_and_solve(algebras, z_vector_rank3):
     # the independent solver reaches the same rank-3 element as the trace
     solved = center.central_by_solve(algebras[3], (2, 0, 0))
     assert solved.element == z_vector_rank3
+
+
+# sha256 of json.dumps(z.to_json(), sort_keys=True) for each trace element
+TRACE_DIGESTS = {
+    (0, 0): "6d8c58350c0af2d7b0c7b9d2557fd76ed9979f41cf0941d7aca8522b4947a0b6",
+    (2, 0): "115618b02ba481468b1e169e1fb0ae044db622bd7bfd7f13dd9e82dd14332c92",
+    (2, 2): "3b065cb550a4dc87975bfcd2278b3cc2955607baff7e7351a3ea62584387035c",
+    (2, 0, 0): "4075b10d1727ba9b0f84d0c0be116446b0dec94dfed9d717e37f772d90c027c6",
+}
+
+
+def test_trace_elements_keep_their_digests(trace_elements, z_vector_rank3):
+    elements = dict(trace_elements)
+    elements[(2, 0, 0)] = z_vector_rank3
+    for lam, z in elements.items():
+        text = json.dumps(z.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[lam], lam
 
 
 def test_junction_table_stays_bounded(algebras, trace_elements):

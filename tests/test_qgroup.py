@@ -6,10 +6,10 @@ from unittest import mock
 import pytest
 
 from qgc import center, linalg, pairing, repn
-from qgc.errors import (NonIntegralSecondArgument, NotInRootLattice, QgcError,
-                        RankMismatch, WrongSide)
+from qgc.errors import (BadArgument, NonIntegralSecondArgument, NotInRootLattice,
+                        QgcError, RankMismatch, WrongSide)
 from qgc.qgroup import Algebra, Element, word_content
-from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
+from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar, rs_ratio_power
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +263,74 @@ def test_gpair_rejects_non_integral_second(alg2):
     assert alg2.gpair((Fraction(1, 2), 1), (0, 1)) is not None
 
 
+def reference_gpair(alg, eta, phi):
+    """<w'_eta, w_phi> from the (eps_k, alpha_i) table and a Fraction loop,
+    either slot possibly half-integral."""
+    n = alg.n
+    gr = [[0] * n for _ in range(n)]
+    gs = [[0] * n for _ in range(n)]
+    for i, alpha in enumerate(alg.rs.simple_roots):
+        for j in range(n):
+            if j < n - 1:
+                gr[i][j] = int(2 * Fraction(alpha[j], 2))
+                gs[i][j] = int(2 * Fraction(alpha[j + 1], 2))
+            elif i < n - 1:
+                gr[i][j] = int(2 * Fraction(alpha[n - 1], 2))
+            else:
+                gr[i][j], gs[i][j] = 1, -1
+    pairs = [(Fraction(ei) * pj, i, j) for i, ei in enumerate(eta) if ei
+             for j, pj in enumerate(phi) if pj]
+    ru = 2 * sum(c * gr[i][j] for c, i, j in pairs)
+    sv = 2 * sum(c * gs[i][j] for c, i, j in pairs)
+    assert Fraction(ru).denominator == Fraction(sv).denominator == 1
+    return Scalar.monomial(int(ru), int(sv))
+
+
+def rand_alpha(rng, n, half=False):
+    """Random alpha coordinates in [-3, 3], in steps of 1/2 when half."""
+    if half:
+        return tuple(Fraction(rng.randint(-6, 6), 2) for _ in range(n))
+    return tuple(rng.randint(-3, 3) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gpair_and_chi_match_the_reference_table(n):
+    alg = Algebra(n)
+    rng = random.Random(40 + n)
+    for trial in range(40):
+        eta, eta1 = rand_alpha(rng, n, trial % 2), rand_alpha(rng, n, trial % 3 == 0)
+        phi, phi1 = rand_alpha(rng, n), rand_alpha(rng, n)
+        assert alg.gpair(eta, phi) == reference_gpair(alg, eta, phi), (eta, phi)
+        assert alg.chi(eta, phi, eta1, phi1) == \
+            reference_gpair(alg, eta, phi1) * reference_gpair(alg, eta1, phi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_crossing_matches_the_toral_move(n):
+    alg = Algebra(n)
+    rng = random.Random(50 + n)
+    for _ in range(25):
+        eta, phi = rand_alpha(rng, n), rand_alpha(rng, n)
+        cu, cv = alg._crossing(eta, phi)
+        for l in range(1, n + 1):
+            u = unit(n, l)
+            move = Scalar.monomial(cu[l - 1], cv[l - 1])
+            assert move == toral_move(alg, eta, phi, l), (eta, phi, l)
+            assert move == reference_gpair(alg, eta, u) * \
+                reference_gpair(alg, u, phi).inverse()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Algebra(2).gpair((Fraction(1, 8), 0), (1, 0)),
+    lambda: Algebra(2).gpair((Fraction(1, 3), 0), (0, 1)),
+    lambda: rs_ratio_power(Fraction(1, 3)),
+], ids=["gpair-eighth", "gpair-third", "rs-ratio-third"])
+def test_exponents_off_the_half_powers_raise_bad_argument(call):
+    with pytest.raises(BadArgument) as exc:
+        call()
+    assert isinstance(exc.value, QgcError) and isinstance(exc.value, ValueError)
+
+
 def test_toral_exponents_are_integers(alg2):
     # integral Fractions are stored as ints, so the keys match int ones
     t = alg2.toral((Fraction(2), 0), (0, Fraction(-1, 1)))
@@ -415,6 +483,49 @@ def test_graded_basis_relation_rows():
             for sign in "+-":
                 alg.graded_basis(sign, nu)
     assert add.call_count <= 100
+
+
+def reference_lowering_relators(alg):
+    """The lowering Serre relators as a literal table."""
+    n = alg.n
+    rels = []
+    for i in range(1, n + 1):
+        for j in range(i + 2, n + 1):
+            rels.append({(i, j): ONE, (j, i): -ONE})
+    for i in range(1, n):
+        a = alg.r_i(i) + alg.s_i(i)
+        b = alg.r_i(i) * alg.s_i(i)
+        rels.append({(i + 1, i, i): ONE, (i, i + 1, i): -a, (i, i, i + 1): b})
+    for j in range(1, n - 1):
+        a = alg.r_i(j + 1).inverse() + alg.s_i(j + 1).inverse()
+        b = (alg.r_i(j + 1) * alg.s_i(j + 1)).inverse()
+        rels.append({(j, j + 1, j + 1): ONE, (j + 1, j, j + 1): -a,
+                     (j + 1, j + 1, j): b})
+    if n >= 2:
+        rn_inv = alg.r_i(n).inverse()
+        sn_inv = alg.s_i(n).inverse()
+        big = rn_inv ** 2 + rn_inv * sn_inv + sn_inv ** 2
+        prod = rn_inv * sn_inv
+        rels.append({
+            (n - 1, n, n, n): ONE,
+            (n, n - 1, n, n): -big,
+            (n, n, n - 1, n): prod * big,
+            (n, n, n, n - 1): -(prod ** 3),
+        })
+    return rels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lowering_relators_reverse_the_raising_ones(n):
+    alg = Algebra(n)
+    got = alg.serre_relators("-")
+    expect = reference_lowering_relators(alg)
+    assert len(got) == len(expect)
+    for rel, ref in zip(got, expect):
+        assert rel == ref or rel == {w: -c for w, c in ref.items()}, (rel, ref)
+    # word reversal is tau on the relators since tau fixes each coefficient
+    for rel in alg.serre_relators("+"):
+        assert all(c.swap() == c for c in rel.values())
 
 
 def test_serre_relators_built_once():
@@ -723,7 +834,6 @@ def test_antipode_squared_twist(alg2):
         x = alg2.fword_element(word)
         nu = word_content(2, word)
         pow2 = 2 * alg2.rs.inner(alg2.rs.from_alpha(nu), alg2.rs.from_alpha(alg2.rs.rho_alpha))
-        from qgc.scalars import rs_ratio_power
         twist = rs_ratio_power(pow2)
         assert alg2.antipode(alg2.antipode(x)) == x.scale(twist)
 

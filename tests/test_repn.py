@@ -17,8 +17,8 @@ from qgc.repn import (
     trace_fn,
     verma,
 )
-from qgc.scalars import (ONE, ZERO, Scalar, accumulate, rs_ratio_power, rs_product_power,
-                         r_power)
+from qgc.scalars import ONE, ZERO, Scalar, accumulate, rs_ratio_power
+from test_qgroup import rand_alpha, reference_gpair
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +105,30 @@ def test_char_value_closed_form(alg2):
         lam = alg2.rs.from_alpha(lam_alpha)
         got = char_value(alg2, lam, (0,) * n, (0,) * n, unit_n)
         eps_n = alg2.rs.inner(tuple(0 if k < n - 1 else 2 for k in range(n)), lam)
-        expect = r_power(2 * eps_n) * rs_product_power(-lam_alpha[n - 1])
+        expect = Scalar.monomial(int(4 * eps_n - 2 * lam_alpha[n - 1]), -2 * lam_alpha[n - 1])
         assert got == expect
+
+
+def reference_char_value(alg, lam, mu, eta, phi):
+    """<w'_eta, w_lam>^-1 <w'_lam, w_phi> (r s^-1)^((eta + phi, mu)), a
+    product of three Scalars."""
+    lam_alpha = alg.rs.alpha_coords(lam)
+    shift = alg.rs.from_alpha(tuple(a + b for a, b in zip(eta, phi)))
+    return reference_gpair(alg, eta, lam_alpha).inverse() * \
+        reference_gpair(alg, lam_alpha, phi) * rs_ratio_power(alg.rs.inner(shift, mu))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_char_value_matches_the_three_factor_product(n):
+    alg = Algebra(n)
+    rng = random.Random(70 + n)
+    for trial in range(40):
+        # odd doubled coordinates on every other trial: spin weights
+        lam = tuple(2 * rng.randint(-2, 2) + trial % 2 for _ in range(n))
+        mu = tuple(2 * rng.randint(-2, 2) + (trial % 3 == 0) for _ in range(n))
+        eta, phi = rand_alpha(rng, n), rand_alpha(rng, n)
+        assert char_value(alg, lam, mu, eta, phi) == \
+            reference_char_value(alg, lam, mu, eta, phi), (lam, mu, eta, phi)
 
 
 def test_defining_relations_on_truncation(alg2):
