@@ -43,10 +43,6 @@ class SingularGram(QgcError, ArithmeticError):
     """A graded Gram matrix came out singular; signals an implementation bug."""
 
 
-class TruncationOverflow(QgcError, ArithmeticError):
-    """An action left the truncated module."""
-
-
 class NotInUb0(QgcError, ValueError):
     """Operand is not supported on balanced toral monomials."""
 

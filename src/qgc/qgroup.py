@@ -243,10 +243,6 @@ class Algebra:
         first call.  Read it, do not write it."""
         return self._memo.get(name) or {}
 
-    def _eps_dot_alpha(self, eps_index, alpha_doubled):
-        # (eps_k, alpha) for a simple root alpha (even doubled coordinates)
-        return alpha_doubled[eps_index] // 2
-
     # -- scalars of the presentation ---------------------------------------
 
     def root_norm(self, i: int) -> int:
@@ -301,34 +297,6 @@ class Algebra:
         a, b = self.pair_exponents(eta, phi1)
         a1, b1 = self.pair_exponents(eta1, phi)
         return Scalar.monomial(a + a1, b + b1)
-
-    # -- literal conjugation tables of the presentation ---------------------
-
-    def conj_omega_e(self, j: int, i: int) -> Scalar:
-        """Scalar c with w_j e_i w_j^-1 = c e_i, from the defining tables."""
-        n = self.n
-        alpha_i = self.rs.simple_roots[i - 1]
-        if j < n:
-            a = self._eps_dot_alpha(j - 1, alpha_i)
-            b = self._eps_dot_alpha(j, alpha_i)
-            return self.r_i(j) ** a * self.s_i(j) ** b
-        if i < n:
-            return self.r_i(n) ** (2 * self._eps_dot_alpha(n - 1, alpha_i))
-        e = self._eps_dot_alpha(n - 1, alpha_i)
-        return self.r_i(n) ** e * self.s_i(n) ** -e
-
-    def conj_omega_prime_e(self, j: int, i: int) -> Scalar:
-        """Scalar c with w'_j e_i w'_j^-1 = c e_i, from the defining tables."""
-        n = self.n
-        alpha_i = self.rs.simple_roots[i - 1]
-        if j < n:
-            a = self._eps_dot_alpha(j - 1, alpha_i)
-            b = self._eps_dot_alpha(j, alpha_i)
-            return self.s_i(j) ** a * self.r_i(j) ** b
-        if i < n:
-            return self.s_i(n) ** (2 * self._eps_dot_alpha(n - 1, alpha_i))
-        e = self._eps_dot_alpha(n - 1, alpha_i)
-        return self.s_i(n) ** e * self.r_i(n) ** -e
 
     # -- element constructors -----------------------------------------------
 
@@ -426,25 +394,6 @@ class Algebra:
         if sign == "-":
             rels = [{w[::-1]: c for w, c in rel.items()} for rel in rels]
         return rels
-
-    def words_of_content(self, nu):
-        """All words over 1..n with the given alpha-coordinate content."""
-        out = []
-
-        def rec(prefix, remaining):
-            if all(c == 0 for c in remaining):
-                out.append(tuple(prefix))
-                return
-            for i in range(self.n):
-                if remaining[i]:
-                    remaining[i] -= 1
-                    prefix.append(i + 1)
-                    rec(prefix, remaining)
-                    prefix.pop()
-                    remaining[i] += 1
-
-        rec([], list(nu))
-        return out
 
     def graded_basis(self, sign, nu) -> GradedBasis:
         """The basis of content nu, by induction on the last letter.

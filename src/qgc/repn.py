@@ -12,8 +12,7 @@ maps; the grading operator acts on a weight-mu vector by
 
 from __future__ import annotations
 
-from .errors import (BadArgument, InternalInconsistency, NotDominant, RankMismatch,
-                     TruncationOverflow)
+from .errors import BadArgument, InternalInconsistency, NotDominant, RankMismatch
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
 from .scalars import ONE, ZERO, Scalar, accumulate, add_scaled, half_exponent, memoized
@@ -124,16 +123,14 @@ class WeightModule:
     Rows are labelled by lowering representative words w, the vectors
     f_w v, over a down-closed list of contents: by height, then content,
     then word.  ``reduction`` writes each word of those contents that is not
-    a row over the rows (empty for a Verma module).  ``exact`` is False for
-    depth-truncated modules, where lowering out of the contents overflows;
-    in a quotient, lowering out of them gives zero.
+    a row over the rows (empty for a Verma module).  Lowering out of the
+    contents gives zero.
     """
 
-    def __init__(self, alg: Algebra, lam, mu, contents, reduction, exact):
+    def __init__(self, alg: Algebra, lam, mu, contents, reduction):
         self.algebra = alg
         self.lam = tuple(lam)
         self.mu = tuple(mu)
-        self.exact = exact
         self._contents = set(contents)
         self.labels = [w for nu in contents
                        for w in alg.graded_basis("-", nu).words
@@ -147,7 +144,6 @@ class WeightModule:
             self.lam, alg.rs.from_alpha(word_content(alg.n, w))))
             for w in self.labels]
         self._memo = {}
-        self._overflow = set()
 
     @property
     def dim(self):
@@ -169,8 +165,6 @@ class WeightModule:
         word = (i,) + self.labels[col]
         if word_content(alg.n, word) in self._contents:
             return self._in_basis(alg.reduce_word("-", word))
-        if not self.exact:
-            self._overflow.add((i, col))
         return {}
 
     @memoized
@@ -217,15 +211,11 @@ class WeightModule:
             add_scaled(out, cur, c)
         return out
 
-    def _apply_cols(self, colfun, i, vec, strict=False):
-        """Image of vec under colfun(i, .); strict raises on truncation overflow."""
+    def _apply_cols(self, colfun, i, vec):
+        """Image of vec under colfun(i, .)."""
         out = {}
         for r, v in vec.items():
-            col = colfun(i, r)
-            if strict and colfun == self.f_col and (i, r) in self._overflow:
-                raise TruncationOverflow(
-                    f"lowering {self.labels[r]} by {i} leaves the truncation")
-            add_scaled(out, col, v)
+            add_scaled(out, colfun(i, r), v)
         return out
 
     def act(self, x: Element) -> ColMatrix:
@@ -249,7 +239,7 @@ def verma(alg: Algebra, lam, mu, depth: int) -> WeightModule:
     if len(lam) != alg.n or len(mu) != alg.n:
         raise RankMismatch("weight length mismatch")
     contents = [nu for h in range(depth + 1) for nu in _heights(alg.n, h)]
-    return WeightModule(alg, lam, mu, contents, {}, exact=False)
+    return WeightModule(alg, lam, mu, contents, {})
 
 
 def irreducible(alg: Algebra, lam) -> WeightModule:
@@ -294,7 +284,7 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
                 work.append(img)
 
     reduction = {w: {k: -c for k, c in row.items()} for w, row in span.rows.items()}
-    module = WeightModule(alg, lam, (0,) * alg.n, contents, reduction, exact=True)
+    module = WeightModule(alg, lam, (0,) * alg.n, contents, reduction)
     expect = alg.rs.weyl_dim(lam)
     if module.dim != expect:
         raise InternalInconsistency(
@@ -340,8 +330,8 @@ def qint_action_identity(alg: Algebra, lam, mu, i: int) -> bool:
     module = verma(alg, lam, mu, depth=m + 1)
     vec = {0: ONE}
     for _ in range(m + 1):
-        vec = module._apply_cols(module.f_col, i, vec, strict=True)
-    lhs = module._apply_cols(module.e_col, i, vec, strict=True)
+        vec = module.apply(alg.f(i), vec)
+    lhs = module.apply(alg.e(i), vec)
     eta = tuple(1 if k == i - 1 else 0 for k in range(alg.n))
     w_val = char_value(alg, lam, mu, (0,) * alg.n, eta)
     wp_val = char_value(alg, lam, mu, eta, (0,) * alg.n)
@@ -350,7 +340,5 @@ def qint_action_identity(alg: Algebra, lam, mu, i: int) -> bool:
         (alg.r_i(i) - alg.s_i(i))
     rhs = {0: ONE}
     for _ in range(m):
-        rhs = module._apply_cols(module.f_col, i, rhs, strict=True)
-    rhs = {r: v * scalar for r, v in rhs.items() if not (v * scalar).is_zero()}
-    lhs = {r: v for r, v in lhs.items() if not v.is_zero()}
-    return lhs == rhs
+        rhs = module.apply(alg.f(i), rhs)
+    return lhs == add_scaled({}, rhs, scalar)

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import (BadArgument, IndexOutOfRange, InternalInconsistency,
-                     NotDominant, NotInPositiveCone, RankMismatch)
+                     NotDominant, NotInPositiveCone, NotInRootLattice, RankMismatch)
 from .scalars import memoized
 
 
@@ -156,7 +156,7 @@ class RootSystemB:
         """Alpha coordinates of a root-lattice vector, as plain integers."""
         coords = self.alpha_coords(vec)
         if any(c.denominator != 1 for c in coords):
-            raise NotInPositiveCone(f"{vec} is not in the root lattice")
+            raise NotInRootLattice(f"{vec} is not in the root lattice")
         return tuple(int(c) for c in coords)
 
     def from_fund(self, coeffs):
@@ -207,27 +207,12 @@ class RootSystemB:
         signs[n - 1] = -1
         return WeylElement(range(n), signs)
 
-    def reflect(self, i: int, lam):
-        """sigma_i(lam) = lam - (lam, alpha_i^vee) alpha_i."""
-        cp = self.coroot_pair(lam, i)
-        alpha = self.simple_roots[i - 1]
-        out = tuple(x - cp * a for x, a in zip(lam, alpha))
-        return tuple(int(x) if Fraction(x).denominator == 1 else x for x in out)
-
     def weyl_orbit(self, lam):
         """W lam: W(B_n) acts on epsilon coordinates by signed permutations."""
         self._check(lam)
         return {tuple(s * x for s, x in zip(signs, perm))
                 for perm in itertools.permutations(lam)
                 for signs in itertools.product((1, -1), repeat=self.n)}
-
-    def weyl_group(self):
-        """All 2^n n! signed permutations."""
-        out = []
-        for perm in itertools.permutations(range(self.n)):
-            for signs in itertools.product((1, -1), repeat=self.n):
-                out.append(WeylElement(perm, signs))
-        return out
 
     def dominant_representative(self, vec):
         return tuple(sorted((abs(x) for x in vec), reverse=True))

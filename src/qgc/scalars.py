@@ -577,16 +577,11 @@ class Scalar:
         return self.inverse() * other
 
     def __pow__(self, k):
+        # powers of coprime parts stay coprime, and a power of a canonical
+        # denominator is canonical, so no gcd is needed
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Scalar(self.num ** k, self.den ** k, _canonical=True)
 
     def __eq__(self, other):
         other = Scalar._coerce(other)

@@ -15,6 +15,8 @@ from qgc import center, linalg, pairing, repn
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
 from test_center import reference_centrality_failures
+from test_qgroup import conj_omega_e, conj_omega_prime_e
+from test_rootdata import reflect, weyl_group
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,12 @@ def z_vector(trace_elements):
 def z_vector_rank3(algebras):
     """The certified rank-3 trace element of the vector representation."""
     return center.central_from_trace(algebras[3], (2, 0, 0)).element
+
+
+@pytest.fixture(scope="module")
+def z_vector_rank4(algebras):
+    """The certified rank-4 trace element of the vector representation."""
+    return center.central_from_trace(algebras[4], (2, 0, 0, 0)).element
 
 
 def cone_points(n, max_height):
@@ -76,15 +84,15 @@ def test_defining_relations_normalize_to_zero(algebras):
                     alg.omega_prime(j) * alg.omega(i)
                 # conjugation relations against the literal exponent tables
                 conj = alg.omega(j) * alg.e(i) * alg.omega(j, -1)
-                assert (conj - alg.e(i).scale(alg.conj_omega_e(j, i))).is_zero()
+                assert (conj - alg.e(i).scale(conj_omega_e(alg, j, i))).is_zero()
                 conj = alg.omega(j) * alg.f(i) * alg.omega(j, -1)
                 assert (conj - alg.f(i).scale(
-                    alg.conj_omega_e(j, i).inverse())).is_zero()
+                    conj_omega_e(alg, j, i).inverse())).is_zero()
                 conj = alg.omega_prime(j) * alg.e(i) * alg.omega_prime(j, -1)
-                assert (conj - alg.e(i).scale(alg.conj_omega_prime_e(j, i))).is_zero()
+                assert (conj - alg.e(i).scale(conj_omega_prime_e(alg, j, i))).is_zero()
                 conj = alg.omega_prime(j) * alg.f(i) * alg.omega_prime(j, -1)
                 assert (conj - alg.f(i).scale(
-                    alg.conj_omega_prime_e(j, i).inverse())).is_zero()
+                    conj_omega_prime_e(alg, j, i).inverse())).is_zero()
                 # raising/lowering commutator
                 lhs = alg.e(i) * alg.f(j) - alg.f(j) * alg.e(i)
                 if i == j:
@@ -239,7 +247,7 @@ def test_irreducibles_match_freudenthal(algebras):
         assert mults == alg.rs.freudenthal_mults(lam)
         for w, m in mults.items():
             for i in (1, 2):
-                assert mults[alg.rs.reflect(i, w)] == m
+                assert mults[reflect(alg.rs, i, w)] == m
 
 
 def test_rank4_vector_irreducible(algebras):
@@ -303,7 +311,7 @@ def test_verma_scalars_weyl_invariant(algebras, z_vector):
         shifted = tuple(a + b for a, b in zip(lam, rho))
         assert scalar == center.char_eval(alg, shifted, mu, image)
         for i in (1, 2):
-            refl = alg.rs.reflect(i, shifted)
+            refl = reflect(alg.rs, i, shifted)
             assert center.char_eval(alg, refl, mu, image) == scalar
 
 
@@ -322,7 +330,7 @@ def test_hc_images_triangular_independent(algebras, trace_elements):
     images = {}
     for lam, z in trace_elements.items():
         image = center.hc_xi(alg, z)
-        for sigma in alg.rs.weyl_group():
+        for sigma in weyl_group(alg.rs):
             assert center.weyl_act(alg, sigma, image) == image
         coeffs = center.av_expand(alg, image)
         lead = coeffs.pop(lam)
@@ -360,6 +368,21 @@ def test_rank3_vector_trace_element_hc_image(algebras, z_vector_rank3):
     assert all(alg.rs.dominance_leq(dom, lam) for dom in coeffs)
 
 
+def test_rank4_vector_trace_element_hc_image(algebras, z_vector_rank4):
+    # the even-rank side of the parity dichotomy, for an actual central
+    # element: one unit term per weight of the 9-dimensional module
+    alg = algebras[4]
+    assert len(z_vector_rank4.terms) == 8288
+    image = center.hc_xi(alg, z_vector_rank4)
+    assert len(image) == 9 and all(c == ONE for c in image.values())
+    assert center.toral_is_balanced(image)
+    for i in range(1, alg.n + 1):
+        sigma = alg.rs.simple_reflection(i)
+        assert center.weyl_act(alg, sigma, image) == image
+    assert center.av_expand(alg, image) == {(2, 0, 0, 0): Scalar.from_int(8),
+                                            (0, 0, 0, 0): ONE}
+
+
 def test_rank3_vector_trace_and_solve(algebras, z_vector_rank3):
     # the independent solver reaches the same rank-3 element as the trace
     solved = center.central_by_solve(algebras[3], (2, 0, 0))
@@ -372,12 +395,15 @@ TRACE_DIGESTS = {
     (2, 0): "115618b02ba481468b1e169e1fb0ae044db622bd7bfd7f13dd9e82dd14332c92",
     (2, 2): "3b065cb550a4dc87975bfcd2278b3cc2955607baff7e7351a3ea62584387035c",
     (2, 0, 0): "4075b10d1727ba9b0f84d0c0be116446b0dec94dfed9d717e37f772d90c027c6",
+    (2, 0, 0, 0): "deb2512c576bc3a7e5fff85aab244240f13bf0b5176e02f9763c29b5fc3b644e",
 }
 
 
-def test_trace_elements_keep_their_digests(trace_elements, z_vector_rank3):
+def test_trace_elements_keep_their_digests(trace_elements, z_vector_rank3,
+                                           z_vector_rank4):
     elements = dict(trace_elements)
     elements[(2, 0, 0)] = z_vector_rank3
+    elements[(2, 0, 0, 0)] = z_vector_rank4
     for lam, z in elements.items():
         text = json.dumps(z.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[lam], lam

@@ -11,6 +11,7 @@ from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
 from qgc.repn import char_value, irreducible, theta
 from qgc.scalars import ONE, R, Scalar, rs_ratio_power
+from test_rootdata import reflect, weyl_group
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ def test_av(alg2):
     expect = {((1, 1), (-1, -1)): quarter, ((-1, -1), (1, 1)): quarter,
               ((0, 1), (0, -1)): quarter, ((0, -1), (0, 1)): quarter}
     assert got == expect
-    for sigma in alg2.rs.weyl_group():
+    for sigma in weyl_group(alg2.rs):
         assert center.weyl_act(alg2, sigma, got) == got
     with pytest.raises(NotInRootLattice):
         center.av(alg2, (1, 1))
@@ -321,7 +322,7 @@ def test_verma_scalar_and_reflection_invariance(alg2, z_vec):
         shifted = tuple(a + b for a, b in zip(lam, rho))
         assert scalar == center.char_eval(alg2, shifted, mu, image)
         for i in (1, 2):
-            refl = alg2.rs.reflect(i, shifted)
+            refl = reflect(alg2.rs, i, shifted)
             assert center.char_eval(alg2, refl, mu, image) == scalar
 
 

@@ -3,15 +3,17 @@ import json
 import time
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from qgc import cli, repn
+from qgc import center, cli, repn
 from qgc.errors import InternalInconsistency
 from qgc.qgroup import Algebra
 from qgc.rootdata import RootSystemB
+from test_rootdata import weyl_group
 
 
 def run_cli(capsys, argv):
@@ -58,7 +60,7 @@ def test_root_data_weyl_order_without_the_group(capsys):
     for n in range(1, 5):
         code, report = run_cli(capsys, ["root-data", "--n", str(n)])
         assert code == 0
-        assert report["payload"]["weyl_order"] == len(RootSystemB(n).weyl_group())
+        assert report["payload"]["weyl_order"] == len(weyl_group(RootSystemB(n)))
     start = time.perf_counter()
     code, report = run_cli(capsys, ["root-data", "--n", "9"])
     assert time.perf_counter() - start < 1.0
@@ -133,6 +135,17 @@ def test_central_and_hc_image(capsys):
     assert code == 0
     validate("hc-image", report)
     assert report["payload"]["weyl_invariant"] is True
+
+
+def test_central_verify_certifies_once(capsys):
+    # the construction certifies its element; --verify runs no second check
+    with mock.patch.object(center, "centrality_failures",
+                           side_effect=center.centrality_failures) as failures:
+        code, report = run_cli(capsys, ["central", "--n", "2",
+                                        "--lambda-alpha", "1,1",
+                                        "--method", "trace", "--verify"])
+    assert code == 0 and report["payload"]["verified"] is True
+    assert failures.call_count == 1
 
 
 def test_parity_kernel(capsys):

@@ -1,5 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-and no module of the package uses ``assert``.
+every private name that the package defines is read somewhere in it, and no
+module of the package uses ``assert``.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -31,6 +32,25 @@ def used_names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
+def private_definitions(tree):
+    """Names with one leading underscore bound by ``def``, ``class`` (at any
+    depth) or a module-level assignment."""
+    names = [node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree):
+    """Names loaded as variables or as attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def test_the_package_has_modules():
     assert {"qgroup.py", "scalars.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -47,3 +67,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text())
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} asserts at lines {lines}"
+
+
+def test_every_private_name_is_read():
+    # a helper left behind when its only caller moves out of the package
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    unread = sorted((name, n) for name, tree in trees.items()
+                    for n in private_definitions(tree) - read)
+    assert not unread, f"defined and never read in the package: {unread}"

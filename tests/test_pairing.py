@@ -18,6 +18,7 @@ from qgc.pairing import (
 )
 from qgc.qgroup import Algebra, word_content
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
+from test_qgroup import words_of_content
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +247,7 @@ def test_word_pair_is_junction_pure_toral_term(n, contents):
     alg = Algebra(n)
     zero = (0,) * n
     for nu in contents:
-        words = alg.words_of_content(nu)
+        words = words_of_content(alg, nu)
         for fw in words:
             for ew in words:
                 num, mu = alg.junction(ew, fw).get(((), nu, zero, ()),

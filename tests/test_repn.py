@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qgc.errors import NotDominant, TruncationOverflow
+from qgc.errors import NotDominant
 from qgc.linalg import Echelon
 from qgc.qgroup import Algebra, word_content
 from qgc.repn import (
@@ -19,6 +19,7 @@ from qgc.repn import (
 )
 from qgc.scalars import ONE, ZERO, Scalar, accumulate, rs_ratio_power
 from test_qgroup import rand_alpha, reference_gpair
+from test_rootdata import reflect
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +48,12 @@ def reference_irreducible(alg, lam):
             continue
         vec = {M.index[w]: c for w, c in {lead: ONE, **span.rows[lead]}.items()}
         for i in range(1, alg.n + 1):
-            img = M._apply_cols(M.f_col, i, vec, strict=False)
+            img = M._apply_cols(M.f_col, i, vec)
             if img:
                 work.append({M.labels[r]: c for r, c in img.items()})
     reduction = {w: {k: -c for k, c in row.items()} for w, row in span.rows.items()}
     contents = list(dict.fromkeys(word_content(alg.n, w) for w in M.labels))
-    return WeightModule(alg, lam, (0,) * alg.n, contents, reduction, exact=True)
+    return WeightModule(alg, lam, (0,) * alg.n, contents, reduction)
 
 
 def reference_e_col(module, i, col):
@@ -165,7 +166,7 @@ def test_irreducible_vector_rep(alg2):
     mults = L.weight_multiplicities()
     for w, m in mults.items():
         for i in (1, 2):
-            assert mults[alg2.rs.reflect(i, w)] == m
+            assert mults[reflect(alg2.rs, i, w)] == m
 
 
 def test_irreducible_spin(alg2):
@@ -268,10 +269,10 @@ def test_singular_vectors_killed(alg2):
         M = verma(alg2, lam, mu, depth=m + 2)
         vec = {0: ONE}
         for _ in range(m + 1):
-            vec = M._apply_cols(M.f_col, i, vec, strict=True)
+            vec = M.apply(alg2.f(i), vec)
         assert vec, "singular vector itself must be nonzero"
         for j in (1, 2):
-            assert M._apply_cols(M.e_col, j, vec, strict=True) == {}
+            assert M.apply(alg2.e(j), vec) == {}
 
 
 def test_trace_fn(alg2):
@@ -304,12 +305,9 @@ def test_trace_decomposes_into_matrix_coeffs(alg2):
 
 def test_truncation_overflow_strict(alg2):
     M = verma(alg2, (2, 0), (0, 0), depth=1)
-    with pytest.raises(TruncationOverflow):
-        vec = {M.index[(1,)]: ONE}
-        M._apply_cols(M.f_col, 1, vec, strict=True)
-    # non-strict application silently truncates
+    # lowering out of the truncation gives zero
     vec = {M.index[(1,)]: ONE}
-    assert M._apply_cols(M.f_col, 1, vec, strict=False) == {}
+    assert M.apply(alg2.f(1), vec) == {}
 
 
 def test_irreducible_requires_dominant(alg2):

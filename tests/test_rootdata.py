@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgc.errors import NotDominant
+from qgc.errors import NotDominant, NotInRootLattice, QgcError
 from qgc.qgroup import Algebra
 from qgc.rootdata import RootSystemB, WeylElement
 
@@ -30,6 +30,21 @@ def half_sum_oracle(n):
         roots.append(vec)
     total = [sum(r[k] for r in roots) for k in range(n)]
     return tuple(Fraction(t, 2) for t in total)
+
+
+def reflect(rs, i, lam):
+    """sigma_i(lam) = lam - (lam, alpha_i^vee) alpha_i."""
+    cp = rs.coroot_pair(lam, i)
+    alpha = rs.simple_roots[i - 1]
+    out = tuple(x - cp * a for x, a in zip(lam, alpha))
+    return tuple(int(x) if Fraction(x).denominator == 1 else x for x in out)
+
+
+def weyl_group(rs):
+    """All 2^n n! signed permutations."""
+    return [WeylElement(perm, signs)
+            for perm in itertools.permutations(range(rs.n))
+            for signs in itertools.product((1, -1), repeat=rs.n)]
 
 
 def test_simple_root_lengths(b2):
@@ -61,15 +76,22 @@ def test_rho_values():
 
 def test_reflections(b2):
     eps2 = (0, 2)
-    assert b2.reflect(2, eps2) == (0, -2)
+    assert reflect(b2, 2, eps2) == (0, -2)
     w1 = b2.fundamental_weights[0]
     a1 = b2.simple_roots[0]
-    assert b2.reflect(1, w1) == tuple(x - y for x, y in zip(w1, a1))
+    assert reflect(b2, 1, w1) == tuple(x - y for x, y in zip(w1, a1))
     rng = random.Random(3)
     for _ in range(30):
         lam = tuple(rng.randint(-4, 4) * 2 for _ in range(2))
         for i in (1, 2):
-            assert b2.reflect(i, b2.reflect(i, lam)) == lam
+            assert reflect(b2, i, reflect(b2, i, lam)) == lam
+
+
+def test_root_coords_reject_a_vector_off_the_root_lattice(b2):
+    assert b2.root_coords((2, 0)) == (1, 1)
+    with pytest.raises(NotInRootLattice) as exc:
+        b2.root_coords((1, 1))
+    assert isinstance(exc.value, QgcError) and isinstance(exc.value, ValueError)
 
 
 def test_weyl_orbit(b2):
@@ -84,7 +106,7 @@ def test_weyl_orbit(b2):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_weyl_group_order(n):
     rs = RootSystemB(n)
-    group = rs.weyl_group()
+    group = weyl_group(rs)
     assert len(set(group)) == 2 ** n * [1, 1, 2, 6][n]
     rng = random.Random(5)
     vec = tuple(rng.randint(-5, 5) for _ in range(n))
@@ -157,7 +179,7 @@ def test_freudenthal_weyl_invariant_and_totals():
             assert sum(mults.values()) == rs.weyl_dim(lam)
             for mu, m in mults.items():
                 for i in range(1, n + 1):
-                    assert mults[rs.reflect(i, mu)] == m
+                    assert mults[reflect(rs, i, mu)] == m
 
 
 def test_not_dominant_errors(b2):
@@ -213,6 +235,6 @@ def test_weyl_orbit_is_the_reflection_closure():
             seen, frontier = {lam}, [lam]
             while frontier:
                 frontier = [img for w in frontier for i in range(1, n + 1)
-                            for img in [rs.reflect(i, w)] if img not in seen]
+                            for img in [reflect(rs, i, w)] if img not in seen]
                 seen.update(frontier)
             assert rs.weyl_orbit(lam) == seen, lam

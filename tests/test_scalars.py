@@ -410,6 +410,20 @@ def test_canonical_inputs_skip_needless_gcds():
         assert gcd.call_args.args == (a.den, b.den)
 
 
+def test_powers_take_no_gcd():
+    # powers of coprime parts stay coprime and powers of a canonical
+    # denominator are canonical, so a power is canonical as it stands
+    x = (R * R + Scalar.from_int(3) * S) / (Scalar.from_int(2) * (R - S))
+    for k in range(-3, 6):
+        expect = ONE
+        for _ in range(abs(k)):
+            expect = expect * (x if k >= 0 else x.inverse())
+        with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                               side_effect=LaurentBi.gcd) as gcd:
+            got = x ** k
+        assert got == expect and gcd.call_count == 0, k
+
+
 def test_products_reuse_factors_of_one():
     # a numerator or denominator of 1 multiplies nothing, so the product
     # keeps the other operand's polynomial object: equation rows that share
