@@ -28,7 +28,11 @@ def _split_ints(text):
 
 
 def _split_fractions(text):
-    return tuple(Fraction(x) for x in text.split(","))
+    try:
+        return tuple(Fraction(x) for x in text.split(","))
+    except ZeroDivisionError:
+        # argparse turns a ValueError into a usage error
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fraction_str(q) -> str:
@@ -165,7 +169,7 @@ def _cmd_root_data(args):
     return "value", payload
 
 
-def _cmd_graded_dim(args):
+def _cmd_graded_basis(args):
     alg = Algebra(args.n)
     basis = alg.graded_basis(args.sign, args.nu)
     payload = {
@@ -283,17 +287,12 @@ def _cmd_irrep(args):
     return ("value" if mults == freud else "fail"), payload
 
 
-def _central_candidate(alg, lam, method):
-    if method == "trace":
-        return center.central_from_trace(alg, lam)
-    return center.central_by_solve(alg, lam)
-
-
 def _cmd_central(args):
     alg = Algebra(args.n)
     lam = _resolve_weight(alg, args.lambda_fund, args.lambda_alpha)
     # both constructions raise CentralityCheckFailed unless certified
-    cand = _central_candidate(alg, lam, args.method)
+    build = center.central_from_trace if args.method == "trace" else center.central_by_solve
+    cand = build(alg, lam)
     image = center.hc_xi(alg, cand.element)
     payload = {
         "n": args.n,
@@ -421,7 +420,7 @@ def _cmd_selftest(args):
 
 _HANDLERS = {
     "root-data": _cmd_root_data,
-    "graded-dim": _cmd_graded_dim,
+    "graded-dim": _cmd_graded_basis,
     "pairing-gram": _cmd_pairing_gram,
     "rosso-check": _cmd_rosso_check,
     "verma": _cmd_verma,

@@ -17,7 +17,7 @@ is a pivot.
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ONE, ZERO, Scalar, _times, add_scaled
+from .scalars import ONE, ZERO, Scalar, add_scaled
 
 
 class Echelon:
@@ -57,8 +57,8 @@ class Echelon:
                 col = sums.get(k)
                 if col is None:
                     col = sums[k] = {}
-                den = _times(c.den, cp.den)
-                num = _times(c.num, cp.num)
+                den = c.den * cp.den
+                num = c.num * cp.num
                 acc = col.get(den)
                 col[den] = num if acc is None else acc + num
         for k, col in sums.items():

@@ -186,42 +186,6 @@ class Element:
         return f"Element({self})"
 
 
-class TensorElement:
-    """Sum of two-leg tensors with Scalar coefficients, legs in normal form."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        self.algebra = algebra
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-
-    def __add__(self, other):
-        return TensorElement(self.algebra,
-                             add_scaled(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + TensorElement(self.algebra,
-                                    {k: -c for k, c in other.terms.items()})
-
-    def mul_pair(self, left: Element, right: Element):
-        """Right-multiply by (left tensor right)."""
-        alg = self.algebra
-        out = {}
-        for (k1, k2), c in self.terms.items():
-            p1 = alg.element_from_term(k1) * left
-            p2 = alg.element_from_term(k2) * right
-            for kk1, c1 in p1.terms.items():
-                for kk2, c2 in p2.terms.items():
-                    accumulate(out, (kk1, kk2), c * c1 * c2)
-        return TensorElement(self.algebra, out)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-
 class Algebra:
     """Presentation-level data and normal-form arithmetic at rank n."""
 
@@ -246,6 +210,7 @@ class Algebra:
     # -- scalars of the presentation ---------------------------------------
 
     def root_norm(self, i: int) -> int:
+        self._check_index(i)  # r_i, s_i and qint read their index here
         alpha = self.rs.simple_roots[i - 1]
         return int(self.rs.inner(alpha, alpha))
 
@@ -468,9 +433,6 @@ class Algebra:
             add_scaled(out, expansion[b + word[-1:]], c)
         return dict(sorted(out.items(), reverse=True))
 
-    def graded_dim(self, sign, nu) -> int:
-        return self.graded_basis(sign, nu).dim
-
     # -- straightening --------------------------------------------------------
 
     def straighten(self, x: Element, y: Element) -> Element:
@@ -608,11 +570,15 @@ class Algebra:
 
     # -- Hopf structure --------------------------------------------------------
 
-    def comultiply(self, x: Element) -> TensorElement:
+    def comultiply(self, x: Element):
+        """Delta(x) as the term map {(left key, right key): Scalar}, legs in
+        normal form: Delta is multiplicative, with Delta(e_i) = e_i (x) 1 +
+        w_i (x) e_i, Delta(f_i) = 1 (x) f_i + f_i (x) w'_i and Delta(t) =
+        t (x) t, and the terms of x are summed with ``add_scaled``."""
         one_key = ((), self._zero, self._zero, ())
-        total = TensorElement(self, {})
+        total = {}
         for letters, c in x.letters():
-            acc = TensorElement(self, {(one_key, one_key): c})
+            acc = {(one_key, one_key): c}
             for letter in letters:
                 if letter[0] == "F":
                     i = letter[1]
@@ -625,11 +591,16 @@ class Algebra:
                 else:
                     t = self.toral(letter[1], letter[2])
                     pieces = [(t, t)]
-                nxt = TensorElement(self, {})
+                nxt = {}
                 for left, right in pieces:
-                    nxt = nxt + acc.mul_pair(left, right)
+                    for (k1, k2), ck in acc.items():
+                        p1 = self.element_from_term(k1) * left
+                        p2 = self.element_from_term(k2) * right
+                        for kk1, c1 in p1.terms.items():
+                            for kk2, c2 in p2.terms.items():
+                                accumulate(nxt, (kk1, kk2), ck * c1 * c2)
                 acc = nxt
-            total = total + acc
+            add_scaled(total, acc)
         return total
 
     def antipode(self, x: Element) -> Element:

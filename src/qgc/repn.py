@@ -12,6 +12,8 @@ maps; the grading operator acts on a weight-mu vector by
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import BadArgument, InternalInconsistency, NotDominant, RankMismatch
 from .linalg import Echelon
 from .qgroup import Algebra, Element, word_content
@@ -50,10 +52,6 @@ class ColMatrix:
     def __init__(self, dim, cols=None):
         self.dim = dim
         self.cols = cols if cols is not None else [dict() for _ in range(dim)]
-
-    @staticmethod
-    def identity(dim):
-        return ColMatrix(dim, [{r: ONE} for r in range(dim)])
 
     def entry(self, r, c) -> Scalar:
         return self.cols[c].get(r, ZERO)
@@ -105,16 +103,6 @@ class ColMatrix:
             if v is not None:
                 total = total + v * diag[j]
         return total
-
-
-def _heights(n, h):
-    """All nonnegative integer vectors of length n summing to h."""
-    if n == 1:
-        yield (h,)
-        return
-    for first in range(h + 1):
-        for rest in _heights(n - 1, h - first):
-            yield (first,) + rest
 
 
 class WeightModule:
@@ -218,13 +206,6 @@ class WeightModule:
             add_scaled(out, colfun(i, r), v)
         return out
 
-    def act(self, x: Element) -> ColMatrix:
-        """Matrix of x, one apply per column; lowerings out of a truncation vanish."""
-        mat = ColMatrix(self.dim)
-        for cidx in range(self.dim):
-            mat.cols[cidx] = self.apply(x, {cidx: ONE})
-        return mat
-
     def weight_multiplicities(self):
         out = {}
         for w in self.weights:
@@ -238,7 +219,8 @@ def verma(alg: Algebra, lam, mu, depth: int) -> WeightModule:
         raise BadArgument("depth must be nonnegative")
     if len(lam) != alg.n or len(mu) != alg.n:
         raise RankMismatch("weight length mismatch")
-    contents = [nu for h in range(depth + 1) for nu in _heights(alg.n, h)]
+    contents = sorted((nu for nu in itertools.product(range(depth + 1), repeat=alg.n)
+                       if sum(nu) <= depth), key=sum)
     return WeightModule(alg, lam, mu, contents, {})
 
 
@@ -257,8 +239,7 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
     if not alg.rs.in_weight_lattice(lam) or not alg.rs.is_dominant(lam):
         raise NotDominant(f"{lam} is not a dominant lattice weight")
     box = tuple(int(c) for c in alg.rs.alpha_coords(tuple(2 * x for x in lam)))
-    contents = [nu for h in range(sum(box) + 1) for nu in _heights(alg.n, h)
-                if all(a <= b for a, b in zip(nu, box))]
+    contents = sorted(itertools.product(*(range(b + 1) for b in box)), key=sum)
     in_box = set(contents)
 
     # The lowering-closed span, keyed by words.  Every vector in it has one
@@ -294,10 +275,11 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
 
 
 def act(x: Element, module: WeightModule) -> ColMatrix:
-    """Matrix of x on the module basis; multiplicative within the truncation."""
+    """Matrix of x on the module basis, one ``apply`` per column.  Lowerings
+    out of a truncation vanish, so the map is multiplicative within it."""
     if x.algebra is not module.algebra:
         raise RankMismatch("element and module belong to different algebras")
-    return module.act(x)
+    return ColMatrix(module.dim, [module.apply(x, {col: ONE}) for col in range(module.dim)])
 
 
 def theta(module: WeightModule):

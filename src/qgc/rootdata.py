@@ -27,31 +27,11 @@ class WeylElement:
         self.perm = tuple(perm)
         self.signs = tuple(signs)
 
-    @staticmethod
-    def identity(n):
-        return WeylElement(range(n), (1,) * n)
-
     def act(self, vec):
         out = [0] * len(vec)
         for k, x in enumerate(vec):
             out[self.perm[k]] = self.signs[k] * x
         return tuple(out)
-
-    def __mul__(self, other):
-        # composition: (self * other).act(x) == self.act(other.act(x))
-        perm = tuple(self.perm[p] for p in other.perm)
-        signs = tuple(self.signs[other.perm[k]] * other.signs[k]
-                      for k in range(len(self.perm)))
-        return WeylElement(perm, signs)
-
-    def inverse(self):
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for k in range(n):
-            perm[self.perm[k]] = k
-            signs[self.perm[k]] = self.signs[k]
-        return WeylElement(perm, signs)
 
     def __eq__(self, other):
         return self.perm == other.perm and self.signs == other.signs
@@ -85,7 +65,6 @@ class RootSystemB:
         for i in range(1, n):
             self.fundamental_weights.append(tuple([2] * i + [0] * (n - i)))
         self.fundamental_weights.append((1,) * n)
-        self.rho_alpha = self.alpha_coords(self.rho)
         self._pos_alpha = [self.root_coords(r) for r in self.positive_roots]
         self._memo = {}
 
@@ -190,9 +169,6 @@ class RootSystemB:
             return False
         return all(c >= 0 for c in self.alpha_coords(diff))
 
-    def height(self, nu_alpha):
-        return sum(nu_alpha)
-
     # -- Weyl group -------------------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
@@ -234,7 +210,7 @@ class RootSystemB:
                 mu = tuple(tup)
                 if self.dominance_leq(mu, lam):
                     cands.append(mu)
-        cands.sort(key=lambda mu: self.height(self.alpha_coords(tuple(a - b for a, b in zip(lam, mu)))))
+        cands.sort(key=lambda mu: sum(self.alpha_coords(tuple(a - b for a, b in zip(lam, mu)))))
         return cands
 
     def freudenthal_mults(self, lam):

@@ -112,23 +112,40 @@ def _int_content(coeffs):
 # operands therefore run on dense univariate integer coefficients: the gcd as
 # the heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput.
 # 1989), the division as long division.  Other operands, and the rare case
-# where the heuristic gives up, go to sympy's sparse polynomial rings (gcd,
-# imported on first use) and to graded-lex dict division.
+# where the heuristic gives up, go to sympy's sparse polynomial ring
+# ZZ[u, v] (imported on first use) for both the gcd and the exact quotient.
 # ---------------------------------------------------------------------------
 
 _SYMPY_RING = None
 
 
-def _sympy_gcd(p, q):
-    """Gcd in ZZ[u, v], normalized with a positive graded-lex lead."""
+def _sympy_operands(p, q):
+    """p and q in sympy's ZZ[u, v], each shifted by its least exponents."""
     global _SYMPY_RING
     if _SYMPY_RING is None:
         from sympy.polys.domains import ZZ
         from sympy.polys.rings import ring
         _SYMPY_RING = ring("u v", ZZ)[0]
-    g = _SYMPY_RING.from_dict(p).gcd(_SYMPY_RING.from_dict(q))
-    out = {k: int(c) for k, c in g.items()}
+    return [_SYMPY_RING.from_dict(_shift(x, *(-e for e in _min_exps(x)))) for x in (p, q)]
+
+
+def _sympy_gcd(p, q):
+    """Gcd of Laurent polynomials, normalized with a positive graded-lex lead."""
+    a, b = _sympy_operands(p, q)
+    out = {k: int(c) for k, c in a.gcd(b).items()}
     return _neg(out) if out[_lead(out)] < 0 else out
+
+
+def _sympy_exquo(p, q):
+    """Exact quotient of Laurent polynomials; ArithmeticError if inexact."""
+    from sympy.polys.polyerrors import ExactQuotientFailed
+    a, b = _sympy_operands(p, q)
+    try:
+        quo = a.exquo(b)
+    except ExactQuotientFailed:
+        raise ArithmeticError("inexact polynomial division") from None
+    (pa, pb), (qa, qb) = _min_exps(p), _min_exps(q)
+    return {(a1 + pa - qa, b1 + pb - qb): int(c) for (a1, b1), c in quo.items()}
 
 
 def _dehomogenize(p):
@@ -224,26 +241,7 @@ def _laurent_gcd(p, q):
         if h is not None:
             m, c = len(h) - 1, math.gcd(cf, cg)
             return {(k, m - k): c * x for k, x in enumerate(h) if x}
-    sp, sq = _min_exps(p), _min_exps(q)
-    return _sympy_gcd(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
-
-
-def _poly_divexact(p, q):
-    """Exact division in ZZ[u, v] using graded-lex leading terms."""
-    r = dict(p)
-    out = {}
-    kq = _lead(q)
-    cq = q[kq]
-    while r:
-        kr = _lead(r)
-        a, b = kr[0] - kq[0], kr[1] - kq[1]
-        cr = r[kr]
-        if a < 0 or b < 0 or cr % cq:
-            raise ArithmeticError("inexact polynomial division")
-        c = cr // cq
-        out[(a, b)] = c
-        r = _add(r, _mul({(a, b): -c}, q))
-    return out
+    return _sympy_gcd(p, q)
 
 
 def _laurent_divexact(p, q):
@@ -255,10 +253,7 @@ def _laurent_divexact(p, q):
             raise ArithmeticError("inexact polynomial division")
         a0, d = hp[0] - hq[0], hp[1] - hq[1]
         return {(a0 + k, d - a0 - k): c for k, c in enumerate(quo) if c}
-    sp = _min_exps(p)
-    sq = _min_exps(q)
-    quo = _poly_divexact(_shift(p, -sp[0], -sp[1]), _shift(q, -sq[0], -sq[1]))
-    return _shift(quo, sp[0] - sq[0], sp[1] - sq[1])
+    return _sympy_exquo(p, q)
 
 
 class LaurentBi:
@@ -309,6 +304,11 @@ class LaurentBi:
         return LaurentBi._of(_neg(self.terms))
 
     def __mul__(self, other):
+        # a factor of 1 returns the other operand as it stands
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         return LaurentBi._of(_mul(self.terms, other.terms))
 
     def __pow__(self, k):
@@ -489,12 +489,8 @@ class Scalar:
                     num, d1 = num.divexact(g), d1.divexact(g)
             return Scalar(num, d1, _canonical=True)
         # distinct canonical denominators: the sum is not zero, since -other
-        # keeps other's denominator
-        if d1.is_one():
-            return Scalar(n1 * d2 + n2, d2, _canonical=True)
-        if d2.is_one():
-            return Scalar(n1 + n2 * d1, d1, _canonical=True)
-        g = d1.gcd(d2)
+        # keeps other's denominator; coprime ones give a reduced sum at once
+        g = _L_ONE if d1.is_one() or d2.is_one() else d1.gcd(d2)
         if g.is_one():
             return Scalar(n1 * d2 + n2 * d1, d1 * d2, _canonical=True)
         d1 = d1.divexact(g)
@@ -539,7 +535,7 @@ class Scalar:
             g = n2.gcd(d1)
             if not g.is_one():
                 n2, d1 = n2.divexact(g), d1.divexact(g)
-        return Scalar(_times(n1, n2), _times(d1, d2), _canonical=True)
+        return Scalar(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -635,15 +631,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _times(p: LaurentBi, q: LaurentBi):
-    """p * q, reusing an operand when the other is 1."""
-    if p.is_one():
-        return q
-    if q.is_one():
-        return p
-    return p * q
-
-
 def _normalize_unit(num: LaurentBi, den: LaurentBi):
     """Move the denominator's monomial factor and sign into the numerator."""
     ma, mb = _min_exps(den.terms)
@@ -714,10 +701,12 @@ def memoized(fn):
 
 def half_exponent(q) -> int:
     """2q as an int: the exponent over u = r^(1/2) (or v = s^(1/2)) of a
-    power r^q.  Raises ``BadArgument`` when q is not in (1/2)Z."""
+    power r^q.  Raises ``BadArgument`` when q is not an int or a Fraction
+    in (1/2)Z: no float is read as an exponent."""
+    if not isinstance(q, (int, Fraction)):
+        raise BadArgument(f"exponent {q!r} is not an int or a Fraction")
     e = 2 * q
     if type(e) is not int:
-        e = Fraction(e)
         if e.denominator != 1:
             raise BadArgument(f"exponent {q} leaves the half-power lattice")
         e = int(e)

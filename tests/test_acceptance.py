@@ -122,11 +122,11 @@ def test_hopf_axioms(algebras):
     for x in words:
         dx = alg.comultiply(x)
         left, right = {}, {}
-        for (k1, k2), c in dx.terms.items():
-            for (a, b), c2 in alg.comultiply(alg.element_from_term(k1)).terms.items():
+        for (k1, k2), c in dx.items():
+            for (a, b), c2 in alg.comultiply(alg.element_from_term(k1)).items():
                 key = (a, b, k2)
                 left[key] = left.get(key, ZERO) + c * c2
-            for (a, b), c2 in alg.comultiply(alg.element_from_term(k2)).terms.items():
+            for (a, b), c2 in alg.comultiply(alg.element_from_term(k2)).items():
                 key = (k1, a, b)
                 right[key] = right.get(key, ZERO) + c * c2
         assert {k: v for k, v in left.items() if not v.is_zero()} == \
@@ -135,7 +135,7 @@ def test_hopf_axioms(algebras):
         id_eps = alg.zero()
         s_id = alg.zero()
         id_s = alg.zero()
-        for (k1, k2), c in dx.terms.items():
+        for (k1, k2), c in dx.items():
             e1 = alg.element_from_term(k1)
             e2 = alg.element_from_term(k2)
             eps_id = eps_id + e2.scale(c * alg.counit(e1))
@@ -194,8 +194,8 @@ def test_gram_nonsingular_dims_match_kostant(algebras):
     for n, maxht in ((2, 4), (3, 3)):
         alg = algebras[n]
         for nu in cone_points(n, maxht):
-            dim = alg.graded_dim("+", nu)
-            assert dim == alg.graded_dim("-", nu)
+            dim = alg.graded_basis("+", nu).dim
+            assert dim == alg.graded_basis("-", nu).dim
             assert dim == alg.rs.kostant_count(nu), (n, nu)
             g = pairing.gram(alg, nu)
             assert linalg.rank(g) == dim, (n, nu)

@@ -11,7 +11,7 @@ from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
 from qgc.repn import char_value, irreducible, theta
 from qgc.scalars import ONE, R, Scalar, rs_ratio_power
-from test_rootdata import reflect, weyl_group
+from test_rootdata import reflect, weyl_group, weyl_inverse
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ def test_character_twist_by_weyl_action(alg2):
                 u = {(eta, tuple(-x for x in eta)): ONE}
                 lhs = center.char_eval(alg2, lam_ref, mu, u)
                 rhs = center.char_eval(
-                    alg2, lam, mu, center.weyl_act(alg2, sigma.inverse(), u))
+                    alg2, lam, mu, center.weyl_act(alg2, weyl_inverse(sigma), u))
                 assert lhs == rhs
 
 

@@ -184,6 +184,8 @@ def test_usage_errors():
     ["parity-kernel", "--n", "2", "--bound", "0"],
     ["rosso-check", "--n", "2", "--trials", "-3"],
     ["rosso-check", "--n", "2", "--height", "-1"],
+    ["irrep", "--n", "2", "--lambda-alpha", "1/0,0"],
+    ["verma", "--n", "2", "--lambda-fund", "1,0", "--mu-alpha", "0,1/0", "--depth", "1"],
 ])
 def test_input_limits_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,6 @@
 """Every name that a module of the package imports is used in that module,
-every private name that the package defines is read somewhere in it, and no
-module of the package uses ``assert``.
+every private name that the package defines is read somewhere in it, no
+module of the package uses ``assert``, and none holds a float.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -76,3 +76,14 @@ def test_every_private_name_is_read():
     unread = sorted((name, n) for name, tree in trees.items()
                     for n in private_definitions(tree) - read)
     assert not unread, f"defined and never read in the package: {unread}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_floating_point(path):
+    # the kernel is exact: no float literal and no float() call
+    tree = ast.parse(path.read_text())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "float"]
+    assert not lines, f"{path.name} uses floating point at lines {lines}"

@@ -90,7 +90,7 @@ def test_gram_rank_equals_dimension_up_to_height_five(alg2):
         for a in range(h + 1):
             nu = (a, h - a)
             g = gram(alg2, nu)
-            assert rank(g) == alg2.graded_dim("+", nu) == \
+            assert rank(g) == alg2.graded_basis("+", nu).dim == \
                 alg2.rs.kostant_count(nu), nu
 
 

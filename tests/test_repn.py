@@ -27,6 +27,10 @@ def alg2():
     return Algebra(2)
 
 
+def col_identity(dim):
+    return ColMatrix(dim, [{r: ONE} for r in range(dim)])
+
+
 def reference_irreducible(alg, lam):
     """V(lam) as the quotient of the depth-ht(2 lam) Verma module.
 
@@ -200,6 +204,7 @@ def test_irreducible_adjoint(alg2):
 
 def test_relations_hold_on_irreducible(alg2):
     L = irreducible(alg2, (2, 0))
+    assert act(alg2.one(), L) == col_identity(L.dim)
     for i in (1, 2):
         for j in (1, 2):
             ef = act(alg2.e(i), L).compose(act(alg2.f(j), L))
