@@ -130,7 +130,8 @@ def _sympy_operands(p, q):
 
 
 def _sympy_gcd(p, q):
-    """Gcd of Laurent polynomials, normalized with a positive graded-lex lead."""
+    """Gcd of Laurent polynomials, with no monomial factor and a positive
+    graded-lex lead."""
     a, b = _sympy_operands(p, q)
     out = {k: int(c) for k, c in a.gcd(b).items()}
     return _neg(out) if out[_lead(out)] < 0 else out
