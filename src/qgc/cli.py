@@ -39,6 +39,20 @@ def _fraction_str(q) -> str:
     return str(Fraction(q))
 
 
+def _attach_signed_values(argv):
+    """argv with each value that starts with a minus sign and a digit, such
+    as -1,0, joined to the option before it as --mu-fund=-1,0: argparse
+    takes only a bare number such as -1 as a value, and -1,0 as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse(argv):
     """Parse an argument vector into a validated command namespace."""
     top = argparse.ArgumentParser(
@@ -117,7 +131,7 @@ def parse(argv):
     p.add_argument("--fast", action="store_true",
                    help="skip the central-element cross check")
 
-    args = top.parse_args(argv)
+    args = top.parse_args(_attach_signed_values(argv))
     for attr, low in (("n", 1), ("depth", 0), ("trials", 1), ("height", 1),
                       ("bound", 1)):
         value = getattr(args, attr, None)

@@ -13,10 +13,10 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
 
 - a product of canonical denominators is canonical: minimum exponents add,
   so it has no monomial factor, and graded-lex leads multiply, so its lead
-  stays positive.  So is the exact quotient of one by a gcd, which is
-  normalized the same way.  A product therefore only cross-reduces each
-  numerator against the other denominator, and a denominator of 1 needs no
-  gcd;
+  stays positive.  So is a canonical denominator's cofactor over a gcd
+  (LaurentBi.gcd returns both cofactors, so nothing is divided again).  A
+  product therefore only cross-reduces each numerator against the other
+  denominator, and a denominator of 1 needs no gcd;
 - a sum with coprime denominators d1, d2 is already reduced over d1 d2.
   Otherwise, with g = gcd(d1, d2), only gcd(t, g) can cancel, where
   t = n1 (d2/g) + n2 (d1/g).
@@ -38,10 +38,6 @@ class PoleAtPoint(ZeroDivisionError):
 # ---------------------------------------------------------------------------
 # raw Laurent-polynomial helpers: dict {(a, b): c} meaning sum of c * u^a v^b
 # ---------------------------------------------------------------------------
-
-def _trim(terms):
-    return {k: c for k, c in terms.items() if c}
-
 
 def _add(p, q):
     out = dict(p)
@@ -113,7 +109,8 @@ def _int_content(coeffs):
 # the heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput.
 # 1989), the division as long division.  Other operands, and the rare case
 # where the heuristic gives up, go to sympy's sparse polynomial ring
-# ZZ[u, v] (imported on first use) for both the gcd and the exact quotient.
+# ZZ[u, v] (imported on first use).  Every gcd comes with its cofactors
+# p/gcd and q/gcd, so Scalar arithmetic divides nothing after a gcd.
 # ---------------------------------------------------------------------------
 
 _SYMPY_RING = None
@@ -130,11 +127,13 @@ def _sympy_operands(p, q):
 
 
 def _sympy_gcd(p, q):
-    """Gcd of Laurent polynomials, with no monomial factor and a positive
-    graded-lex lead."""
+    """(gcd, p/gcd, q/gcd) of Laurent polynomials, the gcd with no monomial
+    factor and a positive graded-lex lead."""
     a, b = _sympy_operands(p, q)
-    out = {k: int(c) for k, c in a.gcd(b).items()}
-    return _neg(out) if out[_lead(out)] < 0 else out
+    h, cp, cq = ({k: int(c) for k, c in x.items()} for x in a.cofactors(b))
+    if h[_lead(h)] < 0:
+        h, cp, cq = _neg(h), _neg(cp), _neg(cq)
+    return h, _shift(cp, *_min_exps(p)), _shift(cq, *_min_exps(q))
 
 
 def _sympy_exquo(p, q):
@@ -193,7 +192,8 @@ def _dense_quotient(f, g):
 
 
 def _heu_gcd(f, g):
-    """Gcd of primitive f, g in ZZ[x] with positive lead, or None on give-up.
+    """(h, f/h, g/h) for the gcd h of primitive f, g in ZZ[x] with positive
+    lead, or None on give-up.
 
     The candidate is read off gcd(f(xi), g(xi)) in symmetric base-xi digits
     and accepted only if it divides both f and g, which for
@@ -213,9 +213,10 @@ def _heu_gcd(f, g):
         cand = [c // cont for c in cand]
         if cand[-1] < 0:
             cand = [-c for c in cand]
-        if _dense_quotient(f, cand) is not None \
-                and _dense_quotient(g, cand) is not None:
-            return cand
+        # a candidate of 1 divides both, so it needs no trial division
+        quos = [f, g] if cand == [1] else [_dense_quotient(x, cand) for x in (f, g)]
+        if None not in quos:
+            return cand, *quos
         # the growth factor of the original method, close to 1 + sqrt(3)
         xi = xi * 73794 // 27011
     return None
@@ -229,19 +230,21 @@ def _horner(f, x):
 
 
 def _laurent_gcd(p, q):
-    """Gcd of nonzero Laurent polynomials, normalized with no monomial factor
-    and a positive graded-lex leading coefficient.
+    """(gcd, p/gcd, q/gcd) of nonzero Laurent polynomials, the gcd with no
+    monomial factor and a positive graded-lex leading coefficient.
 
     LaurentBi.gcd answers a monomial operand before calling this.
     """
     hp, hq = _dehomogenize(p), _dehomogenize(q)
     if hp is not None and hq is not None:
-        f, g = hp[2], hq[2]
+        (ap, dp, f), (aq, dq, g) = hp, hq
         cf, cg = _int_content(f), _int_content(g)
-        h = _heu_gcd([c // cf for c in f], [c // cg for c in g])
-        if h is not None:
-            m, c = len(h) - 1, math.gcd(cf, cg)
-            return {(k, m - k): c * x for k, x in enumerate(h) if x}
+        heu = _heu_gcd([c // cf for c in f], [c // cg for c in g])
+        if heu is not None:
+            (h, qf, qg), c, m = heu, math.gcd(cf, cg), len(heu[0]) - 1
+            return [{(a0 + k, d - a0 - k): s * x for k, x in enumerate(y) if x}
+                    for y, a0, d, s in ((h, 0, m, c), (qf, ap, dp - m, cf // c),
+                                        (qg, aq, dq - m, cg // c))]
     return _sympy_gcd(p, q)
 
 
@@ -267,7 +270,7 @@ class LaurentBi:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        self.terms = _trim(terms or {})
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
         self._hash = None
 
     @staticmethod
@@ -337,16 +340,18 @@ class LaurentBi:
         return LaurentBi._of(_shift(self.terms, a, b))
 
     def gcd(self, other):
+        """The gcd (normalized unless an operand is zero) as a ``_Gcd``."""
         if self.is_zero():
-            return other
+            return _Gcd(other.terms, {}, _ONE_TERMS)
         if other.is_zero():
-            return self
+            return _Gcd(self.terms, _ONE_TERMS, {})
         p, q = self.terms, other.terms
         if len(p) == 1 or len(q) == 1:
             # a monomial is a unit: only the common integer content remains
             g = math.gcd(_int_content(p.values()), _int_content(q.values()))
-            return _L_ONE if g == 1 else LaurentBi.const(g)
-        return LaurentBi._of(_laurent_gcd(p, q))
+            return _Gcd({(0, 0): g}, *(t if g == 1 else {k: c // g for k, c in t.items()}
+                                       for t in (p, q)))
+        return _Gcd(*_laurent_gcd(p, q))
 
     def divexact(self, other):
         if other.is_zero():
@@ -371,6 +376,16 @@ class LaurentBi:
 
     def __repr__(self):
         return f"LaurentBi({self.terms!r})"
+
+
+class _Gcd(LaurentBi):
+    """A gcd g of p and q that carries ``cofactors`` = (p/g, q/g)."""
+
+    __slots__ = ("cofactors",)
+
+    def __init__(self, terms, p, q):
+        self.terms, self._hash = terms, None
+        self.cofactors = (LaurentBi._of(p), LaurentBi._of(q))
 
 
 _ONE_TERMS = {(0, 0): 1}
@@ -487,18 +502,19 @@ class Scalar:
             if not d1.is_one():
                 g = num.gcd(d1)
                 if not g.is_one():
-                    num, d1 = num.divexact(g), d1.divexact(g)
+                    num, d1 = g.cofactors
             return Scalar(num, d1, _canonical=True)
         # distinct canonical denominators: the sum is not zero, since -other
         # keeps other's denominator; coprime ones give a reduced sum at once
         g = _L_ONE if d1.is_one() or d2.is_one() else d1.gcd(d2)
         if g.is_one():
             return Scalar(n1 * d2 + n2 * d1, d1 * d2, _canonical=True)
-        d1 = d1.divexact(g)
-        num = n1 * d2.divexact(g) + n2 * d1
-        g = num.gcd(g)
-        if not g.is_one():
-            num, d2 = num.divexact(g), d2.divexact(g)
+        d1, e2 = g.cofactors
+        num = n1 * e2 + n2 * d1
+        h = num.gcd(g)
+        if not h.is_one():
+            num, g = h.cofactors
+            d2 = e2 * g
         return Scalar(num, d1 * d2, _canonical=True)
 
     __radd__ = __add__
@@ -531,11 +547,11 @@ class Scalar:
         if not d2.is_one():
             g = n1.gcd(d2)
             if not g.is_one():
-                n1, d2 = n1.divexact(g), d2.divexact(g)
+                n1, d2 = g.cofactors
         if not d1.is_one():
             g = n2.gcd(d1)
             if not g.is_one():
-                n2, d1 = n2.divexact(g), d1.divexact(g)
+                n2, d1 = g.cofactors
         return Scalar(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
@@ -648,8 +664,7 @@ def _canon(num: LaurentBi, den: LaurentBi):
         return _L_ZERO, _L_ONE
     g = num.gcd(den)
     if not g.is_one():
-        num = num.divexact(g)
-        den = den.divexact(g)
+        num, den = g.cofactors
     return _normalize_unit(num, den)
 
 

@@ -194,6 +194,25 @@ def test_input_limits_are_usage_errors(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("weight", [["--mu-fund", "-1,0"], ["--mu-alpha", "-1/2,0"]])
+def test_negative_weight_is_a_value(weight, capsys):
+    # argparse takes only a bare number such as -1 as a value; -1,0 must not
+    # read as an option, and both spellings give the same report
+    argv = ["verma", "--n", "2", "--lambda-fund", "1,0", "--depth", "1"]
+    outs = []
+    for spelling in (weight, [f"{weight[0]}={weight[1]}"]):
+        assert cli.main(argv + spelling) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flag", ["--lambda-alpha", "--lambda-fund"])
+def test_negative_lambda_is_not_dominant(flag, capsys):
+    code, report = run_cli(capsys, ["central", "--n", "2", flag, "-1,0"])
+    assert code == 1
+    assert report["payload"]["error"] == "NotDominant"
+
+
 def test_weight_argument_validation(capsys):
     # alpha coordinates outside the weight lattice are rejected as a failure
     code, report = run_cli(capsys, ["irrep", "--n", "2",

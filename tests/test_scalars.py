@@ -1,4 +1,6 @@
+import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qgc
-from qgc import center, scalars
+from qgc import center, linalg, pairing, scalars
 from qgc.qgroup import Algebra
 from qgc.scalars import (
     ONE,
@@ -246,11 +248,65 @@ shifted = st.builds(lambda p, m: p * m, homogeneous, monomials)
 @given(monomials, st.one_of(monomials, shifted, laurent))
 def test_unit_gcd_is_common_content(m, q):
     # a monomial is a unit, so LaurentBi.gcd answers without the general path
-    general = LaurentBi(scalars._laurent_gcd(m.terms, q.terms))
+    general = LaurentBi(scalars._laurent_gcd(m.terms, q.terms)[0])
     assert general == sympy_gcd_normalized(m, q)
     with mock.patch.object(scalars, "_laurent_gcd", side_effect=AssertionError):
         assert m.gcd(q) == general
         assert q.gcd(m) == general
+
+
+def assert_cofactors(f, h):
+    """gcd(f, h) carries cofactors c, d with g c = f and g d = h."""
+    g = f.gcd(h)
+    cf, ch = g.cofactors
+    assert g * cf == f and g * ch == h
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(LADDER_FACTORS), min_size=1, max_size=3),
+       homogeneous, homogeneous, st.integers(-12, 12).filter(bool),
+       st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-3, 3))
+def test_homogeneous_gcd_cofactors(factors, a, b, c1, c2, su, sv):
+    h = product(factors)
+    f = LaurentBi.const(c1) * a * h
+    g = LaurentBi.monomial(c2, su, sv) * b * h
+    with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
+        assert_cofactors(f, g)
+        assert_cofactors(g, f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(LADDER_FACTORS), min_size=1, max_size=3),
+       st.one_of(homogeneous, laurent), st.one_of(homogeneous, laurent),
+       st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-3, 3))
+def test_fallback_gcd_cofactors(factors, a, b, c, su, sv):
+    # the heuristic gives up, so sympy's cofactors answer every pair
+    h = product(factors)
+    f, g = LaurentBi.const(c) * a * h, LaurentBi.monomial(1, su, sv) * b * h
+    with mock.patch.object(scalars, "_heu_gcd", return_value=None):
+        assert assert_cofactors(f, g) == sympy_gcd_normalized(f, g)
+
+
+def test_fallback_cofactors_follow_the_sign_of_the_gcd(monkeypatch):
+    # sympy leads u - v^2 with u (lex) and Scalar with -v^2 (graded lex), so
+    # the fallback negates the gcd, and must negate both cofactors with it
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+    h = LaurentBi({(1, 0): 1, (0, 2): -1})
+    f, g = h * hom(1, 1), h * LaurentBi({(0, 0): 3, (2, 1): 1})
+    a, b = scalars._sympy_operands(f.terms, g.terms)
+    assert LaurentBi({k: int(c) for k, c in a.gcd(b).items()}) == h
+    assert h.terms[scalars._lead(h.terms)] < 0
+    assert assert_cofactors(f, g) == -h
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials, st.one_of(monomials, shifted, laurent))
+def test_unit_gcd_cofactors(m, q):
+    with mock.patch.object(scalars, "_laurent_gcd", side_effect=AssertionError):
+        assert_cofactors(m, q)
+        assert_cofactors(q, m)
+    assert assert_cofactors(LaurentBi(), q) == q
 
 
 @settings(max_examples=150, deadline=None)
@@ -410,6 +466,39 @@ def test_canonical_inputs_skip_needless_gcds():
         assert gcd.call_args.args == (a.den, b.den)
 
 
+# sha256 of the to_json entries of invert(gram(Algebra(3), (2, 2, 2))), and
+# the LaurentBi.gcd calls it makes; both as before the gcd kept its cofactors
+INVERT_222_SHA256 = "45aa481c97d78c0f08565d2e55f156992170d8a680538579f3765485bd2df6a6"
+INVERT_222_GCDS = 1014
+
+
+def test_scalar_arithmetic_divides_nothing_after_a_gcd():
+    # every gcd hands back its cofactors, so no exact division follows one
+    gram = pairing.gram(Algebra(3), (2, 2, 2))
+    a, b = R - S, R + S
+    c = R + Scalar.from_int(2) * S
+    cases = [  # (lhs, rhs, op, value)
+        (R - S, R * R + Scalar.from_int(3) * S, operator.mul, None),
+        (ONE / a, R / b, operator.add, None),
+        (R / (a * b), S / (a * b), operator.add, ONE / a),       # same denominator
+        (Scalar.from_int(2) / (a * b), Scalar.from_int(-3) / (a * c),
+         operator.add, -ONE / (b * c)),                          # shared factor cancels
+        (a * b / c, c / a, operator.mul, b),                     # cross-cancellation
+    ]
+    expect = [op(x, y) for x, y, op, _ in cases]
+    with mock.patch.object(LaurentBi, "divexact", side_effect=AssertionError), \
+            mock.patch.object(LaurentBi, "gcd", autospec=True,
+                              side_effect=LaurentBi.gcd) as gcd:
+        inverse = linalg.invert(gram)
+        assert gcd.call_count == INVERT_222_GCDS
+        for (x, y, op, value), want in zip(cases, expect):
+            got = op(x, y)
+            assert (got.num, got.den) == (want.num, want.den)
+            assert value is None or got == value
+    text = json.dumps([[x.to_json() for x in row] for row in inverse], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == INVERT_222_SHA256
+
+
 def test_powers_take_no_gcd():
     # powers of coprime parts stay coprime and powers of a canonical
     # denominator are canonical, so a power is canonical as it stands
@@ -435,6 +524,39 @@ def test_products_reuse_factors_of_one():
     inv = ONE / (R - S)
     assert (inv * Scalar(p)).num is p
     assert (Scalar(p) * inv).num is p
+
+
+LADDER_DENOMINATORS = [(R - S).num, (R + S).num, (R * R + S * S).num]
+
+
+@st.composite
+def ladder_scalars(draw):
+    """A scalar whose numerator and denominator are products of the ladder
+    denominators R - S, R + S and R^2 + S^2, each with a random cofactor."""
+    num = draw(st.one_of(shifted, laurent))
+    den = draw(monomials)
+    for d in LADDER_DENOMINATORS:
+        num = num * d ** draw(st.integers(0, 1))
+        den = den * d ** draw(st.integers(0, 2))
+    return Scalar(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ladder_scalars(), ladder_scalars(), points, points)
+def test_field_ops_agree_with_exact_evaluation(x, y, u0, v0):
+    # a second oracle that shares no gcd code: Fraction arithmetic on values
+    try:
+        xv, yv = x.eval_numeric(u0, v0), y.eval_numeric(u0, v0)
+    except PoleAtPoint:
+        return
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        if op is operator.truediv and not yv:
+            continue
+        try:
+            got = op(x, y).eval_numeric(u0, v0)
+        except PoleAtPoint:
+            continue
+        assert got == op(xv, yv), op
 
 
 def test_startup_and_fast_selftest_leave_sympy_unimported():
