@@ -213,10 +213,12 @@ def _heu_gcd(f, g):
         cand = [c // cont for c in cand]
         if cand[-1] < 0:
             cand = [-c for c in cand]
-        # a candidate of 1 divides both, so it needs no trial division
-        quos = [f, g] if cand == [1] else [_dense_quotient(x, cand) for x in (f, g)]
-        if None not in quos:
-            return cand, *quos
+        if cand == [1]:  # 1 divides both: no trial division
+            return cand, f, g
+        qf = _dense_quotient(f, cand)
+        qg = None if qf is None else _dense_quotient(g, cand)
+        if qg is not None:
+            return cand, qf, qg
         # the growth factor of the original method, close to 1 + sqrt(3)
         xi = xi * 73794 // 27011
     return None
