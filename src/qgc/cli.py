@@ -40,9 +40,8 @@ def _fraction_str(q) -> str:
 
 
 def _attach_signed_values(argv):
-    """argv with each value that starts with a minus sign and a digit, such
-    as -1,0, joined to the option before it as --mu-fund=-1,0: argparse
-    takes only a bare number such as -1 as a value, and -1,0 as an option."""
+    """argv with each value such as -1,0 joined to its option (--mu-fund=-1,0):
+    argparse takes a bare number such as -1 as a value, but -1,0 as an option."""
     out = []
     for arg in argv:
         if out and out[-1].startswith("--") and "=" not in out[-1] \

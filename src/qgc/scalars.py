@@ -39,6 +39,10 @@ class PoleAtPoint(ZeroDivisionError):
 # raw Laurent-polynomial helpers: dict {(a, b): c} meaning sum of c * u^a v^b
 # ---------------------------------------------------------------------------
 
+def _trim(terms):
+    return {k: c for k, c in terms.items() if c}
+
+
 def _add(p, q):
     out = dict(p)
     for k, c in q.items():
@@ -272,7 +276,7 @@ class LaurentBi:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
+        self.terms = _trim(terms or {})
         self._hash = None
 
     @staticmethod
