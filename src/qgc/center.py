@@ -10,8 +10,12 @@ generator acts on it through the counit.  The lowering generators are
 certified through the anti-automorphism tau (r <-> s, e_i <-> f_i,
 w_i <-> w'_i; Benkart-Witherspoon, Bergeron-Gao-Hu): a z that commutes
 with the torals and is fixed by tau commutes with f_i exactly when it
-commutes with e_i, so only the raising generators are straightened.  A z
-that is not fixed by tau has its lowering generators checked directly.
+commutes with e_i, so only the raising generators act, through the
+Leibniz rule of ``Algebra.ad`` with no straightening.  A z that is not
+fixed by tau has its lowering generators checked directly.  The solver
+shares those ad(e_i) images as its rows and feeds them block by block in
+height order, so each block's rows meet only its own unknowns and the
+values of the blocks below.
 """
 
 from __future__ import annotations
@@ -248,17 +252,23 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     The ansatz runs over y_a w'_eta w_phi x_b on the blocks (nu, eta, phi)
     of the trace recipe; the degree-zero block is pinned to the graded
     character, theta summed per weight, and the remaining coefficients must be
-    uniquely determined by ad(e_1..e_n), then ad(f_1..f_n), fed one generator
-    at a time until no unknown is free; the certificate covers the rest.
+    uniquely determined by the ad(e_i) rows, then ad(f_1..f_n), fed until no
+    unknown is free; the certificate covers the rest.  An ad(e_i) row of
+    raising content eps meets only the blocks eps - alpha_i and eps, so the
+    rows are fed block by block in height order, each with the higher block
+    it meets, and a block's images are built when it comes up: its rows then
+    hold its own unknowns and the lower blocks' values.  The contents of a
+    row's key fix its i, so the rows of all the e_i share one key space.
     The ansatz reads the graded bases alone: no pairing, no Gram inverse.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
     th = theta(module)
+    blocks = _blocks(alg, module)
 
-    variables = []
+    ansatz = {}
     pinned = {}
-    for nu, rows in _blocks(alg, module).items():
+    for nu, rows in blocks.items():
         if not any(nu):
             for row, eta in rows:
                 accumulate(pinned, ((), eta, tuple(-x for x in eta), ()), th[row])
@@ -267,24 +277,44 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
         ewords = alg.graded_basis("+", nu).words
         supports = sorted({(eta, tuple(-(a + b) for a, b in zip(eta, nu)))
                            for _, eta in rows})
-        variables += [(fw, eta, phi, ew) for eta, phi in supports
+        ansatz[nu] = [(fw, eta, phi, ew) for eta, phi in supports
                       for fw in fwords for ew in ewords]
+    variables = [var for block in ansatz.values() for var in block]
 
     if not variables and any(x for x in lam):
         raise NoSolution("empty ansatz for a nonzero weight")
 
+    def add_images(g, xs, equations_of):
+        """ad(g) x for each unknown x, built lazily, into the rows {x: c}
+        that equations_of(key) holds for each key of the image."""
+        for var in xs:
+            for key, c in alg.ad(g, alg.element_from_term(var)).terms.items():
+                accumulate(equations_of(key).setdefault(key, {}), var, c)
+
+    def batch(equations, rhs):
+        return [(equations.get(k, {}), -rhs.get(k, ZERO))
+                for k in {**equations, **rhs}]  # a lone rhs is inconsistent
+
+    def block_of(key):
+        # the raising content eps if it is a block, else eps - alpha_i
+        eps = word_content(alg.n, key[3])
+        return eps if eps in blocks else word_content(alg.n, key[0])
+
     def batches():
-        # one batch per generator, raising first; each ad image built lazily
-        for g in [alg.e(i) for i in range(1, alg.n + 1)] + \
-                 [alg.f(i) for i in range(1, alg.n + 1)]:
-            equations = {}
-            for var in variables:
-                img = alg.ad(g, alg.element_from_term(var))
-                for key2, c in img.terms.items():
-                    accumulate(equations.setdefault(key2, {}), var, c)
-            rhs = alg.ad(g, Element(alg, pinned)).terms
-            yield [(equations.get(k, {}), -rhs.get(k, ZERO))
-                   for k in {**equations, **rhs}]  # a lone rhs is inconsistent
+        equations, rhs = {}, {}  # per block, the rows fed with it
+        raising = [alg.e(i) for i in range(1, alg.n + 1)]
+        for e in raising:
+            for key, c in alg.ad(e, Element(alg, pinned)).terms.items():
+                rhs.setdefault(block_of(key), {})[key] = c
+        for nu in sorted(blocks, key=sum):
+            for e in raising:
+                add_images(e, ansatz.get(nu, ()),
+                           lambda key: equations.setdefault(block_of(key), {}))
+            yield batch(equations.pop(nu, {}), rhs.pop(nu, {}))
+        for i in range(1, alg.n + 1):  # the unknowns the raising rows leave free
+            f, equations = alg.f(i), {}
+            add_images(f, variables, lambda key: equations)
+            yield batch(equations, alg.ad(f, Element(alg, pinned)).terms)
 
     solution = linalg.solve_unique(batches(), variables)
     return _certified(alg, Element(alg, {**pinned, **solution}), lam, "solve")

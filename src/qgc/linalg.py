@@ -11,7 +11,10 @@ denominator: the products it subtracts are summed as raw numerators over
 their (already canonical) product denominators, so the gcd work follows the
 small final entries rather than every partial sum.  The solver feeds its
 equations in batches, each sparsest first, and stops once every unknown
-is a pivot.
+is a pivot.  After each batch, an unknown whose row holds only its value
+is settled: later rows still reduce against it, but no new pivot is
+cleared from its row, so a batch's elimination probes only the rows still
+open.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class Echelon:
 
     def __init__(self):
         self.rows = {}
+        self._open = {}  # the rows that a new pivot is cleared from
 
     def reduce(self, row):
         """A new row: ``row`` with the current pivots eliminated.
@@ -88,12 +92,19 @@ class Echelon:
         pivot = min(row)
         inv = row.pop(pivot).inverse()
         row = {k: c * inv for k, c in row.items()}
-        for other in self.rows.values():
+        for other in self._open.values():
             c = other.pop(pivot, None)
             if c is not None:
                 add_scaled(other, row, -c)
-        self.rows[pivot] = row
+        self.rows[pivot] = self._open[pivot] = row
         return pivot
+
+    def settle(self, done):
+        """Stop clearing new pivots from the rows of the pivots for which
+        ``done(row)`` holds: the caller knows no later pivot enters them.
+        They still reduce the rows that come after."""
+        for p in [p for p, row in self._open.items() if done(row)]:
+            del self._open[p]
 
 
 def rref(rows):
@@ -147,7 +158,8 @@ def solve_unique(batches, variables):
 
     batches: iterable of lists of (coeffs: dict[var, Scalar], rhs: Scalar).
     Each batch is fed in full, fewest coefficients first, so a bad row
-    anywhere in it raises.  None is pulled once every unknown is a pivot:
+    anywhere in it raises, and then the unknowns it solved are settled
+    (``Echelon.settle``).  None is pulled once every unknown is a pivot:
     the caller checks the unused rows itself.
     variables: all unknowns that must be determined.
     Raises NoSolution / NonUniqueSolution accordingly.
@@ -158,6 +170,10 @@ def solve_unique(batches, variables):
         for coeffs, rhs in sorted(batch, key=lambda eq: len(eq[0])):
             if ech.add({**coeffs, _RHS: rhs}) is _RHS:
                 raise NoSolution("inconsistent linear system")
+        # an unknown whose row holds only its value is settled: a later
+        # pivot is another unknown, or the right-hand side of a bad row,
+        # after which the rows are never read
+        ech.settle(lambda row: row.keys() <= {_RHS})
         missing = [v for v in missing if v not in ech.rows]
         if not missing:
             break

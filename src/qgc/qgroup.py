@@ -12,13 +12,17 @@ word) pair by peeling the leftmost lowering letter f_j against each e_j of
 the raising word through [e_j, f_j] = (w'_j - w_j) / (s_j - r_j), the peel
 that the pairing numerators share (``Algebra.peel``), as Laurent numerators
 over D(mu) = prod_j (s_j - r_j)^mu_j for the peeled content mu.  The torals
-cross the remaining words as unit monomials u^a v^b.  Products, the
-anti-automorphism tau and the module columns then take one normal-form pass
-(``Algebra.normal_form``): the joined pure words are reduced letter by
-letter through those bases, the terms are summed per content mu and key,
-and each sum is divided by its D(mu) once (``Algebra.over_denominators``,
-which the pairings share).  Sparse vectors are added through the one
-vector add, ``scalars.add_scaled``.
+cross the remaining words as unit monomials u^a v^b.  Products and the
+module columns then take one normal-form pass (``Algebra.normal_form``):
+the joined pure words are reduced letter by letter through those bases,
+the terms are summed per content mu and key, and each sum is divided by its
+D(mu) once (``Algebra.over_denominators``, which the pairings share).  Two
+maps skip the pass.  ad(e_i) follows the Leibniz rule term by term from
+e_i f_y = f_y e_i + [e_i, f_y], with the commutator tabulated per (i, y):
+unit shifts, reduced raising words and one division by D(alpha_i) per
+output key.  The anti-automorphism tau reduces the reversed words of each
+half separately, grouped by the term's lowering word and toral.  Sparse
+vectors are added through the one vector add, ``scalars.add_scaled``.
 """
 
 from __future__ import annotations
@@ -627,13 +631,23 @@ class Algebra:
 
         tau (Benkart-Witherspoon; Bergeron-Gao-Hu for types B-D) is
         Q-linear and reverses products, so c f_a w'_eta w_phi e_b maps to
-        swap(c) f_(b reversed) w'_phi w_eta e_(a reversed): one word
-        reversal per half, then ``normal_form``, and no straightening.
+        swap(c) f_(b reversed) w'_phi w_eta e_(a reversed), and no
+        straightening.  A reversed representative is not one, so the terms
+        are grouped by (a, eta, phi): the reduced reversals of a group's
+        raising words are summed into one lowering vector, and the reduced
+        reversal of a is expanded against it once.  A d x d block of x then
+        takes d^3 products, not d^4.  The content is 0: nothing is divided.
         """
-        zero = self._zero
-        return Element(self, self.normal_form(
-            ((ew[::-1], phi, eta, fw[::-1], zero), c.swap())
-            for (fw, eta, phi, ew), c in x.terms.items()))
+        groups = {}
+        for (fw, eta, phi, ew), c in x.terms.items():
+            add_scaled(groups.setdefault((fw, eta, phi), {}),
+                       self.reduce_word("-", ew[::-1]), c.swap())
+        out = {}
+        for (fw, eta, phi), lowering in groups.items():
+            for e_rep, ce in self.reduce_word("+", fw[::-1]).items():
+                for f_rep, cf in lowering.items():
+                    accumulate(out, (f_rep, phi, eta, e_rep), cf * ce)
+        return Element(self, out)
 
     def counit(self, x: Element) -> Scalar:
         return sum((c for (fw, _, _, ew), c in x.terms.items()
@@ -654,14 +668,54 @@ class Algebra:
 
     def _ad_letter(self, letter, z: Element) -> Element:
         if letter[0] == "E":
-            i = letter[1]
-            w_z = self._conjugate(self._zero, _unit(self.n, i), z)
-            return self.e(i) * z - w_z * self.e(i)
+            return self._ad_raising(letter[1], z)
         if letter[0] == "F":
             i = letter[1]
             return self._times_toral(self.f(i) * z - z * self.f(i),
                                      _vec_neg(_unit(self.n, i)), self._zero)
         return self._conjugate(letter[1], letter[2], z)
+
+    def _ad_raising(self, i, z: Element) -> Element:
+        """ad(e_i) z = e_i z - (w_i z w_i^-1) e_i, term by term.
+
+        From e_i f_y = f_y e_i + [e_i, f_y] and e_i t = chi_t t e_i,
+
+            ad(e_i)(c f_y t e_x) = chi_t c f_y t (e_i e_x)
+                                   - chi_c c f_y t (e_x e_i) + c [e_i, f_y] t e_x
+
+        where chi_c is the unit monomial that w_i (.) w_i^-1 puts on the
+        term.  Each piece is in normal form already: the raising words by
+        ``reduce_word``, the commutator from its table over D(alpha_i).  So
+        the image takes unit shifts and one division by D(alpha_i) per key
+        that the commutator reaches, and no straightening.
+        """
+        unit = _unit(self.n, i)
+        cross_w = self._crossing(self._zero, unit)
+        top, peeled = {}, {}
+        for (fw, eta, phi, ew), c in z.terms.items():
+            cu, cv = self._crossing(eta, phi)
+            af, bf = _word_shift(cross_w, fw)
+            ae, be = _word_shift(cross_w, ew)
+            for rep, ce in self.reduce_word("+", (i,) + ew).items():
+                accumulate(top, (fw, eta, phi, rep), (c * ce).shift(cu[i - 1], cv[i - 1]))
+            for rep, ce in self.reduce_word("+", ew + (i,)).items():
+                accumulate(top, (fw, eta, phi, rep), -(c * ce).shift(af - ae, bf - be))
+            for (f_rep, eta1, phi1), cn in self._commutator(i, fw).items():
+                accumulate(peeled, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
+                           c * cn)
+        return Element(self, add_scaled(top, peeled, self.inverse_denominator(unit)))
+
+    @memoized
+    def _commutator(self, i, fw):
+        """[e_i, f_fw] times D(alpha_i), as {(lowering rep, eta, phi): Scalar}:
+        the peeled part of ``junction((i,), fw)``, its words reduced."""
+        out = {}
+        for (f, eta, phi, _), (nk, mu) in self.junction((i,), fw).items():
+            if any(mu):
+                add_scaled(out, {(rep, eta, phi): cf for rep, cf
+                                 in self.reduce_word("-", f).items()},
+                           Scalar.from_laurent(nk))
+        return out
 
     def __repr__(self):
         return f"Algebra(B{self.n})"

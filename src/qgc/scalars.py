@@ -235,6 +235,13 @@ def _horner(f, x):
     return acc
 
 
+def _over_content(p, q, g):
+    """(g, p/g, q/g) for an integer g that divides every coefficient: the
+    operands stand as their own cofactors when g = 1."""
+    return [{(0, 0): g}] + [t if g == 1 else {k: c // g for k, c in t.items()}
+                            for t in (p, q)]
+
+
 def _laurent_gcd(p, q):
     """(gcd, p/gcd, q/gcd) of nonzero Laurent polynomials, the gcd with no
     monomial factor and a positive graded-lex leading coefficient.
@@ -248,6 +255,8 @@ def _laurent_gcd(p, q):
         heu = _heu_gcd([c // cf for c in f], [c // cg for c in g])
         if heu is not None:
             (h, qf, qg), c, m = heu, math.gcd(cf, cg), len(heu[0]) - 1
+            if not m:  # coprime primitive parts
+                return _over_content(p, q, c)
             return [{(a0 + k, d - a0 - k): s * x for k, x in enumerate(y) if x}
                     for y, a0, d, s in ((h, 0, m, c), (qf, ap, dp - m, cf // c),
                                         (qg, aq, dq - m, cg // c))]
@@ -355,8 +364,7 @@ class LaurentBi:
         if len(p) == 1 or len(q) == 1:
             # a monomial is a unit: only the common integer content remains
             g = math.gcd(_int_content(p.values()), _int_content(q.values()))
-            return _Gcd({(0, 0): g}, *(t if g == 1 else {k: c // g for k, c in t.items()}
-                                       for t in (p, q)))
+            return _Gcd(*_over_content(p, q, g))
         return _Gcd(*_laurent_gcd(p, q))
 
     def divexact(self, other):

@@ -15,6 +15,7 @@ from qgc import center, linalg, pairing, repn
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
 from test_center import reference_centrality_failures
+from test_qgroup import reference_tau
 from test_qgroup import conj_omega_e, conj_omega_prime_e
 from test_rootdata import reflect, weyl_group
 
@@ -407,6 +408,15 @@ def test_trace_elements_keep_their_digests(trace_elements, z_vector_rank3,
     for lam, z in elements.items():
         text = json.dumps(z.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[lam], lam
+
+
+def test_tau_matches_the_per_term_reversal(algebras, trace_elements, z_vector_rank3,
+                                           z_vector_rank4):
+    # the grouped one-sided passes against reversing and expanding each term
+    elements = [(2, z) for z in trace_elements.values()]
+    elements += [(3, z_vector_rank3), (4, z_vector_rank4)]
+    for n, z in elements:
+        assert algebras[n].tau(z) == reference_tau(algebras[n], z) == z
 
 
 def test_junction_table_stays_bounded(algebras, trace_elements):

@@ -1,11 +1,13 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from qgc import center
+from qgc import center, linalg
 from qgc.errors import NoSolution, NotInRootLattice, NotInUb0
 from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
@@ -182,6 +184,80 @@ def test_solver_builds_no_lowering_images(alg2):
     gens = [call.args[1] for call in ad.call_args_list]
     assert alg2.e(1) in gens and alg2.e(2) in gens
     assert alg2.f(1) not in gens and alg2.f(2) not in gens
+
+
+def test_solver_reaches_the_lambda_40_element():
+    # the independent oracle beyond the ladder: the trace build of the same
+    # element has the same sha256 of json.dumps(z.to_json(), sort_keys=True)
+    z = center.central_by_solve(Algebra(2), (4, 0)).element
+    text = json.dumps(z.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6ace30eef5d980fa6eb5ea515bb0900a49f1bf4827131ae57d83602dc0ac2b4b"
+
+
+def _solve_with_batches(alg, lam, edit):
+    """central_by_solve with each batch k, as solve_unique pulls it,
+    replaced by edit(k, batch); returns the candidate and the pulls."""
+    pulled, solve_unique = [], linalg.solve_unique
+
+    def solve(batches, variables):
+        def edited():
+            for k, batch in enumerate(batches):
+                pulled.append(k)
+                yield edit(k, batch)
+        return solve_unique(edited(), variables)
+
+    with mock.patch.object(center.linalg, "solve_unique", side_effect=solve):
+        return center.central_by_solve(alg, lam), pulled
+
+
+def test_solver_bad_row_in_any_block_raises(alg2):
+    # a copy of a row of one block's raising batch, its right-hand side
+    # moved by one: every block's batch is fed in full, so the copy is met
+    nblocks = len(center._blocks(alg2, irreducible(alg2, (2, 0))))
+    batches, keys, ad = [], set(), Algebra.ad
+
+    def spy(alg, x, z):
+        image = ad(alg, x, z)
+        if x in (alg.e(1), alg.e(2)):
+            keys.update(image.terms)
+        return image
+
+    with mock.patch.object(Algebra, "ad", autospec=True, side_effect=spy):
+        _, pulled = _solve_with_batches(alg2, (2, 0),
+                                        lambda k, batch: batches.append(batch) or batch)
+    assert pulled == list(range(nblocks))  # the raising rows pin every unknown
+    # each key of every ad(e_i) image is the row of one batch
+    assert sum(len(batch) for batch in batches) == len(keys)
+    # block 0 is pinned: its images are right-hand sides of the blocks above
+    with_rows = [k for k, batch in enumerate(batches) if any(row[0] for row in batch)]
+    assert with_rows == list(range(1, nblocks))
+    for bad in with_rows:
+        def edit(k, batch):
+            if k != bad:
+                return batch
+            coeffs, rhs = [row for row in batch if row[0]][-1]
+            return batch + [(coeffs, rhs + ONE)]
+
+        with pytest.raises(NoSolution):
+            _solve_with_batches(alg2, (2, 0), edit)
+
+
+@pytest.mark.parametrize("dropped", ["top block", "every block"])
+def test_solver_pins_what_the_raising_rows_leave_free(alg2, z_vec, dropped):
+    # with raising rows dropped, their unknowns stay free, and the f_i
+    # batches that follow the raising ones pin them
+    nblocks = len(center._blocks(alg2, irreducible(alg2, (2, 0))))
+    first = nblocks - 1 if dropped == "top block" else 0
+
+    def edit(k, batch):
+        return [] if first <= k < nblocks else batch
+
+    with mock.patch.object(Algebra, "ad", autospec=True, side_effect=Algebra.ad) as ad:
+        cand, pulled = _solve_with_batches(alg2, (2, 0), edit)
+    assert cand.element == z_vec.element
+    assert len(pulled) > nblocks
+    assert alg2.f(1) in [call.args[1] for call in ad.call_args_list]
 
 
 def test_solver_uses_no_pairing(monkeypatch, z_vec):

@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in that module,
 every private name that the package defines is read somewhere in it, no
-module of the package uses ``assert``, and none holds a float.
+module of the package uses ``assert``, none holds a float, and no module
+but ``qgroup.py`` reads a private attribute of an ``Algebra``.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -87,3 +88,31 @@ def test_no_floating_point(path):
              or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "float"]
     assert not lines, f"{path.name} uses floating point at lines {lines}"
+
+
+ALGEBRA_NAMES = {"alg", "algebra"}
+
+
+def private_algebra_reads(tree):
+    """Lines that read a private attribute of an ``Algebra``, by the names
+    the package gives one: ``alg``, ``algebra`` or ``x.algebra``."""
+    def is_algebra(node):
+        return isinstance(node, ast.Name) and node.id in ALGEBRA_NAMES \
+            or isinstance(node, ast.Attribute) and node.attr in ALGEBRA_NAMES
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__") and is_algebra(node.value))
+
+
+def test_private_algebra_reads_are_found():
+    tree = ast.parse("alg._memo\nalg.memo('x')\nmodule.algebra._zero\nalgebra.n\n"
+                     "other._zero\nalg.rs._memo\n")
+    assert private_algebra_reads(tree) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "qgroup.py"],
+                         ids=lambda p: p.name)
+def test_no_private_algebra_reads_outside_qgroup(path):
+    # the algebra's tables and helpers are read through its public methods
+    lines = private_algebra_reads(ast.parse(path.read_text()))
+    assert not lines, f"{path.name} reads a private Algebra attribute at lines {lines}"

@@ -315,6 +315,35 @@ def test_solve_unique_free_unknowns_after_the_last_batch():
         solve_unique([], names)
 
 
+def test_settled_rows_reduce_but_are_not_cleared():
+    # a settled row still substitutes its value into every later row, but no
+    # new pivot is cleared from it
+    ech = Echelon()
+    ech.add({"a": ONE, _RHS: R})
+    ech.add({"b": ONE, "c": S})
+    ech.settle(lambda row: "c" not in row)
+    assert ech.reduce({"a": S, _RHS: ONE}) == {_RHS: ONE - S * R}
+    assert ech.add({"c": ONE, _RHS: ONE}) == "c"  # cleared from b's open row
+    assert ech.rows == {"a": {_RHS: R}, "b": {_RHS: -S}, "c": {_RHS: ONE}}
+    # a pivot that enters a settled row, against the caller's promise, is
+    # cleared from the open rows alone
+    assert ech.add({_RHS: ONE}) is _RHS
+    assert ech.rows == {"a": {_RHS: R}, "b": {}, "c": {}, _RHS: {}}
+
+
+def test_solve_unique_settles_the_solved_unknowns_after_each_batch():
+    equations, names, solution = random_system(random.Random(20140111))
+    settled, settle = [], Echelon.settle
+
+    def spy(ech, done):
+        settled.append([p for p, row in ech.rows.items() if done(row)])
+        settle(ech, done)
+
+    with mock.patch.object(Echelon, "settle", spy):
+        assert solve_unique([equations[:2], equations[2:]], names) == solution
+    assert len(settled) == 2 and sorted(settled[1]) == names
+
+
 def test_full_rank_reduction_is_substitution():
     # once every unknown is a pivot, every row is {_RHS: value}, so reducing
     # a further equation substitutes the solution into it

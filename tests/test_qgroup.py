@@ -801,16 +801,21 @@ def test_certificate_divides_once_per_normal_form_term(alg2, z22):
 
 def test_certificate_straightens_raising_generators_only(alg2, z22):
     # z22 commutes with the torals and is fixed by tau, so its lowering
-    # generators follow from the raising ones: ad(e_i) straightens e_i z and
-    # (w_i z w_i^-1) e_i, and ad(f_i) is never computed.  r z22 is central but not fixed
-    # by tau, so its ad(f_i) are computed as well.
+    # generators follow from the raising ones, and ad(f_i) is never computed;
+    # ad(e_i) and tau straighten nothing.  r z22 is central but not fixed by
+    # tau, so its n ad(f_i) are computed as well, each straightening f_i z
+    # and z f_i.
     rz = z22.scale(R)
-    for z, calls in ((z22, 2 * alg2.n), (rz, 4 * alg2.n)):
+    for z, lowering in ((z22, 0), (rz, alg2.n)):
         assert center.centrality_failures(alg2, z) == []
-        with mock.patch.object(Algebra, "straighten", autospec=True,
-                               side_effect=Algebra.straighten) as straighten:
+        with mock.patch.object(Algebra, "_ad_letter", autospec=True,
+                               side_effect=Algebra._ad_letter) as letter, \
+                mock.patch.object(Algebra, "straighten", autospec=True,
+                                  side_effect=Algebra.straighten) as straighten:
             assert center.centrality_failures(alg2, z) == []
-        assert straighten.call_count == calls
+        kinds = [call.args[1][0] for call in letter.call_args_list]
+        assert kinds.count("F") == lowering and kinds.count("E") == alg2.n
+        assert straighten.call_count == 2 * lowering
 
 
 def test_associativity_random(alg2):
@@ -936,6 +941,16 @@ def test_tau_generators(algebras):
             alg.scalar(S - R).scale(ONE / (S + R * R))
 
 
+def reference_tau(alg, x):
+    """tau term by term: both words of each term reversed, then one
+    normal-form pass, which expands the two reduced reversals of every term
+    against each other."""
+    zero = (0,) * alg.n
+    return Element(alg, alg.normal_form(
+        ((ew[::-1], phi, eta, fw[::-1], zero), c.swap())
+        for (fw, eta, phi, ew), c in x.terms.items()))
+
+
 @pytest.mark.parametrize("n, trials", [(2, 60), (3, 60)])
 def test_tau_reverses_products(algebras, n, trials):
     # tau(x y) = tau(y) tau(x), both products taken by the letter rewriter;
@@ -950,13 +965,16 @@ def test_tau_reverses_products(algebras, n, trials):
         y = rand_normal_element(alg, rng, e_len=(0, 1, 2), f_len=(0, 1, 2))
         x = x.scale(skew)
         assert alg.tau(alg.tau(x)) == x
-        assert alg.tau(ref.product(x, y)) == ref.product(alg.tau(y), alg.tau(x))
+        xy = ref.product(x, y)
+        assert alg.tau(xy) == ref.product(alg.tau(y), alg.tau(x))
+        assert alg.tau(x) == reference_tau(alg, x)
+        assert alg.tau(xy) == reference_tau(alg, xy)
 
 
 def test_tau_fixes_trace_elements(alg2, z22):
     z20 = center.central_from_trace(alg2, (2, 0)).element
-    assert alg2.tau(z20) == z20
-    assert alg2.tau(z22) == z22
+    assert alg2.tau(z20) == z20 == reference_tau(alg2, z20)
+    assert alg2.tau(z22) == z22 == reference_tau(alg2, z22)
     assert alg2.tau(z20.scale(R)) == z20.scale(S) != z20.scale(R)
 
 
@@ -1003,6 +1021,61 @@ def test_ad_closed_forms(algebras, n, kind):
         (alg.omega(1) - alg.omega_prime(1)).scale(
             (alg.r_i(1) - alg.s_i(1)).inverse())
     assert got == expect
+
+
+def reference_ad(alg, i, z):
+    """ad(e_i) z = e_i z - (w_i z w_i^-1) e_i by two straightenings."""
+    return alg.e(i) * z - alg.omega(i) * z * alg.omega(i, -1) * alg.e(i)
+
+
+@pytest.mark.parametrize("n, trials", [(2, 16), (3, 8)])
+def test_ad_raising_matches_two_straightenings(algebras, n, trials):
+    # torals of both signs, words up to three letters on either side, and
+    # coefficients with denominators; no straightening is made
+    alg = algebras[n]
+    rng = random.Random(500 + n)
+    skew = (R + S * S * 2) / (R * S - 3)
+    cases = [rand_normal_element(alg, rng, e_len=(0, 1, 2, 3), f_len=(0, 1, 2, 3),
+                                 terms=3).scale(skew) for _ in range(trials)]
+    expect = [[reference_ad(alg, i, z) for i in range(1, n + 1)] for z in cases]
+    with mock.patch.object(Algebra, "straighten",
+                           side_effect=AssertionError("straighten")):
+        for z, images in zip(cases, expect):
+            assert [alg.ad(alg.e(i), z) for i in range(1, n + 1)] == images
+
+
+@pytest.mark.parametrize("lam", [(2, 0), (2, 2)])
+def test_ad_raising_matches_on_the_solver_ansatz(alg2, lam):
+    # every one-term unknown of the solver, against every e_i
+    module = repn.irreducible(alg2, lam)
+    count = 0
+    for nu, rows in center._blocks(alg2, module).items():
+        if not any(nu):
+            continue  # the pinned block
+        etas = {eta for _, eta in rows}
+        for fw in alg2.graded_basis("-", nu).words:
+            for ew in alg2.graded_basis("+", nu).words:
+                for eta in etas:
+                    phi = tuple(-(a + b) for a, b in zip(eta, nu))
+                    z = alg2.element_from_term((fw, eta, phi, ew))
+                    for i in (1, 2):
+                        assert alg2.ad(alg2.e(i), z) == reference_ad(alg2, i, z)
+                        count += 1
+    assert count == {(2, 0): 94, (2, 2): 468}[lam]
+
+
+def test_commutator_table_is_the_peeled_junction(alg2):
+    # [e_i, f_y] D(alpha_i), kept per (i, y) with its lowering words reduced
+    reps = [w for nu in itertools.product(range(3), repeat=2)
+            for w in alg2.graded_basis("-", nu).words]
+    for i in (1, 2):
+        for fw in reps:
+            y = alg2.element_from_term((fw, (0, 0), (0, 0), ()))
+            alg2.ad(alg2.e(i), y)
+            table = alg2.memo("commutator")[(i, fw)]
+            got = Element(alg2, {(f, eta, phi, ()): c for (f, eta, phi), c in table.items()})
+            den = alg2.inverse_denominator(unit(2, i)).inverse()
+            assert got == (alg2.e(i) * y - y * alg2.e(i)).scale(den), (i, fw)
 
 
 def test_ad_is_algebra_action(alg2):

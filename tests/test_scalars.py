@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import operator
 import os
 import random
@@ -274,6 +275,23 @@ def test_homogeneous_gcd_cofactors(factors, a, b, c1, c2, su, sv):
     with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
         assert_cofactors(f, g)
         assert_cofactors(g, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.permutations(LADDER_FACTORS), st.integers(-12, 12).filter(bool),
+       st.integers(-12, 12).filter(bool), st.integers(-3, 3), st.integers(-3, 3))
+def test_coprime_homogeneous_gcd_cofactors(factors, c1, c2, su, sv):
+    # distinct ladder factors are coprime, so the dense gcd is the common
+    # integer content, and the cofactors are the operands divided by it:
+    # the operands' own term maps when the content is 1
+    f = LaurentBi.const(c1) * factors[0]
+    g = LaurentBi.monomial(c2, su, sv) * factors[1]
+    with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
+        h = assert_cofactors(f, g)
+    content = math.gcd(c1, c2)
+    assert h == LaurentBi.const(content)
+    cf, cg = h.cofactors
+    assert (cf.terms is f.terms and cg.terms is g.terms) == (content == 1)
 
 
 @settings(max_examples=100, deadline=None)
