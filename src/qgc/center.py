@@ -12,10 +12,9 @@ w_i <-> w'_i; Benkart-Witherspoon, Bergeron-Gao-Hu): a z that commutes
 with the torals and is fixed by tau commutes with f_i exactly when it
 commutes with e_i, so only the raising generators act, through the
 Leibniz rule of ``Algebra.ad`` with no straightening.  A z that is not
-fixed by tau has its lowering generators checked directly.  The solver
-shares those ad(e_i) images as its rows and feeds them block by block in
-height order, so each block's rows meet only its own unknowns and the
-values of the blocks below.
+fixed by tau has its lowering generators checked directly.  The solver's
+rows are those ad(e_i) images alone, fed block by block in height order:
+each block's rows meet only its own unknowns and the values below it.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .pairing import dual_basis
 from .qgroup import Algebra, Element, word_content
-from .repn import act, char_exponents, char_value, irreducible, theta, verma
+from .repn import act, char_exponents, char_value, irreducible, theta
 from .rootdata import WeylElement
 from .scalars import ZERO, Scalar, accumulate, add_scaled
 
@@ -252,14 +251,22 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     The ansatz runs over y_a w'_eta w_phi x_b on the blocks (nu, eta, phi)
     of the trace recipe; the degree-zero block is pinned to the graded
     character, theta summed per weight, and the remaining coefficients must be
-    uniquely determined by the ad(e_i) rows, then ad(f_1..f_n), fed until no
-    unknown is free; the certificate covers the rest.  An ad(e_i) row of
-    raising content eps meets only the blocks eps - alpha_i and eps, so the
-    rows are fed block by block in height order, each with the higher block
-    it meets, and a block's images are built when it comes up: its rows then
-    hold its own unknowns and the lower blocks' values.  The contents of a
-    row's key fix its i, so the rows of all the e_i share one key space.
-    The ansatz reads the graded bases alone: no pairing, no Gram inverse.
+    uniquely determined by the ad(e_i) rows, fed until no unknown is free;
+    the certificate covers the rest.  An ad(e_i) row of raising content eps
+    meets only the blocks eps - alpha_i and eps, so the rows are fed block
+    by block in height order, each with the higher block it meets, and a
+    block's images are built when it comes up: its rows then hold its own
+    unknowns and the lower blocks' values.  The contents of a row's key fix
+    its i, so the rows of all the e_i share one key space.  The ansatz reads
+    the graded bases alone: no pairing, no Gram inverse.
+
+    The raising rows alone pin every unknown.  Were two solutions to differ,
+    take the lowest block where they do and its toral w'_eta w_phi of least
+    eta.  The keys where [e_i, f_y] sets w_i beside that toral meet no other
+    unknown, so the difference's lowering part, the sum of c_y f_y, has
+    every skew derivation r_i zero, and at a nonzero content it is zero
+    (Jantzen's lemma, carried over by the nondegenerate pairing).  A free
+    unknown would raise NonUniqueSolution, never a wrong element.
     """
     lam = _require_dominant_root_weight(alg, lam)
     module = irreducible(alg, lam)
@@ -284,54 +291,25 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     if not variables and any(x for x in lam):
         raise NoSolution("empty ansatz for a nonzero weight")
 
-    def add_images(g, xs, equations_of):
-        """ad(g) x for each unknown x, built lazily, into the rows {x: c}
-        that equations_of(key) holds for each key of the image."""
-        for var in xs:
-            for key, c in alg.ad(g, alg.element_from_term(var)).terms.items():
-                accumulate(equations_of(key).setdefault(key, {}), var, c)
-
-    def batch(equations, rhs):
-        return [(equations.get(k, {}), -rhs.get(k, ZERO))
-                for k in {**equations, **rhs}]  # a lone rhs is inconsistent
-
     def block_of(key):
         # the raising content eps if it is a block, else eps - alpha_i
         eps = word_content(alg.n, key[3])
         return eps if eps in blocks else word_content(alg.n, key[0])
 
-    def batches():
-        equations, rhs = {}, {}  # per block, the rows fed with it
-        raising = [alg.e(i) for i in range(1, alg.n + 1)]
-        for e in raising:
-            for key, c in alg.ad(e, Element(alg, pinned)).terms.items():
-                rhs.setdefault(block_of(key), {})[key] = c
-        for nu in sorted(blocks, key=sum):
-            for e in raising:
-                add_images(e, ansatz.get(nu, ()),
-                           lambda key: equations.setdefault(block_of(key), {}))
-            yield batch(equations.pop(nu, {}), rhs.pop(nu, {}))
-        for i in range(1, alg.n + 1):  # the unknowns the raising rows leave free
-            f, equations = alg.f(i), {}
-            add_images(f, variables, lambda key: equations)
-            yield batch(equations, alg.ad(f, Element(alg, pinned)).terms)
+    raising = [alg.e(i) for i in range(1, alg.n + 1)]
+    equations = {}  # per block, its rows {key: {var: c}}, the pinned part under None
 
-    solution = linalg.solve_unique(batches(), variables)
+    def batch(nu):
+        """The rows fed with block nu; its unknowns' images are built now,
+        and block 0's are the pinned part's."""
+        for e, var in itertools.product(raising, ansatz.get(nu, [None])):
+            x = Element(alg, pinned) if var is None else alg.element_from_term(var)
+            for key, c in alg.ad(e, x).terms.items():
+                accumulate(equations.setdefault(block_of(key), {}).setdefault(key, {}), var, c)
+        return [(row, -row.pop(None, ZERO)) for row in equations.pop(nu, {}).values()]
+
+    solution = linalg.solve_unique(map(batch, sorted(blocks, key=sum)), variables)
     return _certified(alg, Element(alg, {**pinned, **solution}), lam, "solve")
-
-
-def central_scalar_on_verma(alg: Algebra, z: Element, lam, mu, depth: int) -> Scalar:
-    """The scalar by which z acts on the truncated module of (lam, mu).
-
-    Raises CentralityCheckFailed when the action is not scalar on the
-    truncation.
-    """
-    module = verma(alg, lam, mu, depth)
-    mat = act(z, module)
-    scalar = mat.scalar_of_identity()
-    if scalar is None:
-        raise CentralityCheckFailed("action on the truncated module is not scalar")
-    return scalar
 
 
 # ---------------------------------------------------------------------------

@@ -84,18 +84,6 @@ class ColMatrix:
     def is_zero(self):
         return all(not col for col in self.cols)
 
-    def scalar_of_identity(self):
-        """The scalar c with self = c * id, or None."""
-        if self.dim == 0:
-            return ONE
-        c = self.cols[0].get(0, ZERO)
-        for j, col in enumerate(self.cols):
-            if set(col) - {j}:
-                return None
-            if col.get(j, ZERO) != c:
-                return None
-        return c
-
     def trace_against_diag(self, diag) -> Scalar:
         total = ZERO
         for j, col in enumerate(self.cols):

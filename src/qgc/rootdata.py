@@ -34,6 +34,8 @@ class WeylElement:
         return tuple(out)
 
     def __eq__(self, other):
+        if not isinstance(other, WeylElement):
+            return NotImplemented
         return self.perm == other.perm and self.signs == other.signs
 
     def __hash__(self):

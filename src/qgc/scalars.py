@@ -31,10 +31,6 @@ from fractions import Fraction
 from .errors import BadArgument
 
 
-class PoleAtPoint(ZeroDivisionError):
-    """Numeric evaluation hit a zero of the denominator."""
-
-
 # ---------------------------------------------------------------------------
 # raw Laurent-polynomial helpers: dict {(a, b): c} meaning sum of c * u^a v^b
 # ---------------------------------------------------------------------------
@@ -108,13 +104,13 @@ def _int_content(coeffs):
 # monomial operand leaves only the common integer content (see LaurentBi.gcd).
 # Every structure constant of the algebra is homogeneous in u and v, and a
 # homogeneous Laurent polynomial is a monomial times the homogenization of
-# its dense dehomogenization at v = 1.  Gcd and exact division of two such
-# operands therefore run on dense univariate integer coefficients: the gcd as
-# the heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput.
-# 1989), the division as long division.  Other operands, and the rare case
-# where the heuristic gives up, go to sympy's sparse polynomial ring
-# ZZ[u, v] (imported on first use).  Every gcd comes with its cofactors
-# p/gcd and q/gcd, so Scalar arithmetic divides nothing after a gcd.
+# its dense dehomogenization at v = 1.  The gcd of two such operands
+# therefore runs on dense univariate integer coefficients, as the
+# heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput. 1989).
+# Other operands, and the rare case where the heuristic gives up, go to
+# sympy's sparse polynomial ring ZZ[u, v] (imported on first use).  Every gcd
+# comes with its cofactors p/gcd and q/gcd, so Scalar arithmetic divides
+# nothing after a gcd, and an exact division is read off the cofactors.
 # ---------------------------------------------------------------------------
 
 _SYMPY_RING = None
@@ -138,18 +134,6 @@ def _sympy_gcd(p, q):
     if h[_lead(h)] < 0:
         h, cp, cq = _neg(h), _neg(cp), _neg(cq)
     return h, _shift(cp, *_min_exps(p)), _shift(cq, *_min_exps(q))
-
-
-def _sympy_exquo(p, q):
-    """Exact quotient of Laurent polynomials; ArithmeticError if inexact."""
-    from sympy.polys.polyerrors import ExactQuotientFailed
-    a, b = _sympy_operands(p, q)
-    try:
-        quo = a.exquo(b)
-    except ExactQuotientFailed:
-        raise ArithmeticError("inexact polynomial division") from None
-    (pa, pb), (qa, qb) = _min_exps(p), _min_exps(q)
-    return {(a1 + pa - qa, b1 + pb - qb): int(c) for (a1, b1), c in quo.items()}
 
 
 def _dehomogenize(p):
@@ -263,18 +247,6 @@ def _laurent_gcd(p, q):
     return _sympy_gcd(p, q)
 
 
-def _laurent_divexact(p, q):
-    """Exact division of Laurent polynomials; ArithmeticError if inexact."""
-    hp, hq = _dehomogenize(p), _dehomogenize(q)
-    if hp is not None and hq is not None:
-        quo = _dense_quotient(hp[2], hq[2])
-        if quo is None:
-            raise ArithmeticError("inexact polynomial division")
-        a0, d = hp[0] - hq[0], hp[1] - hq[1]
-        return {(a0 + k, d - a0 - k): c for k, c in enumerate(quo) if c}
-    return _sympy_exquo(p, q)
-
-
 class LaurentBi:
     """Integer Laurent polynomial in u = r^(1/2), v = s^(1/2).
 
@@ -368,17 +340,15 @@ class LaurentBi:
         return _Gcd(*_laurent_gcd(p, q))
 
     def divexact(self, other):
+        """self / other; ArithmeticError when the division is inexact."""
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
-        return LaurentBi._of(_laurent_divexact(self.terms, other.terms))
-
-    def eval_at(self, u0: Fraction, v0: Fraction) -> Fraction:
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * u0 ** a * v0 ** b
-        return total
+        # other divides self exactly when other / gcd is a unit +-u^a v^b
+        quo, unit = self.gcd(other).cofactors
+        (a, b), c = next(iter(unit.terms.items()))
+        if len(unit.terms) != 1 or abs(c) != 1:
+            raise ArithmeticError("inexact polynomial division")
+        return (quo if c == 1 else -quo).shift(-a, -b)
 
     def sorted_terms(self):
         """Terms as (coeff, a, b) triples, graded-lex descending."""
@@ -619,15 +589,7 @@ class Scalar:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    # -- evaluation / io ----------------------------------------------------
-
-    def eval_numeric(self, u0, v0) -> Fraction:
-        """Exact value at u = u0, v = v0; raises PoleAtPoint at a pole."""
-        u0, v0 = Fraction(u0), Fraction(v0)
-        d = self.den.eval_at(u0, v0)
-        if d == 0:
-            raise PoleAtPoint(f"denominator vanishes at ({u0}, {v0})")
-        return self.num.eval_at(u0, v0) / d
+    # -- io -----------------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
         """The value as a rational number; only valid for constant scalars."""

@@ -14,7 +14,7 @@ import pytest
 from qgc import center, linalg, pairing, repn
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
-from test_center import reference_centrality_failures
+from test_center import reference_centrality_failures, scalar_on_verma
 from test_qgroup import reference_tau
 from test_qgroup import conj_omega_e, conj_omega_prime_e
 from test_rootdata import reflect, weyl_group
@@ -308,7 +308,7 @@ def test_verma_scalars_weyl_invariant(algebras, z_vector):
     samples = [((2, 0), (1, 1)), ((2, 2), (1, -1)), ((4, 2), (3, 1)),
                ((0, 0), (2, 0))]
     for lam, mu in samples:
-        scalar = center.central_scalar_on_verma(alg, z_vector, lam, mu, depth=2)
+        scalar = scalar_on_verma(alg, z_vector, lam, mu, depth=2)
         shifted = tuple(a + b for a, b in zip(lam, rho))
         assert scalar == center.char_eval(alg, shifted, mu, image)
         for i in (1, 2):

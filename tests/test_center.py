@@ -8,11 +8,11 @@ from unittest import mock
 import pytest
 
 from qgc import center, linalg
-from qgc.errors import NoSolution, NotInRootLattice, NotInUb0
+from qgc.errors import NoSolution, NonUniqueSolution, NotInRootLattice, NotInUb0
 from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
-from qgc.repn import char_value, irreducible, theta
-from qgc.scalars import ONE, R, Scalar, rs_ratio_power
+from qgc.repn import act, char_value, irreducible, theta, verma
+from qgc.scalars import ONE, R, ZERO, Scalar, rs_ratio_power
 from test_rootdata import reflect, weyl_group, weyl_inverse
 
 
@@ -244,9 +244,9 @@ def test_solver_bad_row_in_any_block_raises(alg2):
 
 
 @pytest.mark.parametrize("dropped", ["top block", "every block"])
-def test_solver_pins_what_the_raising_rows_leave_free(alg2, z_vec, dropped):
-    # with raising rows dropped, their unknowns stay free, and the f_i
-    # batches that follow the raising ones pin them
+def test_solver_refuses_what_the_raising_rows_leave_free(alg2, dropped):
+    # with raising rows dropped, their unknowns stay free: the solver has no
+    # second feed, so it raises a structured error and never reaches an f_i
     nblocks = len(center._blocks(alg2, irreducible(alg2, (2, 0))))
     first = nblocks - 1 if dropped == "top block" else 0
 
@@ -254,10 +254,11 @@ def test_solver_pins_what_the_raising_rows_leave_free(alg2, z_vec, dropped):
         return [] if first <= k < nblocks else batch
 
     with mock.patch.object(Algebra, "ad", autospec=True, side_effect=Algebra.ad) as ad:
-        cand, pulled = _solve_with_batches(alg2, (2, 0), edit)
-    assert cand.element == z_vec.element
-    assert len(pulled) > nblocks
-    assert alg2.f(1) in [call.args[1] for call in ad.call_args_list]
+        with pytest.raises(NonUniqueSolution):
+            _solve_with_batches(alg2, (2, 0), edit)
+    lowering = [alg2.f(i) for i in (1, 2)]
+    assert ad.called
+    assert not any(call.args[1] in lowering for call in ad.call_args_list)
 
 
 def test_solver_uses_no_pairing(monkeypatch, z_vec):
@@ -388,13 +389,23 @@ def test_solver_empty_ansatz(alg2, monkeypatch):
         center.central_by_solve(alg2, (2, 0))
 
 
+def scalar_on_verma(alg, z, lam, mu, depth):
+    """The scalar by which z acts on the truncated module of (lam, mu),
+    asserting that the action is scalar there."""
+    cols = act(z, verma(alg, lam, mu, depth)).cols
+    c = cols[0].get(0, ZERO)
+    for j, col in enumerate(cols):
+        assert set(col) <= {j} and col.get(j, ZERO) == c, "not scalar"
+    return c
+
+
 def test_verma_scalar_and_reflection_invariance(alg2, z_vec):
     z = z_vec.element
     image = center.hc_xi(alg2, z)
     rho = alg2.rs.rho
     samples = [((2, 0), (1, 1)), ((2, 2), (3, 1))]
     for lam, mu in samples:
-        scalar = center.central_scalar_on_verma(alg2, z, lam, mu, depth=2)
+        scalar = scalar_on_verma(alg2, z, lam, mu, depth=2)
         shifted = tuple(a + b for a, b in zip(lam, rho))
         assert scalar == center.char_eval(alg2, shifted, mu, image)
         for i in (1, 2):

@@ -138,6 +138,8 @@ def test_weyl_group_order(n):
         assert weyl_inverse(w1).act(w1.act(vec)) == vec
     ident = weyl_identity(n)
     assert ident.act(vec) == vec
+    # another type is never equal, and comparing with it raises nothing
+    assert ident != None and None not in group  # noqa: E711
 
 
 def test_coroot_pairs(b2):
