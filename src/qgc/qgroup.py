@@ -19,10 +19,11 @@ the terms are summed per content mu and key, and each sum is divided by its
 D(mu) once (``Algebra.over_denominators``, which the pairings share).  Two
 maps skip the pass.  ad(e_i) follows the Leibniz rule term by term from
 e_i f_y = f_y e_i + [e_i, f_y], with the commutator tabulated per (i, y):
-unit shifts, reduced raising words and one division by D(alpha_i) per
-output key.  The anti-automorphism tau reduces the reversed words of each
-half separately, grouped by the term's lowering word and toral.  Sparse
-vectors are added through the one vector add, ``scalars.add_scaled``.
+unit shifts, reduced raising words and the commutator over D(alpha_i),
+summed as raw numerators (``scalars.add_product``).  The anti-automorphism
+tau reduces the reversed words of each half separately, grouped by the
+term's lowering word and toral.  Sparse vectors are added through the one
+vector add, ``scalars.add_scaled``.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .errors import (
     WrongSide,
 )
 from .rootdata import RootSystemB
-from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_scaled, half_exponent,
-                      memoized, rs_ratio_power)
+from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_product, add_scaled,
+                      half_exponent, memoized, rs_ratio_power, settle)
 
 
 _NUM_ONE = LaurentBi.const(1)
@@ -636,18 +637,19 @@ class Algebra:
         are grouped by (a, eta, phi): the reduced reversals of a group's
         raising words are summed into one lowering vector, and the reduced
         reversal of a is expanded against it once.  A d x d block of x then
-        takes d^3 products, not d^4.  The content is 0: nothing is divided.
+        takes d^3 products, not d^4.  The content is 0: nothing is divided,
+        and the products are summed as raw numerators (``add_product``).
         """
         groups = {}
         for (fw, eta, phi, ew), c in x.terms.items():
             add_scaled(groups.setdefault((fw, eta, phi), {}),
                        self.reduce_word("-", ew[::-1]), c.swap())
-        out = {}
+        acc = {}
         for (fw, eta, phi), lowering in groups.items():
             for e_rep, ce in self.reduce_word("+", fw[::-1]).items():
                 for f_rep, cf in lowering.items():
-                    accumulate(out, (f_rep, phi, eta, e_rep), cf * ce)
-        return Element(self, out)
+                    add_product(acc, (f_rep, phi, eta, e_rep), cf, ce)
+        return Element(self, settle(acc))
 
     def counit(self, x: Element) -> Scalar:
         return sum((c for (fw, _, _, ew), c in x.terms.items()
@@ -686,24 +688,30 @@ class Algebra:
         where chi_c is the unit monomial that w_i (.) w_i^-1 puts on the
         term.  Each piece is in normal form already: the raising words by
         ``reduce_word``, the commutator from its table over D(alpha_i).  So
-        the image takes unit shifts and one division by D(alpha_i) per key
-        that the commutator reaches, and no straightening.
+        the image takes unit shifts and no straightening.  The three pieces
+        go into one ``add_product`` accumulator as raw numerators, the
+        commutator's over D(alpha_i), and each key is settled once: a key
+        whose pieces cancel, as every key of a central z does, takes no gcd.
         """
         unit = _unit(self.n, i)
         cross_w = self._crossing(self._zero, unit)
-        top, peeled = {}, {}
+        # 1/D(alpha_i) = +-u^da v^db / den_i: its unit numerator joins the
+        # commutator's sign and shift, den_i its bucket's denominator
+        inv = self.inverse_denominator(unit)
+        ((da, db), sd), = inv.num.terms.items()
+        acc = {}
         for (fw, eta, phi, ew), c in z.terms.items():
             cu, cv = self._crossing(eta, phi)
             af, bf = _word_shift(cross_w, fw)
             ae, be = _word_shift(cross_w, ew)
             for rep, ce in self.reduce_word("+", (i,) + ew).items():
-                accumulate(top, (fw, eta, phi, rep), (c * ce).shift(cu[i - 1], cv[i - 1]))
+                add_product(acc, (fw, eta, phi, rep), c, ce, 1, cu[i - 1], cv[i - 1])
             for rep, ce in self.reduce_word("+", ew + (i,)).items():
-                accumulate(top, (fw, eta, phi, rep), -(c * ce).shift(af - ae, bf - be))
+                add_product(acc, (fw, eta, phi, rep), c, ce, -1, af - ae, bf - be)
             for (f_rep, eta1, phi1), cn in self._commutator(i, fw).items():
-                accumulate(peeled, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
-                           c * cn)
-        return Element(self, add_scaled(top, peeled, self.inverse_denominator(unit)))
+                add_product(acc, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
+                            c, cn, sd, da, db, inv.den)
+        return Element(self, settle(acc))
 
     @memoized
     def _commutator(self, i, fw):

@@ -19,7 +19,17 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
   denominator, and a denominator of 1 needs no gcd;
 - a sum with coprime denominators d1, d2 is already reduced over d1 d2.
   Otherwise, with g = gcd(d1, d2), only gcd(t, g) can cancel, where
-  t = n1 (d2/g) + n2 (d1/g).
+  t = n1 (d2/g) + n2 (d1/g);
+- a unit numerator +-u^a v^b has nothing to cancel against, so it takes no
+  gcd at all.
+
+A sum of many products is taken by one multiply-accumulate primitive,
+``add_product``, on raw numerator terms: each product is added in place to
+a bucket of its key and of the product of its canonical denominators, and
+no partial product or partial sum is made a Scalar.  ``settle`` then gives
+each key one canonical Scalar over the product of its buckets'
+denominators.  A sum that cancels there drops out with no gcd, so the
+images of a central element, which are all zero, take none.
 """
 
 from __future__ import annotations
@@ -285,6 +295,10 @@ class LaurentBi:
     def is_monomial(self):
         return len(self.terms) == 1
 
+    def is_unit(self):
+        """Whether self is +-u^a v^b, a unit of the Laurent ring."""
+        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
+
     def __add__(self, other):
         return LaurentBi._of(_add(self.terms, other.terms))
 
@@ -525,14 +539,15 @@ class Scalar:
             return self
         if self.is_one():
             return other
-        # only n1 against d2 and n2 against d1 can cancel; the product of
-        # the reduced canonical denominators is canonical (module docstring)
+        # only n1 against d2 and n2 against d1 can cancel, and a unit
+        # numerator cannot; the product of the reduced canonical denominators
+        # is canonical (module docstring)
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not d2.is_one():
+        if not d2.is_one() and not n1.is_unit():
             g = n1.gcd(d2)
             if not g.is_one():
                 n1, d2 = g.cofactors
-        if not d1.is_one():
+        if not d1.is_one() and not n2.is_unit():
             g = n2.gcd(d1)
             if not g.is_one():
                 n2, d1 = g.cofactors
@@ -638,9 +653,10 @@ def _normalize_unit(num: LaurentBi, den: LaurentBi):
 def _canon(num: LaurentBi, den: LaurentBi):
     if num.is_zero():
         return _L_ZERO, _L_ONE
-    g = num.gcd(den)
-    if not g.is_one():
-        num, den = g.cofactors
+    if not num.is_unit():
+        g = num.gcd(den)
+        if not g.is_one():
+            num, den = g.cofactors
     return _normalize_unit(num, den)
 
 
@@ -667,6 +683,60 @@ def add_scaled(out, vec, c=ONE):
     if not c.is_zero():
         for k, v in vec.items():
             accumulate(out, k, c * v)
+    return out
+
+
+def add_product(acc, key, x, y, sign=1, a=0, b=0, extra=None):
+    """acc[key][den] += sign * x.num * y.num * u^a v^b, in place on raw terms.
+
+    acc maps each key to its buckets {den: numerator term map}, where den
+    is x.den * y.den, times ``extra`` when given: a product of canonical
+    denominators, so canonical itself.  A term that cancels is deleted, and
+    so are a bucket and a key left empty.  ``settle`` reads the sums off.
+    """
+    den = x.den * y.den
+    if extra is not None:
+        den = den * extra
+    buckets = acc.get(key)
+    if buckets is None:
+        buckets = acc[key] = {}
+    terms = buckets.get(den)
+    if terms is None:
+        terms = buckets[den] = {}
+    yterms = y.num.terms.items()
+    for (a1, b1), c1 in x.num.terms.items():
+        a1 += a
+        b1 += b
+        c1 *= sign
+        for k, c2 in yterms:
+            if a1 or b1:  # else reuse y's exponent tuple, not a new one per term
+                k = (a1 + k[0], b1 + k[1])
+            c = terms.get(k, 0) + c1 * c2
+            if c:
+                terms[k] = c
+            else:
+                del terms[k]
+    if not terms:
+        del buckets[den]
+        if not buckets:
+            del acc[key]
+
+
+def settle(acc):
+    """The sums of an ``add_product`` accumulator as {key: Scalar}, emptying
+    acc as it goes.  A key's buckets are summed over the product of their
+    denominators; a sum that cancels is dropped with no gcd, and any other
+    is canonicalized once (over 1, with none)."""
+    out = {}
+    for key in list(acc):
+        buckets = iter(acc.pop(key).items())
+        den, terms = next(buckets)
+        num = LaurentBi._of(terms)
+        for d, terms in buckets:
+            num = num * d + LaurentBi._of(terms) * den
+            den = den * d
+        if not num.is_zero():
+            out[key] = Scalar(num, den, _canonical=den.is_one())
     return out
 
 

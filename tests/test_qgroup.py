@@ -9,7 +9,7 @@ from qgc import center, linalg, pairing, repn
 from qgc.errors import (BadArgument, NonIntegralSecondArgument, NotInRootLattice,
                         QgcError, RankMismatch, WrongSide)
 from qgc.qgroup import Algebra, Element, word_content
-from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar, rs_ratio_power
+from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar, rs_ratio_power, settle
 
 
 @pytest.fixture(scope="module")
@@ -799,6 +799,19 @@ def test_certificate_divides_once_per_normal_form_term(alg2, z22):
     assert gcd.call_count <= 4 * len(z22.terms)
 
 
+def test_certificate_of_a_central_element_takes_no_gcd(algebras, z22):
+    # every sum of ad(e_i) z and tau z cancels or lies over 1 for a central
+    # z with polynomial coefficients, so a warm certificate takes no gcd; the
+    # division of each ad(e_i) key by D(alpha_i) made 338 and 676 here
+    z3 = center.central_from_trace(algebras[3], (2, 0, 0)).element
+    for alg, z in ((algebras[2], z22), (algebras[3], z3)):
+        assert center.centrality_failures(alg, z) == []
+        with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                               side_effect=LaurentBi.gcd) as gcd:
+            assert center.centrality_failures(alg, z) == []
+        assert gcd.call_count == 0
+
+
 def test_certificate_straightens_raising_generators_only(alg2, z22):
     # z22 commutes with the torals and is fixed by tau, so its lowering
     # generators follow from the raising ones, and ad(f_i) is never computed;
@@ -941,6 +954,59 @@ def test_tau_generators(algebras):
             alg.scalar(S - R).scale(ONE / (S + R * R))
 
 
+DISTINCT_DENOMINATORS = (ONE / (R * S - 3), ONE / (R + S * S * 2))
+
+
+def mixed_denominator_element(alg, rng):
+    """Terms f_y t e_x on one toral t, for two lowering and two raising
+    words of one content each, with f_y over the y-th denominator of
+    DISTINCT_DENOMINATORS.  The reversed lowering words reduce to raising
+    words that overlap, so both tau and the commutators [e_i, f_y] of
+    ad(e_i) bring the two denominators to one key."""
+    def two_words(sign, overlap):
+        options = [basis.words[:2] for nu in itertools.product(range(3), repeat=alg.n)
+                   for basis in [alg.graded_basis(sign, nu)] if basis.dim >= 2]
+        if overlap:
+            options = [ws for ws in options
+                       if set(alg.reduce_word("+", ws[0][::-1]))
+                       & set(alg.reduce_word("+", ws[1][::-1]))]
+        return rng.choice(options)
+
+    toral = (tuple(rng.randint(-1, 1) for _ in range(alg.n)),
+             tuple(rng.randint(-1, 1) for _ in range(alg.n)))
+    fwords, ewords = two_words("-", True), two_words("+", False)
+    terms = {}
+    for y, fw in enumerate(fwords):
+        for ew in ewords:
+            c = Scalar.monomial(rng.randint(-2, 2), rng.randint(-2, 2),
+                                rng.choice([1, -1, 2]))
+            terms[(fw, *toral, ew)] = (c + ONE) * DISTINCT_DENOMINATORS[y]
+    return Element(alg, terms)
+
+
+def met_distinct_denominators(settled):
+    """Whether some key of the recorded accumulators holds one bucket over
+    a multiple of each distinct denominator (or of its r <-> s image) and
+    not of the other."""
+    dens = [d.den for d in DISTINCT_DENOMINATORS]
+    dens += [d.swap().den for d in DISTINCT_DENOMINATORS]
+
+    def over(den):
+        return {k % 2 for k, d in enumerate(dens) if den.gcd(d) == d}
+
+    return any({0} in parts and {1} in parts
+               for acc in settled for buckets in acc.values()
+               for parts in [[over(den) for den in buckets]])
+
+
+def recording_settle(settled):
+    """A stand-in for qgroup.settle that records each accumulator first."""
+    def record(acc):
+        settled.append({k: dict(b) for k, b in acc.items()})
+        return settle(acc)
+    return mock.patch("qgc.qgroup.settle", side_effect=record)
+
+
 def reference_tau(alg, x):
     """tau term by term: both words of each term reversed, then one
     normal-form pass, which expands the two reduced reversals of every term
@@ -969,6 +1035,15 @@ def test_tau_reverses_products(algebras, n, trials):
         assert alg.tau(xy) == ref.product(alg.tau(y), alg.tau(x))
         assert alg.tau(x) == reference_tau(alg, x)
         assert alg.tau(xy) == reference_tau(alg, xy)
+    # one output key meets buckets over distinct denominators
+    settled = []
+    for _ in range(trials // 6):
+        x = mixed_denominator_element(alg, rng)
+        with recording_settle(settled):
+            image = alg.tau(x)
+        assert image == reference_tau(alg, x)
+        assert alg.tau(image) == x
+    assert met_distinct_denominators(settled)
 
 
 def test_tau_fixes_trace_elements(alg2, z22):
@@ -1037,11 +1112,17 @@ def test_ad_raising_matches_two_straightenings(algebras, n, trials):
     skew = (R + S * S * 2) / (R * S - 3)
     cases = [rand_normal_element(alg, rng, e_len=(0, 1, 2, 3), f_len=(0, 1, 2, 3),
                                  terms=3).scale(skew) for _ in range(trials)]
+    # terms over distinct denominators, so that one output key meets
+    # buckets of two or more
+    cases += [mixed_denominator_element(alg, rng) for _ in range(trials // 4)]
     expect = [[reference_ad(alg, i, z) for i in range(1, n + 1)] for z in cases]
+    settled = []
     with mock.patch.object(Algebra, "straighten",
-                           side_effect=AssertionError("straighten")):
+                           side_effect=AssertionError("straighten")), \
+            recording_settle(settled):
         for z, images in zip(cases, expect):
             assert [alg.ad(alg.e(i), z) for i in range(1, n + 1)] == images
+    assert met_distinct_denominators(settled)
 
 
 @pytest.mark.parametrize("lam", [(2, 0), (2, 2)])

@@ -23,8 +23,11 @@ from qgc.scalars import (
     ZERO,
     LaurentBi,
     Scalar,
+    accumulate,
+    add_product,
     add_scaled,
     rs_ratio_power,
+    settle,
 )
 
 
@@ -515,10 +518,11 @@ def test_canonical_inputs_skip_needless_gcds():
         assert gcd.call_args.args == (a.den, b.den)
 
 
-# sha256 of the to_json entries of invert(gram(Algebra(3), (2, 2, 2))), and
-# the LaurentBi.gcd calls it makes; both as before the gcd kept its cofactors
+# sha256 of the to_json entries of invert(gram(Algebra(3), (2, 2, 2))), as
+# before the gcd kept its cofactors, and the LaurentBi.gcd calls it makes:
+# 1,014 then, less the 214 products whose numerator is a unit +-u^a v^b
 INVERT_222_SHA256 = "45aa481c97d78c0f08565d2e55f156992170d8a680538579f3765485bd2df6a6"
-INVERT_222_GCDS = 1014
+INVERT_222_GCDS = 800
 
 
 def test_scalar_arithmetic_divides_nothing_after_a_gcd():
@@ -639,6 +643,68 @@ def test_add_scaled_by_zero_stores_nothing():
     out = {"a": R}
     assert add_scaled(out, {"a": ONE, "d": S}, ZERO) is out
     assert out == {"a": R}
+
+
+def test_unit_numerators_take_no_gcd():
+    # +-u^a v^b is a unit: nothing in a denominator can cancel against it
+    inv = ONE / (R - S)
+    unit = Scalar.monomial(3, -1, -1)
+    with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                           side_effect=LaurentBi.gcd) as gcd:
+        assert unit * inv == inv * unit == Scalar(unit.num, (R - S).num)
+    assert gcd.call_count == 0
+    assert (unit * inv).den == (R - S).num
+
+
+EXTRA = (R * R + S).num
+
+
+@st.composite
+def keyed_products(draw):
+    """Products (key, x, y, sign, a, b, over) for add_product, over the keys
+    0..3: x, y carry mixed canonical ladder denominators, and ``over`` says
+    whether the extra denominator divides the product.  A drawn product may
+    come with its negation, y x (/ extra) folded into one Scalar, so that
+    its key's sums cancel exactly across buckets of distinct denominators."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        item = (draw(st.integers(0, 3)), draw(ladder_scalars()), draw(ladder_scalars()),
+                draw(st.sampled_from([1, -1])), draw(st.integers(-2, 2)),
+                draw(st.integers(-2, 2)), draw(st.booleans()))
+        out.append(item)
+        if draw(st.booleans()):
+            key, x, y, sign, a, b, over = item
+            folded = y / Scalar.from_laurent(EXTRA) if over else y
+            out.append((key, folded, x, -sign, a, b, False))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(keyed_products())
+def test_add_product_settles_to_the_scalar_sums(products):
+    expect, acc = {}, {}
+    for key, x, y, sign, a, b, over in products:
+        c = Scalar.monomial(a, b, sign) * x * y
+        accumulate(expect, key, c / Scalar.from_laurent(EXTRA) if over else c)
+        add_product(acc, key, x, y, sign, a, b, EXTRA if over else None)
+    with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                           side_effect=LaurentBi.gcd) as gcd:
+        got = settle(acc)
+    assert got == expect and acc == {}
+    # cancelled keys are dropped with no gcd, the others canonicalized once
+    assert gcd.call_count <= len(got)
+
+
+def test_add_product_deletes_what_cancels():
+    acc = {}
+    x, y = R / (R - S), S + ONE
+    add_product(acc, "k", x, y, 1, 1, 0)
+    add_product(acc, "k", x, y, -1, 1, 0, (R + S).num)
+    assert list(acc["k"]) == [(R - S).num, ((R - S) * (R + S)).num]
+    add_product(acc, "k", x, y, -1, 1, 0)
+    assert list(acc["k"]) == [((R - S) * (R + S)).num]
+    add_product(acc, "k", x, y, 1, 1, 0, (R + S).num)
+    assert acc == {} and settle(acc) == {}
 
 
 def test_json_roundtrip():
