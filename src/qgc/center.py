@@ -52,6 +52,7 @@ def hc_xi(alg: Algebra, x: Element):
     Projection is total; the toral monomial w'_eta w_phi picks up the
     character of -rho, which on balanced monomials is (r s^-1)^(2 (rho, eta)).
     """
+    alg.check_element(x)
     minus_rho = tuple(-x for x in alg.rs.rho)
     out = {}
     for (fw, eta, phi, ew), c in x.terms.items():

@@ -19,13 +19,11 @@ monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
 D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
 gcd, and each value is canonicalized once; all entries of a Gram block share
 the one D(nu) of their content.  The forms skew_pair and rosso sum c N per
-content and hand the sums to the algebra's one grouped division
-(Algebra.over_denominators), which straightening also ends in.  The peeling
-step, each match of f_j in the raising word with its crossing factor
-(Algebra.peel), is the one that the junction of straightening takes, since
-<f, e> is the w'_nu term of e f.  Each keeps its own table of numerators;
-the table of 1/D(nu) belongs to the algebra (Algebra.inverse_denominator),
-which both share.
+content and divide each sum by its D(nu) once.  The peeling step, each
+match of f_j in the raising word with its crossing factor, is the algebra's
+(Algebra.peel), and so is the table of 1/D(nu)
+(Algebra.inverse_denominator).  <f, e> is the lone w'_nu coefficient of the
+product e f, which the tests check.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 from .errors import SingularGram, WrongSide
 from .linalg import invert
 from .qgroup import _NUM_ONE, Algebra, Element, word_content
-from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, memoized
+from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -72,7 +70,7 @@ def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
     """<y, x> for y in the lowering Hopf half and x in the raising one.
 
     The terms c N(fw, ew) are summed per content nu, and
-    ``Algebra.over_denominators`` divides each sum by D(nu) once.
+    ``_over_denominators`` divides each sum by D(nu) once.
     """
     sums = {}
     for (fw_y, eta_y, phi_y, ew_y), cy in y.terms.items():
@@ -87,7 +85,16 @@ def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
             toral = alg.gpair(eta_y, phi_x) * alg.gpair(nu, phi_x)
             accumulate(sums.setdefault(nu, {}), None, cy * cx * toral *
                        Scalar.from_laurent(_numerator(alg, fw_y, ew_x)))
-    return alg.over_denominators(sums).get(None, ZERO)
+    return _over_denominators(alg, sums).get(None, ZERO)
+
+
+def _over_denominators(alg: Algebra, grouped):
+    """{nu: {key: c}} as {key: the sum over nu of c / D(nu)}: each sum is
+    divided once, by one vector add per content."""
+    out = {}
+    for nu, sums in grouped.items():
+        add_scaled(out, sums, alg.inverse_denominator(nu))
+    return out
 
 
 def gram(alg: Algebra, nu):
@@ -173,7 +180,7 @@ def rosso(alg: Algebra, x: Element, y: Element) -> Scalar:
                 * s2_twist(alg, nu_a)
             accumulate(sums.setdefault(nu, {}), None,
                        cx * cy * val * Scalar.from_laurent(num))
-    return alg.over_denominators(sums).get(None, ZERO)
+    return _over_denominators(alg, sums).get(None, ZERO)
 
 
 def check_ad_invariance(alg: Algebra, a: Element, b: Element, c: Element) -> bool:

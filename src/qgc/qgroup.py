@@ -6,24 +6,19 @@ drawn from graded-basis representatives of the halves modulo the Serre
 ideal.  The graded bases are built by induction on the last letter: a
 content is spanned by the representatives one letter lower, each followed
 by that letter, and only the Serre relators placed at the end of a word add
-relations.  A product of terms (f1 t1 e1)(f2 t2 e2) is straightened at its one
-junction e1 f2, whose normal form is tabulated per (raising word, lowering
-word) pair by peeling the leftmost lowering letter f_j against each e_j of
-the raising word through [e_j, f_j] = (w'_j - w_j) / (s_j - r_j), the peel
-that the pairing numerators share (``Algebra.peel``), as Laurent numerators
-over D(mu) = prod_j (s_j - r_j)^mu_j for the peeled content mu.  The torals
-cross the remaining words as unit monomials u^a v^b.  Products and the
-module columns then take one normal-form pass (``Algebra.normal_form``):
-the joined pure words are reduced letter by letter through those bases,
-the terms are summed per content mu and key, and each sum is divided by its
-D(mu) once (``Algebra.over_denominators``, which the pairings share).  Two
-maps skip the pass.  ad(e_i) follows the Leibniz rule term by term from
-e_i f_y = f_y e_i + [e_i, f_y], with the commutator tabulated per (i, y):
-unit shifts, reduced raising words and the commutator over D(alpha_i),
-summed as raw numerators (``scalars.add_product``).  The anti-automorphism
-tau reduces the reversed words of each half separately, grouped by the
-term's lowering word and toral.  Sparse vectors are added through the one
-vector add, ``scalars.add_scaled``.
+relations.  One table serves every product: the commutator [e_i, f_y] per
+(i, y), times D(alpha_i) = s_i - r_i, built by peeling y's first letter
+(``Algebra.commutator``).  From e_i f_y = f_y e_i + [e_i, f_y] and a unit
+monomial for e_i crossing a toral, e_i acts on a normal-form element term
+by term (``Algebra._raise_into``), summed as raw numerators
+(``scalars.add_product``) and settled once.  A product x*y is the action of
+x's generators on y: a term's raising letters act one at a time, its toral
+crosses the lowering words as a unit monomial, and its lowering word is
+prefixed and the joined word reduced.  ad(e_i) is e_i z less
+(w_i z w_i^-1) e_i, whose raising words are reduced as they stand, so it
+straightens nothing.  The anti-automorphism tau reduces the reversed words
+of each half separately, grouped by the term's lowering word and toral.
+Sparse vectors are added through the one vector add, ``scalars.add_scaled``.
 """
 
 from __future__ import annotations
@@ -73,6 +68,8 @@ def _check_sign(sign):
 def word_content(n, word):
     out = [0] * n
     for i in word:
+        if type(i) is not int or not 0 < i <= n:
+            raise RankMismatch(f"letter {i} of {tuple(word)} is out of 1..{n}")
         out[i - 1] += 1
     return tuple(out)
 
@@ -116,7 +113,7 @@ class Element:
         return not self.terms
 
     def __add__(self, other):
-        self._compat(other)
+        self.algebra.check_element(other)
         return Element(self.algebra, add_scaled(dict(self.terms), other.terms))
 
     def __sub__(self, other):
@@ -127,7 +124,6 @@ class Element:
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._compat(other)
             return self.algebra.straighten(self, other)
         return self.scale(other)
 
@@ -146,10 +142,6 @@ class Element:
     def __eq__(self, other):
         return isinstance(other, Element) and self.algebra is other.algebra \
             and self.terms == other.terms
-
-    def _compat(self, other):
-        if self.algebra is not other.algebra:
-            raise RankMismatch("elements belong to different algebras")
 
     def letters(self):
         """The generator letters of each term, left to right."""
@@ -312,17 +304,19 @@ class Algebra:
     def element_from_term(self, key, coeff=ONE) -> Element:
         return Element(self, {key: coeff})
 
-    def fword_element(self, word, coeff=ONE) -> Element:
-        return Element(self, {(rep, self._zero, self._zero, ()): c * coeff
-                              for rep, c in self.reduce_word("-", word).items()})
-
     def eword_element(self, word, coeff=ONE) -> Element:
         return Element(self, {((), self._zero, self._zero, rep): c * coeff
                               for rep, c in self.reduce_word("+", word).items()})
 
     def _check_index(self, i):
-        if not 1 <= i <= self.n:
-            raise RankMismatch(f"generator index {i} out of 1..{self.n}")
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise RankMismatch(f"generator index {i!r} out of 1..{self.n}")
+
+    def check_element(self, *xs):
+        """Raise ``RankMismatch`` unless every x is an element of this algebra."""
+        for x in xs:
+            if x.algebra is not self:
+                raise RankMismatch(f"an element of {x.algebra!r} given to {self!r}")
 
     # -- Serre relators and graded bases -------------------------------------
 
@@ -380,6 +374,8 @@ class Algebra:
         nu = tuple(nu)
         if len(nu) != self.n:
             raise RankMismatch("content length mismatch")
+        if any(type(c) is not int for c in nu):
+            raise BadArgument(f"content {nu} is not a tuple of integers")
         if any(c < 0 for c in nu):
             raise NotInPositiveCone(f"{nu} is not in the positive cone")
         return self._graded_basis(sign, nu)
@@ -441,58 +437,38 @@ class Algebra:
     # -- straightening --------------------------------------------------------
 
     def straighten(self, x: Element, y: Element) -> Element:
-        """Normal form of x*y, split at the raising/lowering junction.
+        """Normal form of x*y, as the action of x's generators on y.
 
-        (f1 t1 e1)(f2 t2 e2) = f1 t1 [e1 f2] t2 e2: the junction comes from
-        the (E-word, F-word) table, t1 moves right past its lowering part and
-        t2 left past its raising part by unit monomials, and the terms c N
-        are summed per joined key and junction content mu for
-        ``normal_form``.
+        For a term c1 f1 t1 e1 of x, the letters of e1 act on y right to left
+        (``_raise_into``), once per distinct e1, with each step settled; t1
+        then crosses each lowering word as a unit monomial and joins the
+        toral, and f1 is prefixed to the lowering word, which is reduced.
         """
-        raw = {}
-        ys = [(key, c, self._crossing(key[1], key[2]))
-              for key, c in y.terms.items()]
+        self.check_element(x, y)
+        raised = {}
+        acc = {}
         for (f1, eta1, phi1, e1), c1 in x.terms.items():
+            ez = raised.get(e1)
+            if ez is None:
+                ez = y.terms
+                for i in reversed(e1):
+                    step = {}
+                    self._raise_into(step, i, ez)
+                    ez = settle(step)
+                raised[e1] = ez
             cross1 = self._crossing(eta1, phi1)
-            for (f2, eta2, phi2, e2), c2, cross2 in ys:
-                c = c1 * c2
-                eta12, phi12 = _vec_add(eta1, eta2), _vec_add(phi1, phi2)
-                for (fj, etaj, phij, ej), (nj, mu) in self.junction(e1, f2).items():
-                    a1, b1 = _word_shift(cross1, fj)
-                    a2, b2 = _word_shift(cross2, ej)
-                    key = (f1 + fj, _vec_add(eta12, etaj), _vec_add(phi12, phij),
-                           ej + e2, mu)
-                    cn = c if nj.is_one() else c * Scalar.from_laurent(nj)
-                    accumulate(raw, key, cn.shift(a1 + a2, b1 + b2))
-        return Element(self, self.normal_form(raw.items()))
-
-    def normal_form(self, terms):
-        """Terms ((fw, eta, phi, ew, mu), c) for c / D(mu), with unreduced
-        words, as a normal-form term map: both words reduced through
-        ``reduce_word``, summed per content mu and key, and each sum divided
-        by D(mu) once."""
-        grouped = {}
-        for (fw, eta, phi, ew, mu), c in terms:
-            group = grouped.setdefault(mu, {})
-            for f_rep, cf in self.reduce_word("-", fw).items():
-                cf = c * cf
-                for e_rep, ce in self.reduce_word("+", ew).items():
-                    accumulate(group, (f_rep, eta, phi, e_rep), cf * ce)
-        return self.over_denominators(grouped)
-
-    def over_denominators(self, grouped):
-        """{mu: {key: c}} as {key: the sum over mu of c / D(mu)}: each sum
-        is divided once, by one vector add per content."""
-        out = {}
-        for mu, sums in grouped.items():
-            add_scaled(out, sums, self.inverse_denominator(mu))
-        return out
+            for (fw, eta, phi, ew), c in ez.items():
+                a, b = _word_shift(cross1, fw)
+                eta2, phi2 = _vec_add(eta1, eta), _vec_add(phi1, phi)
+                for f_rep, cf in self.reduce_word("-", f1 + fw).items():
+                    add_product(acc, (f_rep, eta2, phi2, ew), c1 * cf, c, 1, a, b)
+        return Element(self, settle(acc))
 
     def peel(self, ew, j):
         """Each match e_j in the raising word ew, peeled by [e_j, f_j] =
         (w'_j - w_j) / (s_j - r_j): yields (ew less it, a, b) with u^a v^b =
         <w'_j, w_l> over the letters l left of it, read off how w'_j crosses
-        them (``_crossing``).  The junction and the pairing share this step."""
+        them (``_crossing``).  The pairing numerators peel by this step."""
         cu, cv = self._crossing(_unit(self.n, j), self._zero)
         a = b = 0
         for t, letter in enumerate(ew):
@@ -502,38 +478,10 @@ class Algebra:
             b += cv[letter - 1]
 
     @memoized
-    def junction(self, ew, fw):
-        """Normal form of the raising word ew times the lowering word fw.
-
-        Maps (fword, eta, phi, eword) -> (N, mu) for the coefficient
-        N / D(mu), where the words are subwords of fw and ew, not yet
-        reduced, and mu = eta + phi is the content peeled off fw.  Peeling
-        f_j off fw, e_ew f_j = f_j e_ew + the sum over ``peel`` of u^a v^b
-        (w'_j - w_j) e_(ew less the match) / (s_j - r_j), whose torals cross
-        junction(ew less the match, rest) as unit monomials: N takes shifts
-        and sums alone, no product and no gcd.  Every pair met is memoized.
-        """
-        zero = self._zero
-        if not ew or not fw:
-            return {(fw, zero, zero, ew): (_NUM_ONE, zero)}
-        j, rest = fw[0], fw[1:]
-        num = {((j,) + f, eta, phi, e): nk
-               for (f, eta, phi, e), (nk, _) in self.junction(ew, rest).items()}
-        unit = _unit(self.n, j)
-        cross = self._crossing(unit, zero)
-        for sub, a, b in self.peel(ew, j):
-            for (f, eta, phi, e), (nk, _) in self.junction(sub, rest).items():
-                fa, fb = _word_shift(cross, f)
-                a1, b1 = a + fa, b + fb
-                # w_j crosses as w'_j does with r <-> s swapped (see ``tau``)
-                accumulate(num, (f, _vec_add(eta, unit), phi, e), nk.shift(a1, b1))
-                accumulate(num, (f, eta, _vec_add(phi, unit), e), -nk.shift(b1, a1))
-        return {k: (nk, _vec_add(k[1], k[2])) for k, nk in num.items()}
-
-    @memoized
     def inverse_denominator(self, mu) -> Scalar:
         """1 / D(mu), D(mu) = prod_j (s_j - r_j)^mu_j: the denominator of the
-        junction and pairing numerators of content mu, one per content."""
+        pairing numerators of content mu, one per content, and at a simple
+        root that of the commutator table."""
         den = _NUM_ONE
         for j, k in enumerate(mu, 1):
             den = den * (self.s_i(j).num - self.r_i(j).num) ** k
@@ -580,6 +528,7 @@ class Algebra:
         normal form: Delta is multiplicative, with Delta(e_i) = e_i (x) 1 +
         w_i (x) e_i, Delta(f_i) = 1 (x) f_i + f_i (x) w'_i and Delta(t) =
         t (x) t, and the terms of x are summed with ``add_scaled``."""
+        self.check_element(x)
         one_key = ((), self._zero, self._zero, ())
         total = {}
         for letters, c in x.letters():
@@ -609,6 +558,7 @@ class Algebra:
         return total
 
     def antipode(self, x: Element) -> Element:
+        self.check_element(x)
         out = {}
         for letters, c in x.letters():
             prod = self.one()
@@ -640,6 +590,7 @@ class Algebra:
         takes d^3 products, not d^4.  The content is 0: nothing is divided,
         and the products are summed as raw numerators (``add_product``).
         """
+        self.check_element(x)
         groups = {}
         for (fw, eta, phi, ew), c in x.terms.items():
             add_scaled(groups.setdefault((fw, eta, phi), {}),
@@ -658,6 +609,7 @@ class Algebra:
     # -- adjoint action ----------------------------------------------------------
 
     def ad(self, x: Element, z: Element) -> Element:
+        self.check_element(x, z)
         out = {}
         for letters, c in x.letters():
             w = z
@@ -680,49 +632,71 @@ class Algebra:
     def _ad_raising(self, i, z: Element) -> Element:
         """ad(e_i) z = e_i z - (w_i z w_i^-1) e_i, term by term.
 
-        From e_i f_y = f_y e_i + [e_i, f_y] and e_i t = chi_t t e_i,
-
-            ad(e_i)(c f_y t e_x) = chi_t c f_y t (e_i e_x)
-                                   - chi_c c f_y t (e_x e_i) + c [e_i, f_y] t e_x
-
-        where chi_c is the unit monomial that w_i (.) w_i^-1 puts on the
-        term.  Each piece is in normal form already: the raising words by
-        ``reduce_word``, the commutator from its table over D(alpha_i).  So
-        the image takes unit shifts and no straightening.  The three pieces
-        go into one ``add_product`` accumulator as raw numerators, the
-        commutator's over D(alpha_i), and each key is settled once: a key
-        whose pieces cancel, as every key of a central z does, takes no gcd.
+        e_i z comes from ``_raise_into``; the second piece is
+        chi_c c f_y t (e_x e_i) on a term c f_y t e_x, where chi_c is the
+        unit monomial that w_i (.) w_i^-1 puts on the term.  Every piece is
+        in normal form already, so the image takes unit shifts and no
+        straightening.  All go into one ``add_product`` accumulator as raw
+        numerators, and each key is settled once: a key whose pieces cancel,
+        as every key of a central z does, takes no gcd.
         """
-        unit = _unit(self.n, i)
-        cross_w = self._crossing(self._zero, unit)
-        # 1/D(alpha_i) = +-u^da v^db / den_i: its unit numerator joins the
-        # commutator's sign and shift, den_i its bucket's denominator
-        inv = self.inverse_denominator(unit)
-        ((da, db), sd), = inv.num.terms.items()
         acc = {}
+        self._raise_into(acc, i, z.terms)
+        cross_w = self._crossing(self._zero, _unit(self.n, i))
         for (fw, eta, phi, ew), c in z.terms.items():
-            cu, cv = self._crossing(eta, phi)
             af, bf = _word_shift(cross_w, fw)
             ae, be = _word_shift(cross_w, ew)
-            for rep, ce in self.reduce_word("+", (i,) + ew).items():
-                add_product(acc, (fw, eta, phi, rep), c, ce, 1, cu[i - 1], cv[i - 1])
             for rep, ce in self.reduce_word("+", ew + (i,)).items():
                 add_product(acc, (fw, eta, phi, rep), c, ce, -1, af - ae, bf - be)
-            for (f_rep, eta1, phi1), cn in self._commutator(i, fw).items():
-                add_product(acc, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
-                            c, cn, sd, da, db, inv.den)
         return Element(self, settle(acc))
 
+    def _raise_into(self, acc, i, terms):
+        """Add e_i z, for z the term map ``terms``, into the ``add_product``
+        accumulator acc.  From e_i f_y = f_y e_i + [e_i, f_y] and
+        e_i t = chi_t t e_i,
+
+            e_i (c f_y t e_x) = chi_t c f_y t (e_i e_x) + c [e_i, f_y] t e_x,
+
+        with the raising word reduced by ``reduce_word`` and the commutator
+        read from its table over D(alpha_i).
+        """
+        # 1/D(alpha_i) = +-u^da v^db / den_i: its unit numerator joins the
+        # commutator's sign and shift, den_i its bucket's denominator
+        inv = self.inverse_denominator(_unit(self.n, i))
+        ((da, db), sd), = inv.num.terms.items()
+        for (fw, eta, phi, ew), c in terms.items():
+            cu, cv = self._crossing(eta, phi)
+            for rep, ce in self.reduce_word("+", (i,) + ew).items():
+                add_product(acc, (fw, eta, phi, rep), c, ce, 1, cu[i - 1], cv[i - 1])
+            for (f_rep, eta1, phi1), cn in self.commutator(i, fw).items():
+                add_product(acc, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
+                            c, cn, sd, da, db, inv.den)
+
     @memoized
-    def _commutator(self, i, fw):
-        """[e_i, f_fw] times D(alpha_i), as {(lowering rep, eta, phi): Scalar}:
-        the peeled part of ``junction((i,), fw)``, its words reduced."""
+    def commutator(self, i, fw):
+        """[e_i, f_fw] times D(alpha_i) = s_i - r_i, as
+        {(lowering rep, eta, phi): Scalar}, by fw's first letter f_j:
+
+            [e_i, f_j f_rest] = f_j [e_i, f_rest]
+                                + delta_ij (w'_i - w_i) f_rest / (s_i - r_i),
+
+        where w'_i and w_i cross f_rest as unit monomials (``_crossing``).
+        Every suffix of fw met is memoized."""
+        self._check_index(i)
+        if not fw:
+            return {}
+        j, rest = fw[0], fw[1:]
         out = {}
-        for (f, eta, phi, _), (nk, mu) in self.junction((i,), fw).items():
-            if any(mu):
-                add_scaled(out, {(rep, eta, phi): cf for rep, cf
-                                 in self.reduce_word("-", f).items()},
-                           Scalar.from_laurent(nk))
+        for (rep, eta, phi), c in self.commutator(i, rest).items():
+            for f_rep, cf in self.reduce_word("-", (j,) + rep).items():
+                accumulate(out, (f_rep, eta, phi), c * cf)
+        if j == i:
+            unit = _unit(self.n, i)
+            reps = self.reduce_word("-", rest)
+            for eta, phi, sign in ((unit, self._zero, 1), (self._zero, unit, -1)):
+                a, b = _word_shift(self._crossing(eta, phi), rest)
+                add_scaled(out, {(f_rep, eta, phi): cf for f_rep, cf in reps.items()},
+                           Scalar.monomial(a, b, sign))
         return out
 
     def __repr__(self):

@@ -16,7 +16,7 @@ import itertools
 
 from .errors import BadArgument, InternalInconsistency, NotDominant, RankMismatch
 from .linalg import Echelon
-from .qgroup import Algebra, Element, word_content
+from .qgroup import Algebra, Element, _unit, word_content
 from .scalars import ONE, ZERO, Scalar, accumulate, add_scaled, half_exponent, memoized
 
 
@@ -55,14 +55,6 @@ class ColMatrix:
 
     def entry(self, r, c) -> Scalar:
         return self.cols[c].get(r, ZERO)
-
-    def compose(self, other: "ColMatrix") -> "ColMatrix":
-        """self applied after other."""
-        out = ColMatrix(self.dim)
-        for c in range(self.dim):
-            for mid, v in other.cols[c].items():
-                add_scaled(out.cols[c], self.cols[mid], v)
-        return out
 
     def add_scaled(self, other: "ColMatrix", c: Scalar) -> "ColMatrix":
         return ColMatrix(self.dim, [add_scaled(dict(col), ocol, c)
@@ -145,18 +137,14 @@ class WeightModule:
 
     @memoized
     def e_col(self, i, col):
-        """e_i f_w v: the E.F junction of (i) and w, torals at the top
-        weight, summed per content and put in normal form."""
+        """e_i f_w v = [e_i, f_w] v, since e_i v = 0: the entries of the
+        commutator table, each toral's character at the top weight as a
+        shift, over D(alpha_i)."""
         alg = self.algebra
-        zero = (0,) * alg.n
-        raw = {}
-        for (fw, eta, phi, ew), (num, mu) in \
-                alg.junction((i,), self.labels[col]).items():
-            if not ew:
-                accumulate(raw, (fw, zero, zero, (), mu), Scalar.from_laurent(num)
-                           * char_value(alg, self.lam, self.mu, eta, phi))
-        return self._in_basis({fw: c for (fw, _, _, _), c
-                               in alg.normal_form(raw.items()).items()})
+        vec = {}
+        for (fw, eta, phi), c in alg.commutator(i, self.labels[col]).items():
+            accumulate(vec, fw, c.shift(*char_exponents(alg, self.lam, self.mu, eta, phi)))
+        return self._in_basis(add_scaled({}, vec, alg.inverse_denominator(_unit(alg.n, i))))
 
     @memoized
     def char_diag(self, eta, phi):

@@ -49,8 +49,8 @@ class RootSystemB:
     """Type B_n data: simple roots eps_i - eps_(i+1) and the short root eps_n."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise BadArgument("rank must be at least 1")
+        if type(n) is not int or n < 1:
+            raise BadArgument(f"rank {n!r} is not an integer of at least 1")
         self.n = n
         self.simple_roots = []
         for i in range(n - 1):

@@ -15,8 +15,9 @@ from qgc import center, linalg, pairing, repn
 from qgc.qgroup import Algebra
 from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
 from test_center import reference_centrality_failures, scalar_on_verma
-from test_qgroup import reference_tau
+from test_qgroup import fword_element, reference_tau
 from test_qgroup import conj_omega_e, conj_omega_prime_e
+from test_repn import compose
 from test_rootdata import reflect, weyl_group
 
 
@@ -221,17 +222,17 @@ def test_form_invariance_orthogonality_twist(algebras):
         reps[nu] = (alg.graded_basis("-", nu).words[0],
                     alg.graded_basis("+", nu).words[0])
     for nu1, mu1 in itertools.product(blocks, repeat=2):
-        x = alg.fword_element(reps[nu1][0]) * toral * alg.eword_element(reps[mu1][1])
+        x = fword_element(alg, reps[nu1][0]) * toral * alg.eword_element(reps[mu1][1])
         for nu2, mu2 in itertools.product(blocks, repeat=2):
             if nu2 == mu1 and mu2 == nu1:
                 continue
-            y = alg.fword_element(reps[nu2][0]) * alg.eword_element(reps[mu2][1])
+            y = fword_element(alg, reps[nu2][0]) * alg.eword_element(reps[mu2][1])
             assert pairing.rosso(alg, x, y) == ZERO, (nu1, mu1, nu2, mu2)
     # the square of the antipode twists the pairing by (r s^-1)^(2 (rho, nu))
     for nu in cone_points(2, 4):
         twist = pairing.s2_twist(alg, nu)
         for fw in alg.graded_basis("-", nu).words:
-            y = alg.fword_element(fw)
+            y = fword_element(alg, fw)
             y2 = alg.antipode(alg.antipode(y))
             for ew in alg.graded_basis("+", nu).words:
                 x = alg.eword_element(ew)
@@ -283,8 +284,8 @@ def test_grading_operator_conjugates_antipode_square(algebras):
             alg.omega(1), alg.omega(2), alg.omega_prime(1), alg.omega_prime(2),
             alg.omega(1, -1), alg.omega_prime(2, -1)]
     for u in gens:
-        lhs = th.compose(repn.act(u, module))
-        rhs = repn.act(alg.antipode(alg.antipode(u)), module).compose(th)
+        lhs = compose(th, repn.act(u, module))
+        rhs = compose(repn.act(alg.antipode(alg.antipode(u)), module), th)
         assert lhs == rhs
 
 
@@ -419,7 +420,8 @@ def test_tau_matches_the_per_term_reversal(algebras, trace_elements, z_vector_ra
         assert algebras[n].tau(z) == reference_tau(algebras[n], z) == z
 
 
-def test_junction_table_stays_bounded(algebras, trace_elements):
+def test_commutator_table_stays_bounded(algebras, trace_elements):
     # certifying the (2,0) and (2,2) trace elements memoizes only
-    # (raising word, lowering word) pairs, a few hundred of them
-    assert len(algebras[2].memo("junction")) <= 2000
+    # (generator, lowering word) pairs, a few dozen of them
+    table = algebras[2].memo("commutator")
+    assert 0 < len(table) <= 200

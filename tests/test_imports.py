@@ -1,7 +1,9 @@
 """Every name that a module of the package imports is used in that module,
-every private name that the package defines is read somewhere in it, no
-module of the package uses ``assert``, none holds a float, and no module
-but ``qgroup.py`` reads a private attribute of an ``Algebra``.
+every private name that the package defines is read somewhere in it, every
+public one is read by the package, the benchmark or the tools, or is an
+entry point that README.md names, no module of the package uses
+``assert``, none holds a float, and no module but ``qgroup.py`` reads a
+private attribute of an ``Algebra``.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -17,6 +19,7 @@ import pytest
 import qgc
 
 MODULES = sorted(Path(qgc.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def imported_names(tree):
@@ -77,6 +80,28 @@ def test_every_private_name_is_read():
     unread = sorted((name, n) for name, tree in trees.items()
                     for n in private_definitions(tree) - read)
     assert not unread, f"defined and never read in the package: {unread}"
+
+
+# public names that only callers of the library read; README.md names each
+ENTRY_POINTS = {"chi", "comultiply", "counit", "memo", "char_eval", "trace_fn",
+                "matrix_coeff", "from_json"}
+
+
+def test_every_public_name_is_read_or_an_entry_point():
+    # code kept only for the tests belongs beside them
+    readers = MODULES + sorted((ROOT / "perfbench").rglob("*.py")) \
+        + sorted((ROOT / "tools").rglob("*.py"))
+    read = set().union(*(read_names(ast.parse(p.read_text())) for p in readers))
+    unread = sorted((path.name, node.name) for path in MODULES
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in read | ENTRY_POINTS)
+    assert not unread, f"read only by the tests: {unread}"
+    readme = (ROOT / "README.md").read_text()
+    unnamed = sorted(name for name in ENTRY_POINTS if f"`{name}`" not in readme
+                     and f".{name}`" not in readme)
+    assert not unnamed, f"entry points README.md does not name: {unnamed}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

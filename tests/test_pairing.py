@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from qgc import pairing
-from qgc.errors import SingularGram, WrongSide
+from qgc.errors import RankMismatch, SingularGram, WrongSide
 from qgc.linalg import rank
 from qgc.pairing import (
     check_ad_invariance,
@@ -18,7 +18,7 @@ from qgc.pairing import (
 )
 from qgc.qgroup import Algebra, word_content
 from qgc.scalars import ONE, R, S, ZERO, LaurentBi, Scalar
-from test_qgroup import words_of_content
+from test_qgroup import fword_element, words_of_content
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +147,7 @@ def test_s2_twist_factor(alg2):
     rng = random.Random(103)
     for _ in range(10):
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
-        y = alg2.fword_element(word)
+        y = fword_element(alg2, word)
         y2 = alg2.antipode(alg2.antipode(y))
         from qgc.qgroup import word_content
         nu = word_content(2, word)
@@ -192,7 +192,7 @@ def mirrored_term(alg, rng, x):
     fw, _, _, ew = rng.choice(sorted(x.terms))
     eta = [rng.choice([-1, 0, 1]) for _ in range(alg.n)]
     phi = [rng.choice([-1, 0, 1]) for _ in range(alg.n)]
-    return alg.fword_element(ew) * alg.toral(eta, phi) * alg.eword_element(fw)
+    return fword_element(alg, ew) * alg.toral(eta, phi) * alg.eword_element(fw)
 
 
 def test_ad_invariance_rank3():
@@ -241,21 +241,27 @@ def test_word_pair_cache_consistency(alg2):
     (3, [(1, 1, 1)]),
 ])
 def test_word_pair_is_junction_pure_toral_term(n, contents):
-    # two recursions peel the same letters: the pairing <f_fw, e_ew> is the
-    # coefficient of the lone w'_nu term in the straightened product e_ew f_fw,
-    # and both are numerators over the one D(nu)
+    # the pairing <f_fw, e_ew> is the coefficient of the lone w'_nu term in
+    # the straightened product e_ew f_fw, and its numerator is that
+    # coefficient over the one D(nu)
     alg = Algebra(n)
     zero = (0,) * n
     for nu in contents:
         words = words_of_content(alg, nu)
         for fw in words:
             for ew in words:
-                num, mu = alg.junction(ew, fw).get(((), nu, zero, ()),
-                                                   (LaurentBi(), nu))
-                assert mu == nu
-                pure = Scalar.from_laurent(num) * alg.inverse_denominator(nu)
+                product = alg.eword_element(ew) * fword_element(alg, fw)
+                pure = product.terms.get(((), nu, zero, ()), ZERO)
                 assert word_pair(alg, fw, ew) == pure, (fw, ew)
-                assert pairing._numerator(alg, fw, ew) == num, (fw, ew)
+                num = Scalar.from_laurent(pairing._numerator(alg, fw, ew))
+                assert num == pure / alg.inverse_denominator(nu), (fw, ew)
+
+
+@pytest.mark.parametrize("word", [(3,), (0,), (1, 3), (1.5,)])
+def test_word_pair_rejects_a_letter_out_of_range(word):
+    # (0,) once counted as the last letter, (3,) raised a bare IndexError
+    with pytest.raises(RankMismatch):
+        word_pair(Algebra(2), word, word)
 
 
 def reference_word_pair(alg, fw, ew, cache):

@@ -43,6 +43,13 @@ def rand_word_element(alg, rng, max_len=3, allow_toral=True):
     return x
 
 
+def fword_element(alg, word, coeff=ONE):
+    """The lowering word f_word in normal form, times coeff."""
+    zero = (0,) * alg.n
+    return Element(alg, {(rep, zero, zero, ()): c * coeff
+                         for rep, c in alg.reduce_word("-", word).items()})
+
+
 def add_into(out, key, c):
     acc = out.get(key, ZERO) + c
     if acc.is_zero():
@@ -60,7 +67,7 @@ class LetterRewriter:
     Rewrites the leftmost inversion of the F < T < E letter order (adjacent
     torals merge); a raising letter left of a lowering one branches through
     the commutator.  Every intermediate tuple is memoized.  It shares only
-    the group-like pairing and the graded-basis reduction with the junction
+    the group-like pairing and the graded-basis reduction with the
     straightener it checks.
     """
 
@@ -136,14 +143,15 @@ def toral_move(alg, eta, phi, i):
 
 
 def reference_junction(alg, ew, fw, memo):
-    """The junction by peeling raising letters, every coefficient a Scalar.
+    """The product e_ew f_fw by peeling raising letters, every coefficient a
+    Scalar.
 
     Peels raising letters off the left one at a time with
     e_i f_j w = f_j (e_i w) + d_ij (w_i - w'_i) w / (r_i - s_i), and composes
     two tables per entry; the torals cross letters through the group-like
-    pairing (toral_move).  Algebra.junction peels lowering letters instead,
-    as Laurent numerators built by shifts, so this is an independent
-    recursion.
+    pairing (toral_move).  Algebra.commutator peels lowering letters
+    instead, and straighten applies whole commutators [e_i, f_y], so this is
+    an independent recursion.
     """
     key = (ew, fw)
     hit = memo.get(key)
@@ -352,18 +360,46 @@ def test_toral_exponents_are_integers(alg2):
 
 @pytest.mark.parametrize("call", [
     lambda: Algebra(0),
+    lambda: Algebra(1.5),
+    lambda: Algebra(2.0),
     lambda: Algebra(2).qint(-1, 1),
     lambda: repn.verma(Algebra(2), (2, 0), (0, 0), -1),
     lambda: center.parity_kernel(2, 0),
     lambda: center.parity_kernel(2, 1, "partial"),
     lambda: Algebra(2).qint(2, 0),
     lambda: Algebra(2).r_i(3),
-], ids=["rank-0", "qint-negative", "verma-depth", "parity-bound", "parity-mode",
-        "qint-index", "r_i-index"])
+    lambda: Algebra(2).commutator(3, (1,)),
+    lambda: Algebra(2).e(1.5),
+], ids=["rank-0", "rank-fraction", "rank-float", "qint-negative", "verma-depth",
+        "parity-bound", "parity-mode", "qint-index", "r_i-index", "commutator-index",
+        "e-fraction"])
 def test_caller_input_raises_a_structured_value_error(call):
     with pytest.raises(QgcError) as exc:
         call()
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2, b2, a3: a2.ad(a3.e(1), a2.f(1)),
+    lambda a2, b2, a3: a2.ad(a2.e(1), b2.f(1)),
+    lambda a2, b2, a3: a2.tau(a3.e(1)),
+    lambda a2, b2, a3: a2.antipode(a3.e(1)),
+    lambda a2, b2, a3: a2.comultiply(b2.e(1)),
+    lambda a2, b2, a3: a2.straighten(a2.e(1), a3.f(1)),
+    lambda a2, b2, a3: center.hc_xi(a2, a3.e(1)),
+], ids=["ad-acting", "ad-acted-on", "tau", "antipode", "comultiply", "straighten",
+        "hc_xi"])
+def test_an_element_of_another_algebra_raises_rank_mismatch(call):
+    # b2 has the rank of a2 but is another algebra, with its own tables
+    with pytest.raises(RankMismatch):
+        call(Algebra(2), Algebra(2), Algebra(3))
+
+
+def test_a_content_that_is_not_integral_names_the_input():
+    alg = Algebra(2)
+    with pytest.raises(BadArgument, match=r"\(1\.5, 0\)"):
+        alg.graded_basis("+", (1.5, 0))
+    assert len(alg.memo("graded_basis")) == 0
 
 
 # -- graded bases ---------------------------------------------------------------
@@ -608,8 +644,9 @@ def test_graded_basis_rejects_a_bad_sign():
 @pytest.mark.parametrize("half", ["fword_element", "eword_element"])
 def test_words_reject_a_bad_letter(half, word):
     alg = Algebra(2)
+    build = {"fword_element": fword_element, "eword_element": Algebra.eword_element}[half]
     with pytest.raises(RankMismatch):
-        getattr(alg, half)(word)
+        build(alg, word)
     assert len(alg.memo("reduce_word")) == 0
 
 
@@ -640,7 +677,7 @@ def test_over_denominators_divides_each_content_once(monkeypatch):
     table = alg.inverse_denominator
     monkeypatch.setattr(alg, "inverse_denominator",
                         lambda mu: calls.append(mu) or table(mu))
-    out = alg.over_denominators(grouped)
+    out = pairing._over_denominators(alg, grouped)
     assert out == {"k": a / d1 + b / (d2 * d2) + c}
     assert sorted(calls) == [(0, 0), (0, 2), (1, 0), (1, 1)]
 
@@ -732,39 +769,52 @@ def _words_up_to(alg, top):
             for w in words_of_content(alg, nu)]
 
 
+def reduced_junction(alg, ew, fw, memo):
+    """``reference_junction`` with both words of each entry reduced."""
+    out = {}
+    for (f, eta, phi, e), c in reference_junction(alg, ew, fw, memo).items():
+        for f_rep, cf in alg.reduce_word("-", f).items():
+            for e_rep, ce in alg.reduce_word("+", e).items():
+                add_into(out, (f_rep, eta, phi, e_rep), c * cf * ce)
+    return out
+
+
+def reference_commutator(alg, i, fw, memo):
+    """[e_i, f_fw] D(alpha_i) as the torals' part of the one-letter
+    junction of ``reference_junction``, its words reduced."""
+    den = alg.inverse_denominator(unit(alg.n, i)).inverse()
+    return {(f, eta, phi): c * den for (f, eta, phi, e), c
+            in reduced_junction(alg, (i,), fw, memo).items() if any(eta + phi)}
+
+
 @pytest.mark.parametrize("n, top", [(2, (2, 2)), (3, (1, 1, 1)), (3, (1, 2, 1))])
 def test_junction_matches_scalar_recursion(n, top):
-    # every entry of every (raising word, lowering word) pair up to the
-    # content top: the Laurent numerator over D(mu) against the per-step
-    # Scalar recursion, with mu the removed content
+    # every product e_ew f_fw of words up to the content top, against the
+    # raising-letter recursion with every coefficient a Scalar; and the
+    # commutator table against that recursion's one-letter case
     alg = Algebra(n)
     words = _words_up_to(alg, top)
     memo = {}
     for ew in words:
         for fw in words:
-            table = alg.junction(ew, fw)
-            ref = reference_junction(alg, ew, fw, memo)
-            assert set(table) == set(ref), (ew, fw)
-            for (f, eta, phi, e), (num, mu) in table.items():
-                removed = tuple(a - b for a, b in
-                                zip(word_content(n, fw), word_content(n, f)))
-                assert mu == removed == tuple(a + b for a, b in zip(eta, phi))
-                assert Scalar.from_laurent(num) * alg.inverse_denominator(mu) \
-                    == ref[(f, eta, phi, e)], (ew, fw, f, eta, phi, e)
+            product = alg.eword_element(ew) * fword_element(alg, fw)
+            assert product.terms == reduced_junction(alg, ew, fw, memo), (ew, fw)
+    for i in range(1, n + 1):
+        for fw in words:
+            assert alg.commutator(i, fw) == reference_commutator(alg, i, fw, memo), (i, fw)
 
 
-def test_junction_and_pairing_numerators_take_no_product():
-    # both recursions build their numerators by shifts and sums alone
+def test_pairing_numerators_take_no_product():
+    # the pairing numerators are built by shifts and sums alone
     alg = Algebra(2)
     words = _words_up_to(alg, (2, 2))
+    pairs = [(fw, ew) for ew in words for fw in words
+             if word_content(2, fw) == word_content(2, ew)]
     with mock.patch.object(LaurentBi, "__mul__",
                            side_effect=AssertionError("LaurentBi product")):
-        for ew in words:
-            for fw in words:
-                alg.junction(ew, fw)
-                if word_content(2, fw) == word_content(2, ew):
-                    pairing._numerator(alg, fw, ew)
-    assert len(alg.memo("junction")) >= len(words) ** 2 == 361
+        for fw, ew in pairs:
+            pairing._numerator(alg, fw, ew)
+    assert len(alg.memo("numerator")) >= len(pairs) == 63
 
 
 @pytest.fixture(scope="module")
@@ -775,7 +825,7 @@ def z22(alg2):
 
 def test_straighten_trace_element_matches_letter_rewriter(alg2, z22):
     # z's coefficients are polynomials, but its words are long enough that
-    # the junction sums over D(mu) must cancel against D(mu) exactly
+    # the commutator sums over D(alpha_i) must cancel against it exactly
     ref = LetterRewriter(alg2)
     assert len(z22.terms) == 243
     for i in (1, 2):
@@ -789,9 +839,9 @@ def test_straighten_trace_element_matches_letter_rewriter(alg2, z22):
 
 
 def test_certificate_divides_once_per_normal_form_term(alg2, z22):
-    # with the algebra warm, ad(e_i) z and ad(f_i) z cost at most one
-    # division by D(mu) per term of each of the four products with a junction
-    # that peels a letter; the per-entry Scalar junction made 3,130 gcds here
+    # with the algebra warm, ad(e_i) z and ad(f_i) z cost at most one gcd
+    # per term of each of the four products; a per-entry Scalar division
+    # made 3,130 gcds here
     assert center.centrality_failures(alg2, z22) == []
     with mock.patch.object(LaurentBi, "gcd", autospec=True,
                            side_effect=LaurentBi.gcd) as gcd:
@@ -935,7 +985,7 @@ def test_antipode_squared_twist(alg2):
     rng = random.Random(31)
     for _ in range(8):
         word = tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 4)))
-        x = alg2.fword_element(word)
+        x = fword_element(alg2, word)
         nu = word_content(2, word)
         pow2 = 2 * alg2.rs.inner(alg2.rs.from_alpha(nu), alg2.rs.rho)
         twist = rs_ratio_power(pow2)
@@ -1008,13 +1058,15 @@ def recording_settle(settled):
 
 
 def reference_tau(alg, x):
-    """tau term by term: both words of each term reversed, then one
-    normal-form pass, which expands the two reduced reversals of every term
-    against each other."""
-    zero = (0,) * alg.n
-    return Element(alg, alg.normal_form(
-        ((ew[::-1], phi, eta, fw[::-1], zero), c.swap())
-        for (fw, eta, phi, ew), c in x.terms.items()))
+    """tau term by term: both words of each term reversed and reduced, and
+    the two reductions expanded against each other."""
+    out = {}
+    for (fw, eta, phi, ew), c in x.terms.items():
+        for f_rep, cf in alg.reduce_word("-", ew[::-1]).items():
+            cf = c.swap() * cf
+            for e_rep, ce in alg.reduce_word("+", fw[::-1]).items():
+                add_into(out, (f_rep, phi, eta, e_rep), cf * ce)
+    return Element(alg, out)
 
 
 @pytest.mark.parametrize("n, trials", [(2, 60), (3, 60)])
@@ -1098,9 +1150,12 @@ def test_ad_closed_forms(algebras, n, kind):
     assert got == expect
 
 
-def reference_ad(alg, i, z):
-    """ad(e_i) z = e_i z - (w_i z w_i^-1) e_i by two straightenings."""
-    return alg.e(i) * z - alg.omega(i) * z * alg.omega(i, -1) * alg.e(i)
+def reference_ad(ref, i, z):
+    """ad(e_i) z = e_i z - (w_i z w_i^-1) e_i, every product taken by the
+    letter rewriter ``ref``."""
+    alg = ref.alg
+    conj = ref.product(ref.product(alg.omega(i), z), alg.omega(i, -1))
+    return ref.product(alg.e(i), z) - ref.product(conj, alg.e(i))
 
 
 @pytest.mark.parametrize("n, trials", [(2, 16), (3, 8)])
@@ -1115,7 +1170,8 @@ def test_ad_raising_matches_two_straightenings(algebras, n, trials):
     # terms over distinct denominators, so that one output key meets
     # buckets of two or more
     cases += [mixed_denominator_element(alg, rng) for _ in range(trials // 4)]
-    expect = [[reference_ad(alg, i, z) for i in range(1, n + 1)] for z in cases]
+    ref = LetterRewriter(alg)
+    expect = [[reference_ad(ref, i, z) for i in range(1, n + 1)] for z in cases]
     settled = []
     with mock.patch.object(Algebra, "straighten",
                            side_effect=AssertionError("straighten")), \
@@ -1129,6 +1185,7 @@ def test_ad_raising_matches_two_straightenings(algebras, n, trials):
 def test_ad_raising_matches_on_the_solver_ansatz(alg2, lam):
     # every one-term unknown of the solver, against every e_i
     module = repn.irreducible(alg2, lam)
+    ref = LetterRewriter(alg2)
     count = 0
     for nu, rows in center._blocks(alg2, module).items():
         if not any(nu):
@@ -1140,23 +1197,22 @@ def test_ad_raising_matches_on_the_solver_ansatz(alg2, lam):
                     phi = tuple(-(a + b) for a, b in zip(eta, nu))
                     z = alg2.element_from_term((fw, eta, phi, ew))
                     for i in (1, 2):
-                        assert alg2.ad(alg2.e(i), z) == reference_ad(alg2, i, z)
+                        assert alg2.ad(alg2.e(i), z) == reference_ad(ref, i, z)
                         count += 1
     assert count == {(2, 0): 94, (2, 2): 468}[lam]
 
 
 def test_commutator_table_is_the_peeled_junction(alg2):
-    # [e_i, f_y] D(alpha_i), kept per (i, y) with its lowering words reduced
+    # [e_i, f_y] D(alpha_i), kept per (i, y) with its lowering words reduced,
+    # as ad(e_i) reads it
     reps = [w for nu in itertools.product(range(3), repeat=2)
             for w in alg2.graded_basis("-", nu).words]
+    memo = {}
     for i in (1, 2):
         for fw in reps:
-            y = alg2.element_from_term((fw, (0, 0), (0, 0), ()))
-            alg2.ad(alg2.e(i), y)
-            table = alg2.memo("commutator")[(i, fw)]
-            got = Element(alg2, {(f, eta, phi, ()): c for (f, eta, phi), c in table.items()})
-            den = alg2.inverse_denominator(unit(2, i)).inverse()
-            assert got == (alg2.e(i) * y - y * alg2.e(i)).scale(den), (i, fw)
+            alg2.ad(alg2.e(i), alg2.element_from_term((fw, (0, 0), (0, 0), ())))
+            assert alg2.memo("commutator")[(i, fw)] == \
+                reference_commutator(alg2, i, fw, memo), (i, fw)
 
 
 def test_ad_is_algebra_action(alg2):
@@ -1210,22 +1266,19 @@ def test_memo_key_is_the_argument_tuple():
     assert alg.memo("reduce_word")[("+", (2, 1))] is alg.reduce_word("+", (2, 1))
 
 
-def test_recursive_junction_memoizes_every_pair_it_meets():
+def test_recursive_commutator_memoizes_every_suffix_it_meets():
     alg = Algebra(2)
-    alg.junction((1, 2), (2, 1))
-    # peeling f_2, then f_1, off the lowering word; each match of a raising
-    # letter drops it from the raising word
-    met = {((1, 2), (2, 1)), ((1, 2), (1,)), ((1,), (1,)), ((1, 2), ()),
-           ((2,), ()), ((1,), ()), ((), ())}
-    assert met <= set(alg.memo("junction"))
-    before = dict(alg.memo("junction"))
-    alg.junction((1, 2), (2, 1))
-    assert alg.memo("junction") == before
+    alg.commutator(1, (2, 1, 1))
+    # peeling f_2, then f_1, f_1 off the lowering word
+    assert set(alg.memo("commutator")) == {(1, (2, 1, 1)), (1, (1, 1)), (1, (1,)), (1, ())}
+    before = dict(alg.memo("commutator"))
+    alg.commutator(1, (2, 1, 1))
+    assert alg.memo("commutator") == before
 
 
 def test_memo_reads_register_no_table():
     alg = Algebra(2)
     assert len(alg.memo("absent")) == 0
     assert "absent" not in alg._memo
-    alg.junction((1,), (1,))
-    assert alg.memo("junction") is alg.memo("junction")
+    alg.commutator(1, (1,))
+    assert alg.memo("commutator") is alg.memo("commutator")
