@@ -12,20 +12,29 @@ w_i <-> w'_i; Benkart-Witherspoon, Bergeron-Gao-Hu): a z that commutes
 with the torals and is fixed by tau commutes with f_i exactly when it
 commutes with e_i, so only the raising generators act, through the
 Leibniz rule of ``Algebra.ad`` with no straightening.  A z that is not
-fixed by tau has its lowering generators checked directly.  The solver's
-rows are those ad(e_i) images alone, fed block by block in height order:
-each block's rows meet only its own unknowns and the values below it.
+fixed by tau has its lowering generators checked directly.  These checks
+read z alone, so they run side by side, one worker per usable core: the
+process takes its share and forked children the rest, each child reaped
+before the list returns, which is the same whatever the split.  The
+solver's rows are those ad(e_i) images alone, fed block by block in
+height order: each block's rows meet only its own unknowns and the values
+below it.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
+import os
+import signal
+import threading
 from fractions import Fraction
 
 from . import linalg
 from .errors import (
     BadArgument,
     CentralityCheckFailed,
+    InternalInconsistency,
     NoSolution,
     NotDominant,
     NotInRootLattice,
@@ -148,6 +157,82 @@ def _require_dominant_root_weight(alg, lam):
     return lam
 
 
+def _cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork, or must
+    not: a fork copies no other thread, nor frees a lock one holds."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") \
+            or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_join(tasks):
+    """[task() for task in tasks], shared among min(len(tasks), cores) workers.
+
+    Worker k runs tasks[k::workers].  The last worker is this process; each
+    other one is a child forked here, which writes its answers (marshalled)
+    or its exception (pickled) to a pipe and leaves by os._exit, so it
+    flushes no stdout.  Every child is reaped before this returns or
+    raises, and one still running then is killed first.  A child that ends
+    without an answer raises InternalInconsistency; a share that cannot be
+    forked runs here.
+    """
+    workers = min(len(tasks), _cores())
+    out = [None] * len(tasks)
+    children = []  # (k, pid, read end of its pipe) until reaped
+    try:
+        for k in range(workers - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the share runs here
+                os.close(read)
+                os.close(write)
+                out[k::workers] = [task() for task in tasks[k::workers]]
+                continue
+            if pid == 0:
+                _answer(write, tasks[k::workers])
+            children.append((k, pid, os.fdopen(read, "rb")))
+            os.close(write)
+        out[workers - 1::workers] = [task() for task in tasks[workers - 1::workers]]
+        while children:
+            k, pid, pipe = children[0]
+            data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            pipe.close()
+            if not data:
+                raise InternalInconsistency(
+                    f"check worker {k} ended without an answer "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})")
+            if data[:1] == b"0":
+                import pickle  # only an exception is pickled
+                raise pickle.loads(data[1:])
+            out[k::workers] = marshal.loads(data[1:])
+        return out
+    finally:
+        for _, pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _answer(fd, tasks):
+    """In a forked child: run tasks, write the answer to fd, leave.  Any
+    exception, an interrupt included, is the answer; one that cannot be
+    pickled leaves the pipe empty."""
+    try:
+        try:
+            data = b"1" + marshal.dumps([task() for task in tasks])
+        except BaseException as exc:
+            import pickle
+            data = b"0" + pickle.dumps(exc)
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
 def centrality_failures(alg: Algebra, z: Element):
     """Generators whose adjoint action does not reduce to the counit.
 
@@ -162,15 +247,32 @@ def centrality_failures(alg: Algebra, z: Element):
     anti-automorphism of Benkart-Witherspoon (Algebr. Represent. Theory,
     2004) for type A and of Bergeron-Gao-Hu (J. Algebra, 2006) for types
     B-D.
+
+    The checks read z alone and share no result, so they run side by side
+    (``_fork_join``): the tasks ad(e_1), ..., ad(e_n), tau(z) = z and the
+    2n toral checks go round-robin to one worker per usable core, and the
+    n ad(f_i), when needed, to a second round.  On two cores at rank 2 a
+    forked child runs e_1 and tau while this process runs e_2 and the
+    torals.  The list is the same, in the same order, whatever the split;
+    every child is reaped before this returns or raises, and there is no
+    option to set: one core, or no os.fork, runs every check here.
     """
+    alg.check_element(z)
     idx = range(1, alg.n + 1)
-    w_bad = [alg.ad(alg.omega(i), z) != z for i in idx]
-    wp_bad = [alg.ad(alg.omega_prime(i), z) != z for i in idx]
-    e_bad = [not alg.ad(alg.e(i), z).is_zero() for i in idx]
-    if not any(w_bad) and not any(wp_bad) and alg.tau(z) == z:
+
+    def acts(g):
+        return lambda: not alg.ad(g, z).is_zero()
+
+    def toral():
+        return [alg.ad(g(i), z) != z for g in (alg.omega, alg.omega_prime) for i in idx]
+
+    *e_bad, fixed, toral_bad = _fork_join(
+        [acts(alg.e(i)) for i in idx] + [lambda: alg.tau(z) == z, toral])
+    if fixed and not any(toral_bad):
         f_bad = e_bad
     else:
-        f_bad = [not alg.ad(alg.f(i), z).is_zero() for i in idx]
+        f_bad = _fork_join([acts(alg.f(i)) for i in idx])
+    w_bad, wp_bad = toral_bad[:alg.n], toral_bad[alg.n:]
     bad = []
     for k, i in enumerate(idx):
         for g, fails in (("e", e_bad), ("f", f_bad), ("w", w_bad), ("w'", wp_bad)):

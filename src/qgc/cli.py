@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 
 from . import center, pairing, repn
-from .errors import QgcError
+from .errors import BadArgument, QgcError
 from .linalg import rank
 from .qgroup import Algebra
 
@@ -149,11 +149,12 @@ def _resolve_weight(alg, fund, alpha, default_zero=False):
     if alpha is not None:
         vec = alg.rs.from_alpha(alpha)
         if not alg.rs.in_weight_lattice(vec):
-            raise QgcError(f"alpha coordinates {alpha} do not give a lattice weight")
+            typed = ",".join(map(_fraction_str, alpha))
+            raise BadArgument(f"alpha coordinates {typed} do not give a lattice weight")
         return tuple(int(x) for x in vec)
     if default_zero:
         return (0,) * alg.n
-    raise QgcError("missing weight argument")
+    raise BadArgument("missing weight argument")
 
 
 def _weight_payload(alg, w):

@@ -1,14 +1,18 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import threading
+import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 from qgc import center, linalg
-from qgc.errors import NoSolution, NonUniqueSolution, NotInRootLattice, NotInUb0
+from qgc.errors import (InternalInconsistency, NoSolution, NonUniqueSolution,
+                        NotInRootLattice, NotInUb0)
 from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
 from qgc.repn import act, char_value, irreducible, theta, verma
@@ -121,15 +125,16 @@ def reference_centrality_failures(alg, z):
     return bad
 
 
-def test_centrality_failures_match_the_generator_loop(alg2, z_vec):
-    # the tau shortcut against the 4n-generator loop, on tau-invariant
-    # elements (central or not) and on ones the fallback must handle
+@pytest.fixture(scope="module")
+def failure_cases(alg2, z_vec):
+    """{name: (alg, x, tau-fixed, central)}: tau-invariant elements (central
+    or not) and ones the ad(f_i) fallback must handle."""
     alg3 = Algebra(3)
     z20 = z_vec.element
     z22 = center.central_from_trace(alg2, (2, 2)).element
     z200 = center.central_from_trace(alg3, (2, 0, 0)).element
     e1, f1 = alg2.e(1), alg2.f(1)
-    cases = {
+    return {
         "z20": (alg2, z20, True, True),
         "z22": (alg2, z22, True, True),
         "z200": (alg3, z200, True, True),
@@ -139,11 +144,123 @@ def test_centrality_failures_match_the_generator_loop(alg2, z_vec):
         "r f1 e1": (alg2, (f1 * e1).scale(R), False, False),
         "e1": (alg2, e1, False, False),
     }
-    for name, (alg, x, fixed, central) in cases.items():
+
+
+def test_centrality_failures_match_the_generator_loop(failure_cases):
+    # the tau shortcut against the 4n-generator loop
+    for name, (alg, x, fixed, central) in failure_cases.items():
         assert (alg.tau(x) == x) == fixed, name
         got = center.centrality_failures(alg, x)
         assert got == reference_centrality_failures(alg, x), name
         assert (got == []) == central, name
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("cores", [2, 3])
+def test_forked_checks_give_the_in_process_list(failure_cases, cores):
+    # the same failures in the same order from each split, with at most
+    # min(tasks, cores) - 1 children per round, every one of them reaped
+    for name, (alg, x, fixed, central) in failure_cases.items():
+        with mock.patch.object(center, "_cores", return_value=1), \
+                mock.patch.object(os, "fork", side_effect=os.fork) as fork:
+            expect = center.centrality_failures(alg, x)
+        assert fork.call_count == 0, name
+        with mock.patch.object(center, "_cores", return_value=cores), \
+                mock.patch.object(os, "fork", side_effect=os.fork) as fork:
+            assert center.centrality_failures(alg, x) == expect, name
+        # ad(e_i), tau and the torals, then ad(f_i) where tau does not fix
+        # x (each x here that tau fixes commutes with the torals)
+        forks = min(alg.n + 2, cores) - 1 + (0 if fixed else min(alg.n, cores) - 1)
+        assert fork.call_count == forks, name
+        assert_no_children()
+
+
+def tau_in_child(parent, child_effect):
+    """A patch of Algebra.tau that runs child_effect() in a forked child and
+    the real tau in the parent."""
+    tau = Algebra.tau
+
+    def effect(alg, x):
+        return child_effect() if os.getpid() != parent else tau(alg, x)
+    return mock.patch.object(Algebra, "tau", autospec=True, side_effect=effect)
+
+
+@needs_fork
+def test_a_share_that_cannot_be_forked_runs_here(alg2, z_vec):
+    z = z_vec.element
+    with mock.patch.object(center, "_cores", return_value=2), \
+            mock.patch.object(os, "fork", side_effect=BlockingIOError) as fork:
+        assert center.centrality_failures(alg2, z.scale(R)) == []
+        assert center.centrality_failures(alg2, alg2.e(1)) == \
+            reference_centrality_failures(alg2, alg2.e(1))
+    assert fork.call_count == 4
+    assert_no_children()
+
+
+def test_a_second_thread_keeps_every_check_here():
+    # a fork copies only the calling thread, so none is made beside another
+    done = threading.Event()
+    worker = threading.Thread(target=done.wait, args=(30,))
+    worker.start()
+    try:
+        assert center._cores() == 1
+    finally:
+        done.set()
+        worker.join(30)
+    assert not worker.is_alive()
+
+
+@needs_fork
+def test_a_childs_error_reaches_the_caller(alg2, z_vec):
+    # with two workers at rank 2 the child runs ad(e_1) and tau
+    z = z_vec.element
+
+    def refuse():
+        raise NotInUb0("refused in the child")
+
+    with mock.patch.object(center, "_cores", return_value=2), \
+            tau_in_child(os.getpid(), refuse), \
+            pytest.raises(NotInUb0, match="^refused in the child$"):
+        center.centrality_failures(alg2, z)
+    assert_no_children()
+
+
+@needs_fork
+def test_a_child_that_dies_without_an_answer_raises(alg2, z_vec):
+    z = z_vec.element
+    with mock.patch.object(center, "_cores", return_value=2), \
+            tau_in_child(os.getpid(), lambda: os._exit(3)), \
+            pytest.raises(InternalInconsistency, match="exit status 3"):
+        center.centrality_failures(alg2, z)
+    assert_no_children()
+
+
+@needs_fork
+def test_an_interrupt_kills_and_reaps_the_children(alg2, z_vec):
+    # the child sleeps in tau while this process is interrupted in ad(e_2)
+    z, parent, ad = z_vec.element, os.getpid(), Algebra.ad
+
+    def interrupted(alg, x, y):
+        if os.getpid() == parent and x == alg.e(2):
+            raise KeyboardInterrupt
+        return ad(alg, x, y)
+
+    start = time.perf_counter()
+    with mock.patch.object(center, "_cores", return_value=2), \
+            tau_in_child(parent, lambda: time.sleep(60)), \
+            mock.patch.object(Algebra, "ad", autospec=True, side_effect=interrupted), \
+            pytest.raises(KeyboardInterrupt):
+        center.centrality_failures(alg2, z)
+    assert time.perf_counter() - start < 30
+    assert_no_children()
 
 
 def test_central_trivial_weight(alg2):
@@ -176,10 +293,12 @@ def test_solver_matches_trace_adjoint(alg2):
 
 def test_solver_builds_no_lowering_images(alg2):
     # the rows of e_1, e_2 pin every unknown of the (2,2) ansatz, and the
-    # certificate checks f_1, f_2 of the tau-invariant output through tau
+    # certificate checks f_1, f_2 of the tau-invariant output through tau;
+    # one worker keeps every check in this process, where the spy sees it
     center.central_by_solve(alg2, (2, 2))
-    with mock.patch.object(Algebra, "ad", autospec=True,
-                           side_effect=Algebra.ad) as ad:
+    with mock.patch.object(center, "_cores", return_value=1), \
+            mock.patch.object(Algebra, "ad", autospec=True,
+                              side_effect=Algebra.ad) as ad:
         center.central_by_solve(alg2, (2, 2))
     gens = [call.args[1] for call in ad.call_args_list]
     assert alg2.e(1) in gens and alg2.e(2) in gens

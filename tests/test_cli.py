@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -31,8 +34,9 @@ def validate(name, report):
     jsonschema.validate(report, load_schema(name))
 
 
-GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" /
-                     "golden.json").read_text())["cli"]
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())["cli"]
 
 
 @pytest.mark.parametrize("args", sorted(GOLDEN))
@@ -219,6 +223,29 @@ def test_weight_argument_validation(capsys):
                                     "--lambda-alpha", "1/3,1"])
     assert code == 1
     assert report["status"] == "fail"
+
+
+def test_off_lattice_alpha_is_a_bad_argument(capsys):
+    # named by its own error class, with the coordinates as the option takes them
+    code, report = run_cli(capsys, ["central", "--n", "2",
+                                    "--lambda-alpha", "1/2,1/2"])
+    assert code == 1
+    assert report["payload"] == {
+        "error": "BadArgument",
+        "message": "alpha coordinates 1/2,1/2 do not give a lattice weight"}
+
+
+def test_forked_certificate_prints_the_report_once():
+    # stdout piped, so block-buffered: a forked check that flushed it would
+    # print the report twice
+    args = "central --n 2 --lambda-alpha 1,1 --method trace --verify"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "qgc.cli", *args.split()],
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                          env=env, timeout=120, check=False)
+    assert done.returncode == GOLDEN[args]["exit"]
+    assert done.stdout.count(b"\n") == 1
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[args]["stdout_sha256"]
 
 
 def test_internal_inconsistency_is_structured(monkeypatch, capsys):

@@ -838,14 +838,20 @@ def test_straighten_trace_element_matches_letter_rewriter(alg2, z22):
         assert z22 * f == ref.product(z22, f)
 
 
+def in_process():
+    """One worker: every certificate check runs where a spy sees it."""
+    return mock.patch.object(center, "_cores", return_value=1)
+
+
 def test_certificate_divides_once_per_normal_form_term(alg2, z22):
     # with the algebra warm, ad(e_i) z and ad(f_i) z cost at most one gcd
     # per term of each of the four products; a per-entry Scalar division
     # made 3,130 gcds here
-    assert center.centrality_failures(alg2, z22) == []
-    with mock.patch.object(LaurentBi, "gcd", autospec=True,
-                           side_effect=LaurentBi.gcd) as gcd:
+    with in_process():
         assert center.centrality_failures(alg2, z22) == []
+        with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                               side_effect=LaurentBi.gcd) as gcd:
+            assert center.centrality_failures(alg2, z22) == []
     assert gcd.call_count <= 4 * len(z22.terms)
 
 
@@ -855,10 +861,11 @@ def test_certificate_of_a_central_element_takes_no_gcd(algebras, z22):
     # division of each ad(e_i) key by D(alpha_i) made 338 and 676 here
     z3 = center.central_from_trace(algebras[3], (2, 0, 0)).element
     for alg, z in ((algebras[2], z22), (algebras[3], z3)):
-        assert center.centrality_failures(alg, z) == []
-        with mock.patch.object(LaurentBi, "gcd", autospec=True,
-                               side_effect=LaurentBi.gcd) as gcd:
+        with in_process():
             assert center.centrality_failures(alg, z) == []
+            with mock.patch.object(LaurentBi, "gcd", autospec=True,
+                                   side_effect=LaurentBi.gcd) as gcd:
+                assert center.centrality_failures(alg, z) == []
         assert gcd.call_count == 0
 
 
@@ -870,12 +877,13 @@ def test_certificate_straightens_raising_generators_only(alg2, z22):
     # and z f_i.
     rz = z22.scale(R)
     for z, lowering in ((z22, 0), (rz, alg2.n)):
-        assert center.centrality_failures(alg2, z) == []
-        with mock.patch.object(Algebra, "_ad_letter", autospec=True,
-                               side_effect=Algebra._ad_letter) as letter, \
-                mock.patch.object(Algebra, "straighten", autospec=True,
-                                  side_effect=Algebra.straighten) as straighten:
+        with in_process():
             assert center.centrality_failures(alg2, z) == []
+            with mock.patch.object(Algebra, "_ad_letter", autospec=True,
+                                   side_effect=Algebra._ad_letter) as letter, \
+                    mock.patch.object(Algebra, "straighten", autospec=True,
+                                      side_effect=Algebra.straighten) as straighten:
+                assert center.centrality_failures(alg2, z) == []
         kinds = [call.args[1][0] for call in letter.call_args_list]
         assert kinds.count("F") == lowering and kinds.count("E") == alg2.n
         assert straighten.call_count == 2 * lowering

@@ -611,17 +611,42 @@ def test_field_ops_agree_with_exact_evaluation(x, y, u0, v0):
         assert got == op(xv, yv), op
 
 
-def test_startup_and_fast_selftest_leave_sympy_unimported():
-    script = ("import json, sys, qgc.cli\n"
-              "at_import = 'sympy' in sys.modules\n"
-              "code = qgc.cli.main(['selftest', '--fast'])\n"
-              "print(json.dumps([code, at_import, 'sympy' in sys.modules]))\n")
+def last_json_line(script):
+    """The last stdout line of script, run in a fresh interpreter, as JSON."""
     src = os.path.dirname(os.path.dirname(qgc.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out.splitlines()[-1]) == [0, False, False]
+    return json.loads(out.splitlines()[-1])
+
+
+def test_startup_and_fast_selftest_leave_sympy_unimported():
+    script = ("import json, sys, qgc.cli\n"
+              "at_import = 'sympy' in sys.modules\n"
+              "code = qgc.cli.main(['selftest', '--fast'])\n"
+              "print(json.dumps([code, at_import, 'sympy' in sys.modules]))\n")
+    assert last_json_line(script) == [0, False, False]
+
+
+def test_ladder_elements_and_rank3_dual_bases_leave_sympy_unimported():
+    # every gcd of the rank-2 (2,0) and (2,2) elements, by trace and by
+    # solve, and of the 26 rank-3 dual bases up to content (2,2,2) takes the
+    # dense path; one worker keeps the certificate's checks in the process
+    # whose sys.modules is read
+    script = ("import itertools, json, sys\n"
+              "from qgc import center, pairing\n"
+              "from qgc.qgroup import Algebra\n"
+              "center._cores = lambda: 1\n"
+              "alg = Algebra(2)\n"
+              "same = [center.central_from_trace(alg, lam).element ==\n"
+              "        center.central_by_solve(alg, lam).element\n"
+              "        for lam in ((2, 0), (2, 2))]\n"
+              "alg = Algebra(3)\n"
+              "nus = [nu for nu in itertools.product(range(3), repeat=3) if any(nu)]\n"
+              "dims = [pairing.dual_basis(alg, nu).dim for nu in nus]\n"
+              "print(json.dumps([same, len(dims), 'sympy' in sys.modules]))\n")
+    assert last_json_line(script) == [[True, True], 26, False]
 
 
 def test_rank2_trace_element_needs_no_sympy(monkeypatch):

@@ -7,8 +7,10 @@ Run from the root of a qgc checkout:
 
 Each build prints one JSON line: its name, rank, weight (doubled epsilon
 coordinates, as ``Algebra.rs`` takes them) and method, the seconds of the
-build alone, the peak RSS of its process in MB, the number of terms, and
-the sha256 of json.dumps(z.to_json(), sort_keys=True) for the element z.
+build alone, the peak RSS in MB of its process and of the largest child
+that the centrality checks forked from it (0 when none was), the number
+of terms, and the sha256 of json.dumps(z.to_json(), sort_keys=True) for
+the element z.
 The builds run one after another, so each has the machine's other cores to
 itself only if nothing else is running.
 """
@@ -49,6 +51,8 @@ def build(name):
         "name": name, "n": n, "lam": list(lam), "method": method,
         "seconds": round(seconds, 2),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "children_peak_rss_mb":
+            round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "terms": len(z.terms),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
     }), flush=True)
