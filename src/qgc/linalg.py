@@ -6,10 +6,10 @@ and the parity-kernel probe through `rref`, the centrality solver and the
 irreducible quotients; row updates touch only nonzero entries.  Over
 canonical scalars it never forms the large leading minors that a
 fraction-free elimination of a Gram block builds, while the inverse entries
-themselves stay small.  A row reduction canonicalizes once per column and
-denominator: the products it subtracts are summed as raw numerators over
-their (already canonical) product denominators, so the gcd work follows the
-small final entries rather than every partial sum.  The solver feeds its
+themselves stay small.  A row reduction sums the products it subtracts
+through ``scalars.add_product`` and canonicalizes once per column and
+denominator (``scalars.settle_into``), so the gcd work follows the small
+final entries rather than every partial sum.  The solver feeds its
 equations in batches, each sparsest first, and stops once every unknown
 is a pivot.  After each batch, an unknown whose row holds only its value
 is settled: later rows still reduce against it, but no new pivot is
@@ -20,7 +20,7 @@ open.
 from __future__ import annotations
 
 from .errors import NoSolution, NonUniqueSolution
-from .scalars import ONE, ZERO, Scalar, add_scaled
+from .scalars import ONE, ZERO, add_product, add_scaled, settle_into
 
 
 class Echelon:
@@ -38,18 +38,16 @@ class Echelon:
     def reduce(self, row):
         """A new row: ``row`` with the current pivots eliminated.
 
-        Each product c * cp of a row entry and a pivot-row entry is kept as
-        its raw numerator over the product of the two canonical denominators,
-        which is canonical itself.  The numerators are summed per (column,
-        denominator), with the row's own entry joining the sum of its
-        denominator; each sum is canonicalized once (over 1 with no gcd),
-        and a column adds its few sums.  Reduced echelon form and canonical
-        form are both unique, so the row is the one that adding the products
-        one at a time gives.
+        Each product -c * cp of a row entry and a pivot-row entry goes into
+        one ``add_product`` accumulator per column, and ``settle_into`` adds
+        each column's sums to the row's own entry, canonicalizing once per
+        column and denominator.  Reduced echelon form and canonical form are
+        both unique, so the row is the one that adding the products one at a
+        time gives.
         """
         rows = self.rows
         out = {}
-        sums = {}  # column -> {denominator: summed numerator}
+        sums = {}
         for p, c in row.items():
             if c.is_zero():
                 continue
@@ -58,27 +56,8 @@ class Echelon:
                 out[p] = c
                 continue
             for k, cp in prow.items():
-                col = sums.get(k)
-                if col is None:
-                    col = sums[k] = {}
-                den = c.den * cp.den
-                num = c.num * cp.num
-                acc = col.get(den)
-                col[den] = num if acc is None else acc + num
-        for k, col in sums.items():
-            total = out.get(k, ZERO)
-            if total.den in col:  # fold the row's own entry into its bucket
-                col[total.den] = col[total.den] - total.num
-                total = ZERO
-            for den, num in col.items():
-                if not num.is_zero():
-                    total = total + (Scalar.from_laurent(-num) if den.is_one()
-                                     else Scalar(-num, den))
-            if not total.is_zero():
-                out[k] = total
-            elif k in out:
-                del out[k]
-        return out
+                add_product(sums, k, c, cp, -1)
+        return settle_into(sums, out)
 
     def add(self, row):
         """Add ``row`` to the span; its new pivot, or None if it reduces to 0.

@@ -15,23 +15,23 @@ collapses to an inversion-weighted matching sum whose toral factors split
 off as group-like pairing values.
 
 Every factor of that sum but the generator values 1/(s_j - r_j) is a unit
-monomial u^a v^b, so a pure-word pairing is a Laurent numerator over
-D(nu) = prod_j (s_j - r_j)^nu_j.  The numerators are summed exactly with no
-gcd, and each value is canonicalized once; all entries of a Gram block share
-the one D(nu) of their content.  The forms skew_pair and rosso sum c N per
-content and divide each sum by its D(nu) once.  The peeling step, each
-match of f_j in the raising word with its crossing factor, is the algebra's
-(Algebra.peel), and so is the table of 1/D(nu)
-(Algebra.inverse_denominator).  <f, e> is the lone w'_nu coefficient of the
-product e f, which the tests check.
+monomial u^a v^b, so a pure-word pairing is a numerator over D(nu) =
+prod_j (s_j - r_j)^nu_j.  The numerators are Scalars over 1, which shift,
+add and multiply with no gcd, and each value is canonicalized once; all
+entries of a Gram block share the one D(nu) of their content.  The forms
+skew_pair and rosso sum c N per content and divide each sum by its D(nu)
+once.  The peeling step, each match of f_j in the raising word with its
+crossing factor, is the algebra's (Algebra.peel), and so is the table of
+1/D(nu) (Algebra.inverse_denominator).  <f, e> is the lone w'_nu
+coefficient of the product e f, which the tests check.
 """
 
 from __future__ import annotations
 
 from .errors import SingularGram, WrongSide
 from .linalg import invert
-from .qgroup import _NUM_ONE, Algebra, Element, word_content
-from .scalars import _L_ZERO, ZERO, LaurentBi, Scalar, accumulate, add_scaled, memoized
+from .qgroup import Algebra, Element, word_content
+from .scalars import ONE, ZERO, Scalar, accumulate, add_scaled, memoized
 
 
 def word_pair(alg: Algebra, fw, ew) -> Scalar:
@@ -43,24 +43,25 @@ def word_pair(alg: Algebra, fw, ew) -> Scalar:
     <w'_j, w_(rest)> / (s_j - r_j).  The crossing and toral factors are unit
     monomials that together leave <w'_j, w_l> for each letter l left of the
     match, so the value is N(fw, ew) / D(nu) with D(nu) = prod_j
-    (s_j - r_j)^nu_j.  The Laurent numerator N is built by shifts and sums
-    alone and canonicalized once, against the D(nu) that a whole Gram block
-    shares.
+    (s_j - r_j)^nu_j.  The numerator N, a Scalar over 1, is built by shifts
+    and sums alone and canonicalized once, against the D(nu) that a whole
+    Gram block shares.
     """
     fw, ew = tuple(fw), tuple(ew)
     nu = word_content(alg.n, fw)
     if nu != word_content(alg.n, ew):
         return ZERO
-    return Scalar.from_laurent(_numerator(alg, fw, ew)) * alg.inverse_denominator(nu)
+    return _numerator(alg, fw, ew) * alg.inverse_denominator(nu)
 
 
 @memoized
-def _numerator(alg: Algebra, fw, ew) -> LaurentBi:
-    """N(fw, ew) for words of one content, peeling f_j off fw by ``peel``."""
+def _numerator(alg: Algebra, fw, ew) -> Scalar:
+    """N(fw, ew) over 1, for words of one content, peeling f_j off fw by
+    ``peel``."""
     if not fw:
-        return _NUM_ONE
+        return ONE
     tail = fw[1:]
-    total = _L_ZERO
+    total = ZERO
     for sub, a, b in alg.peel(ew, fw[0]):
         total = total + _numerator(alg, tail, sub).shift(a, b)
     return total
@@ -83,8 +84,8 @@ def skew_pair(alg: Algebra, y: Element, x: Element) -> Scalar:
             if word_content(alg.n, ew_x) != nu:
                 continue
             toral = alg.gpair(eta_y, phi_x) * alg.gpair(nu, phi_x)
-            accumulate(sums.setdefault(nu, {}), None, cy * cx * toral *
-                       Scalar.from_laurent(_numerator(alg, fw_y, ew_x)))
+            accumulate(sums.setdefault(nu, {}), None,
+                       cy * cx * toral * _numerator(alg, fw_y, ew_x))
     return _over_denominators(alg, sums).get(None, ZERO)
 
 
@@ -178,8 +179,7 @@ def rosso(alg: Algebra, x: Element, y: Element) -> Scalar:
             val = alg.gpair(eta_y, phi_x) * alg.gpair(nu_b, phi_x) \
                 * alg.gpair(eta_x, phi_y) * alg.gpair(nu_a, phi_y) \
                 * s2_twist(alg, nu_a)
-            accumulate(sums.setdefault(nu, {}), None,
-                       cx * cy * val * Scalar.from_laurent(num))
+            accumulate(sums.setdefault(nu, {}), None, cx * cy * val * num)
     return _over_denominators(alg, sums).get(None, ZERO)
 
 

@@ -35,11 +35,8 @@ from .errors import (
     WrongSide,
 )
 from .rootdata import RootSystemB
-from .scalars import (ONE, ZERO, LaurentBi, Scalar, accumulate, add_product, add_scaled,
+from .scalars import (ONE, ZERO, Scalar, accumulate, add_product, add_scaled, as_scalar,
                       half_exponent, memoized, rs_ratio_power, settle)
-
-
-_NUM_ONE = LaurentBi.const(1)
 
 
 def _vec_add(a, b):
@@ -125,16 +122,15 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.algebra.straighten(self, other)
-        return self.scale(other)
+        # x * 1.5 is a TypeError, as for any operand Python cannot multiply
+        c = Scalar._coerce(other)
+        return NotImplemented if c is NotImplemented else self.scale(c)
 
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self.scale(other)
+    __rmul__ = __mul__  # scalars commute with everything
 
     def scale(self, c):
-        c = Scalar._coerce(c)
-        if c is NotImplemented:
-            return NotImplemented
+        """c times self, for c an int, a Fraction or a Scalar."""
+        c = as_scalar(c)
         if c.is_zero():
             return Element(self.algebra, {})
         return Element(self.algebra, {k: v * c for k, v in self.terms.items()})
@@ -269,8 +265,7 @@ class Algebra:
         return Element(self, {((), self._zero, self._zero, ()): ONE})
 
     def scalar(self, c) -> Element:
-        c = Scalar._coerce(c)
-        return Element(self, {((), self._zero, self._zero, ()): c})
+        return Element(self, {((), self._zero, self._zero, ()): as_scalar(c)})
 
     def e(self, i: int) -> Element:
         self._check_index(i)
@@ -302,9 +297,10 @@ class Algebra:
         return self.toral(eta, self._zero)
 
     def element_from_term(self, key, coeff=ONE) -> Element:
-        return Element(self, {key: coeff})
+        return Element(self, {key: as_scalar(coeff)})
 
     def eword_element(self, word, coeff=ONE) -> Element:
+        coeff = as_scalar(coeff)
         return Element(self, {((), self._zero, self._zero, rep): c * coeff
                               for rep, c in self.reduce_word("+", word).items()})
 
@@ -482,10 +478,10 @@ class Algebra:
         """1 / D(mu), D(mu) = prod_j (s_j - r_j)^mu_j: the denominator of the
         pairing numerators of content mu, one per content, and at a simple
         root that of the commutator table."""
-        den = _NUM_ONE
+        den = ONE
         for j, k in enumerate(mu, 1):
-            den = den * (self.s_i(j).num - self.r_i(j).num) ** k
-        return Scalar.from_laurent(den).inverse()
+            den = den * (self.s_i(j) - self.r_i(j)) ** k
+        return den.inverse()
 
     @memoized
     def _crossing(self, eta, phi):
@@ -658,19 +654,16 @@ class Algebra:
             e_i (c f_y t e_x) = chi_t c f_y t (e_i e_x) + c [e_i, f_y] t e_x,
 
         with the raising word reduced by ``reduce_word`` and the commutator
-        read from its table over D(alpha_i).
+        read from its table, times 1/D(alpha_i) as ``add_product``'s third factor.
         """
-        # 1/D(alpha_i) = +-u^da v^db / den_i: its unit numerator joins the
-        # commutator's sign and shift, den_i its bucket's denominator
         inv = self.inverse_denominator(_unit(self.n, i))
-        ((da, db), sd), = inv.num.terms.items()
         for (fw, eta, phi, ew), c in terms.items():
             cu, cv = self._crossing(eta, phi)
             for rep, ce in self.reduce_word("+", (i,) + ew).items():
                 add_product(acc, (fw, eta, phi, rep), c, ce, 1, cu[i - 1], cv[i - 1])
             for (f_rep, eta1, phi1), cn in self.commutator(i, fw).items():
                 add_product(acc, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
-                            c, cn, sd, da, db, inv.den)
+                            c, cn, z=inv)
 
     @memoized
     def commutator(self, i, fw):

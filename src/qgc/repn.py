@@ -56,26 +56,6 @@ class ColMatrix:
     def entry(self, r, c) -> Scalar:
         return self.cols[c].get(r, ZERO)
 
-    def add_scaled(self, other: "ColMatrix", c: Scalar) -> "ColMatrix":
-        return ColMatrix(self.dim, [add_scaled(dict(col), ocol, c)
-                                    for col, ocol in zip(self.cols, other.cols)])
-
-    def scale(self, c: Scalar) -> "ColMatrix":
-        if c.is_zero():
-            return ColMatrix(self.dim)
-        return ColMatrix(self.dim, [{r: v * c for r, v in col.items()}
-                                    for col in self.cols])
-
-    def __sub__(self, other):
-        return self.add_scaled(other, -ONE)
-
-    def __eq__(self, other):
-        return isinstance(other, ColMatrix) and self.dim == other.dim \
-            and self.cols == other.cols
-
-    def is_zero(self):
-        return all(not col for col in self.cols)
-
     def trace_against_diag(self, diag) -> Scalar:
         total = ZERO
         for j, col in enumerate(self.cols):

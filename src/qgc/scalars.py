@@ -26,10 +26,13 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
 A sum of many products is taken by one multiply-accumulate primitive,
 ``add_product``, on raw numerator terms: each product is added in place to
 a bucket of its key and of the product of its canonical denominators, and
-no partial product or partial sum is made a Scalar.  ``settle`` then gives
-each key one canonical Scalar over the product of its buckets'
-denominators.  A sum that cancels there drops out with no gcd, so the
-images of a central element, which are all zero, take none.
+no partial product or partial sum is made a Scalar.  Two functions read
+the buckets off.  ``settle`` gives each key one canonical Scalar over the
+product of its buckets' denominators: a sum that cancels there drops out
+with no gcd, so the images of a central element, which are all zero, take
+none.  ``settle_into`` adds each key's buckets into an existing entry as
+Scalars, over the lcm of their denominators, for a row reduction.  No other
+module reads the numerator or denominator of a Scalar.
 """
 
 from __future__ import annotations
@@ -443,7 +446,8 @@ class Scalar:
 
     @staticmethod
     def from_int(k):
-        return Scalar(LaurentBi.const(k), _L_ONE, _canonical=True)
+        # int(k): a bool is an int, but True must be stored, and written, as 1
+        return Scalar(LaurentBi.const(int(k)), _L_ONE, _canonical=True)
 
     @staticmethod
     def from_fraction(q: Fraction):
@@ -453,11 +457,6 @@ class Scalar:
     def monomial(a, b, coeff=1):
         """coeff * u^a v^b, i.e. coeff * r^(a/2) s^(b/2)."""
         return Scalar(LaurentBi.monomial(coeff, a, b), _L_ONE, _canonical=True)
-
-    @staticmethod
-    def from_laurent(p: LaurentBi):
-        """p / 1, which is canonical as it stands."""
-        return Scalar(p, _L_ONE, _canonical=True)
 
     # -- predicates ---------------------------------------------------------
 
@@ -620,9 +619,22 @@ class Scalar:
 
     @staticmethod
     def from_json(obj):
-        num = LaurentBi({(a, b): c for c, a, b in obj["num"]})
-        den = LaurentBi({(a, b): c for c, a, b in obj["den"]})
-        return Scalar(num, den)
+        """The scalar that ``to_json`` wrote.  ``BadArgument`` unless "num"
+        and "den" are each a list of [coeff, a, b] int terms (JSON's true is
+        not 1) with distinct monomials, and the denominator is not zero."""
+        parts = []
+        for part in ("num", "den"):
+            terms = obj.get(part) if isinstance(obj, dict) else None
+            if not isinstance(terms, list) or not all(
+                    isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t)
+                    for t in terms):
+                raise BadArgument(f"{part} of {obj!r} is not a list of [coeff, a, b] ints")
+            parts.append(LaurentBi({(a, b): c for c, a, b in terms}))
+            if len({(a, b) for _, a, b in terms}) < len(terms):
+                raise BadArgument(f"{part} of {obj!r} repeats a monomial")
+        if parts[1].is_zero():
+            raise BadArgument(f"scalar {obj!r} has a zero denominator")
+        return Scalar(*parts)
 
     def __str__(self):
         if self.den.is_one():
@@ -686,17 +698,29 @@ def add_scaled(out, vec, c=ONE):
     return out
 
 
-def add_product(acc, key, x, y, sign=1, a=0, b=0, extra=None):
-    """acc[key][den] += sign * x.num * y.num * u^a v^b, in place on raw terms.
+def as_scalar(c) -> Scalar:
+    """c as a Scalar, for an int, a Fraction or a Scalar; ``BadArgument``
+    for anything else, so no float is read as a coefficient."""
+    x = Scalar._coerce(c)
+    if x is NotImplemented:
+        raise BadArgument(f"coefficient {c!r} is not an int, Fraction or Scalar")
+    return x
 
-    acc maps each key to its buckets {den: numerator term map}, where den
-    is x.den * y.den, times ``extra`` when given: a product of canonical
-    denominators, so canonical itself.  A term that cancels is deleted, and
-    so are a bucket and a key left empty.  ``settle`` reads the sums off.
+
+def add_product(acc, key, x, y, sign=1, a=0, b=0, z=None):
+    """acc[key] += sign * x * y * u^a v^b (* z), in place on raw terms.
+
+    acc maps each key to its buckets {den: numerator term map}.  The
+    numerator x.num * y.num goes to the bucket of den = x.den * y.den (times
+    z.den), a product of canonical denominators, so canonical itself.  z,
+    when given, has a monomial numerator, as 1/D(alpha_i) does: it joins
+    sign and the shift.  A term that cancels is deleted, and so are a bucket
+    and a key left empty.  ``settle`` or ``settle_into`` reads the sums off.
     """
     den = x.den * y.den
-    if extra is not None:
-        den = den * extra
+    if z is not None:
+        ((za, zb), zc), = z.num.terms.items()
+        sign, a, b, den = sign * zc, a + za, b + zb, den * z.den
     buckets = acc.get(key)
     if buckets is None:
         buckets = acc[key] = {}
@@ -737,6 +761,29 @@ def settle(acc):
             den = den * d
         if not num.is_zero():
             out[key] = Scalar(num, den, _canonical=den.is_one())
+    return out
+
+
+def settle_into(acc, out):
+    """Add the sums of an ``add_product`` accumulator into out, {key:
+    Scalar}, emptying acc; returns out.  A key's entry in out joins the
+    bucket of its denominator; each bucket is canonicalized once and added
+    as a Scalar, so the sum lies over the lcm of the denominators, not
+    their product as in ``settle``.  A key that cancels leaves out."""
+    for key, buckets in acc.items():
+        total = out.get(key, ZERO)
+        own = buckets.get(total.den)
+        if own is not None:
+            buckets[total.den] = _add(own, total.num.terms)
+            total = ZERO
+        for den, terms in buckets.items():
+            if terms:
+                total = total + Scalar(LaurentBi._of(terms), den, _canonical=den.is_one())
+        if not total.is_zero():
+            out[key] = total
+        elif key in out:
+            del out[key]
+    acc.clear()
     return out
 
 

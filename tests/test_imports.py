@@ -2,8 +2,9 @@
 every private name that the package defines is read somewhere in it, every
 public one is read by the package, the benchmark or the tools, or is an
 entry point that README.md names, no module of the package uses
-``assert``, none holds a float, and no module but ``qgroup.py`` reads a
-private attribute of an ``Algebra``.
+``assert``, none holds a float, no module but ``qgroup.py`` reads a
+private attribute of an ``Algebra``, and none but ``scalars.py`` reads the
+scalar format.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -141,3 +142,36 @@ def test_no_private_algebra_reads_outside_qgroup(path):
     # the algebra's tables and helpers are read through its public methods
     lines = private_algebra_reads(ast.parse(path.read_text()))
     assert not lines, f"{path.name} reads a private Algebra attribute at lines {lines}"
+
+
+def scalar_format_reads(tree):
+    """Lines that read ``.num``, ``.den`` or ``LaurentBi``, or import
+    ``LaurentBi`` or a private name from the ``scalars`` module.  A local
+    variable named ``num`` or ``den`` is not a read."""
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("num", "den", "LaurentBi")
+             or isinstance(node, ast.Name) and node.id == "LaurentBi"]
+    lines += [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[-1] == "scalars"
+              and any(alias.name == "LaurentBi" or alias.name.startswith("_")
+                      for alias in node.names)]
+    return sorted(set(lines))
+
+
+def test_scalar_format_reads_are_found():
+    tree = ast.parse("x.num\ny.den.terms\nfrom .scalars import _L_ONE\n"
+                     "from .scalars import ONE, LaurentBi\nfrom qgc.scalars import ZERO\n"
+                     "scalars.LaurentBi.const(1)\nc.numerator\nfrom .qgroup import _unit\n"
+                     "num = den = 1\nLaurentBi\n")
+    assert scalar_format_reads(tree) == [1, 2, 3, 4, 6, 10]
+
+
+def test_only_scalars_reads_the_scalar_format():
+    # the numerator and denominator of a Scalar, and the LaurentBi that
+    # holds them, are read in scalars.py alone, so a change of the format
+    # edits that one module
+    reads = {path.name: scalar_format_reads(ast.parse(path.read_text()))
+             for path in MODULES if path.name != "scalars.py"}
+    reads = {name: lines for name, lines in reads.items() if lines}
+    assert not reads, f"modules that read the scalar format, by line: {reads}"

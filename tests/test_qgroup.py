@@ -395,6 +395,35 @@ def test_an_element_of_another_algebra_raises_rank_mismatch(call):
         call(Algebra(2), Algebra(2), Algebra(3))
 
 
+def test_coefficients_are_int_fraction_or_scalar(alg2):
+    # scale(1.5) returned the NotImplemented sentinel, and scalar(1.5) and
+    # element_from_term(key, 2) raised AttributeError
+    x = alg2.e(1) + alg2.f(2)
+    key = ((1,), (0, 0), (0, 0), ())
+    half = Fraction(1, 2)
+    assert x.scale(2) == 2 * x == x * 2 == x + x
+    assert x.scale(half) == x * Scalar.from_fraction(half) == half * x
+    assert alg2.scalar(3) == alg2.one().scale(3)
+    assert alg2.scalar(True).to_json() == alg2.one().to_json()  # no JSON true
+    assert alg2.element_from_term(key, 2) == alg2.f(1).scale(2)
+    assert alg2.element_from_term(key, half) == alg2.f(1) * half
+    assert alg2.eword_element((1,), R) == alg2.e(1) * R
+    for bad in (1.5, "2", None, alg2):
+        with pytest.raises(BadArgument):
+            x.scale(bad)
+        with pytest.raises(BadArgument):
+            alg2.scalar(bad)
+        with pytest.raises(BadArgument):
+            alg2.element_from_term(key, bad)
+        with pytest.raises(BadArgument):
+            alg2.eword_element((1,), bad)
+    # the operators keep Python's rule for an operand they cannot multiply
+    with pytest.raises(TypeError):
+        x * 1.5
+    with pytest.raises(TypeError):
+        1.5 * x
+
+
 def test_a_content_that_is_not_integral_names_the_input():
     alg = Algebra(2)
     with pytest.raises(BadArgument, match=r"\(1\.5, 0\)"):

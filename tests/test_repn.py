@@ -40,6 +40,19 @@ def col_identity(dim):
     return ColMatrix(dim, [{r: ONE} for r in range(dim)])
 
 
+def add_scaled_cols(a, b, c=ONE):
+    """The matrix a + c b."""
+    return ColMatrix(a.dim, [add_scaled(dict(col), bcol, c)
+                             for col, bcol in zip(a.cols, b.cols)])
+
+
+def toral_commutator(alg, i, module):
+    """(w_i - w'_i) / (r_i - s_i) acting on the module: [e_i, f_i]'s value."""
+    inv = (alg.r_i(i) - alg.s_i(i)).inverse()
+    omega = add_scaled_cols(ColMatrix(module.dim), act(alg.omega(i), module), inv)
+    return add_scaled_cols(omega, act(alg.omega_prime(i), module), -inv)
+
+
 def reference_irreducible(alg, lam):
     """V(lam) as the quotient of the depth-ht(2 lam) Verma module.
 
@@ -154,12 +167,8 @@ def test_defining_relations_on_truncation(alg2):
         for j in (1, 2):
             ef = compose(act(alg2.e(i), M), act(alg2.f(j), M))
             fe = compose(act(alg2.f(j), M), act(alg2.e(i), M))
-            lhs = ef - fe
-            if i == j:
-                inv = (alg2.r_i(i) - alg2.s_i(i)).inverse()
-                rhs = (act(alg2.omega(i), M) - act(alg2.omega_prime(i), M)).scale(inv)
-            else:
-                rhs = ColMatrix(M.dim)
+            lhs = add_scaled_cols(ef, fe, -ONE)
+            rhs = toral_commutator(alg2, i, M) if i == j else ColMatrix(M.dim)
             assert_equal_on_columns(lhs, rhs, safe)
 
 
@@ -167,8 +176,8 @@ def test_irreducible_trivial(alg2):
     L = irreducible(alg2, (0, 0))
     assert L.dim == 1
     for i in (1, 2):
-        assert act(alg2.e(i), L).is_zero()
-        assert act(alg2.f(i), L).is_zero()
+        assert not any(act(alg2.e(i), L).cols)
+        assert not any(act(alg2.f(i), L).cols)
 
 
 def test_irreducible_vector_rep(alg2):
@@ -193,9 +202,7 @@ def test_irreducible_spin(alg2):
     for i in (1, 2):
         ef = compose(act(alg2.e(i), L), act(alg2.f(i), L))
         fe = compose(act(alg2.f(i), L), act(alg2.e(i), L))
-        inv = (alg2.r_i(i) - alg2.s_i(i)).inverse()
-        rhs = (act(alg2.omega(i), L) - act(alg2.omega_prime(i), L)).scale(inv)
-        assert ef - fe == rhs
+        assert add_scaled_cols(ef, fe, -ONE).cols == toral_commutator(alg2, i, L).cols
     # grading-operator exponents are half-integral but stay representable
     th = theta(L)
     by_weight = {w: th[r] for r, w in enumerate(L.weights)}
@@ -213,18 +220,16 @@ def test_irreducible_adjoint(alg2):
 
 def test_relations_hold_on_irreducible(alg2):
     L = irreducible(alg2, (2, 0))
-    assert act(alg2.one(), L) == col_identity(L.dim)
+    assert act(alg2.one(), L).cols == col_identity(L.dim).cols
     for i in (1, 2):
         for j in (1, 2):
             ef = compose(act(alg2.e(i), L), act(alg2.f(j), L))
             fe = compose(act(alg2.f(j), L), act(alg2.e(i), L))
-            lhs = ef - fe
+            lhs = add_scaled_cols(ef, fe, -ONE)
             if i == j:
-                inv = (alg2.r_i(i) - alg2.s_i(i)).inverse()
-                rhs = (act(alg2.omega(i), L) - act(alg2.omega_prime(i), L)).scale(inv)
-                assert lhs == rhs
+                assert lhs.cols == toral_commutator(alg2, i, L).cols
             else:
-                assert lhs.is_zero()
+                assert not any(lhs.cols)
     # Serre relators act by zero
     for sign in "+-":
         gen = alg2.e if sign == "+" else alg2.f
@@ -234,8 +239,8 @@ def test_relations_hold_on_irreducible(alg2):
                 term = alg2.one()
                 for k in word:
                     term = term * gen(k)
-                total = total.add_scaled(act(term, L), c)
-            assert total.is_zero()
+                total = add_scaled_cols(total, act(term, L), c)
+            assert not any(total.cols)
 
 
 def test_theta_trivial_and_values(alg2):
@@ -257,7 +262,7 @@ def test_theta_conjugates_antipode_square(alg2):
     for u in gens:
         lhs = compose(th_mat, act(u, L))
         rhs = compose(act(alg2.antipode(alg2.antipode(u)), L), th_mat)
-        assert lhs == rhs
+        assert lhs.cols == rhs.cols
 
 
 def test_qint_action_identity(alg2):
@@ -341,7 +346,7 @@ def test_irreducible_matches_verma_quotient(n, lam):
     assert L.weights == ref.weights
     for i in range(1, n + 1):
         for g in (alg.e(i), alg.f(i), alg.omega(i), alg.omega_prime(i)):
-            assert act(g, L) == act(g, ref)
+            assert act(g, L).cols == act(g, ref).cols
 
 
 def test_irreducible_stays_in_its_box():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import qgc
 from qgc import center, linalg, pairing, scalars
+from qgc.errors import BadArgument
 from qgc.qgroup import Algebra
 from qgc.scalars import (
     ONE,
@@ -28,6 +29,7 @@ from qgc.scalars import (
     add_scaled,
     rs_ratio_power,
     settle,
+    settle_into,
 )
 
 
@@ -681,54 +683,81 @@ def test_unit_numerators_take_no_gcd():
     assert (unit * inv).den == (R - S).num
 
 
-EXTRA = (R * R + S).num
+# a third factor for add_product: a monomial numerator over a ladder factor
+THIRD = Scalar.monomial(1, -1, -1) / (R * R + S)
 
 
 @st.composite
 def keyed_products(draw):
-    """Products (key, x, y, sign, a, b, over) for add_product, over the keys
-    0..3: x, y carry mixed canonical ladder denominators, and ``over`` says
-    whether the extra denominator divides the product.  A drawn product may
-    come with its negation, y x (/ extra) folded into one Scalar, so that
-    its key's sums cancel exactly across buckets of distinct denominators."""
-    out = []
+    """(products, own) over the keys 0..3.  products are (key, x, y, sign,
+    a, b, over) for add_product: x, y carry mixed canonical ladder
+    denominators, and ``over`` says whether THIRD is the third factor.  A
+    drawn product may come with its negation, y x (* THIRD) folded into one
+    Scalar, so that its key's sums cancel exactly across buckets of distinct
+    denominators.  own holds a row's entries for settle_into; each is a
+    random scalar or the negation of a drawn product times 1 or u, which
+    folds into that product's bucket and may cancel it."""
+    out, own = [], {}
     for _ in range(draw(st.integers(0, 6))):
         item = (draw(st.integers(0, 3)), draw(ladder_scalars()), draw(ladder_scalars()),
                 draw(st.sampled_from([1, -1])), draw(st.integers(-2, 2)),
                 draw(st.integers(-2, 2)), draw(st.booleans()))
         out.append(item)
+        key, x, y, sign, a, b, over = item
         if draw(st.booleans()):
-            key, x, y, sign, a, b, over = item
-            folded = y / Scalar.from_laurent(EXTRA) if over else y
-            out.append((key, folded, x, -sign, a, b, False))
-    return out
+            out.append((key, y * THIRD if over else y, x, -sign, a, b, False))
+        if draw(st.booleans()):
+            c = Scalar.monomial(a, b, sign) * x * y
+            own[key] = -(c * THIRD if over else c).shift(draw(st.integers(0, 1)), 0)
+    for key in draw(st.sets(st.integers(0, 3), max_size=2)):
+        own[key] = draw(ladder_scalars())
+    return out, own
 
 
+@pytest.mark.parametrize("lcm", [False, True], ids=["settle", "settle_into"])
 @settings(max_examples=100, deadline=None)
 @given(keyed_products())
-def test_add_product_settles_to_the_scalar_sums(products):
-    expect, acc = {}, {}
+def test_add_product_settles_to_the_scalar_sums(lcm, drawn):
+    products, own = drawn
+    own = own if lcm else {}
+    expect, acc = dict(own), {}
     for key, x, y, sign, a, b, over in products:
         c = Scalar.monomial(a, b, sign) * x * y
-        accumulate(expect, key, c / Scalar.from_laurent(EXTRA) if over else c)
-        add_product(acc, key, x, y, sign, a, b, EXTRA if over else None)
+        accumulate(expect, key, c * THIRD if over else c)
+        add_product(acc, key, x, y, sign, a, b, THIRD if over else None)
+    buckets = len(own) + sum(len(b) for b in acc.values())
     with mock.patch.object(LaurentBi, "gcd", autospec=True,
                            side_effect=LaurentBi.gcd) as gcd:
-        got = settle(acc)
+        got = settle_into(acc, dict(own)) if lcm else settle(acc)
     assert got == expect and acc == {}
-    # cancelled keys are dropped with no gcd, the others canonicalized once
-    assert gcd.call_count <= len(got)
+    if lcm:
+        # each bucket is canonicalized once, and each Scalar sum of two
+        # distinct denominators takes at most two gcds
+        assert gcd.call_count <= 3 * buckets
+    else:
+        # cancelled keys are dropped with no gcd, the others canonicalized once
+        assert gcd.call_count <= len(got)
+
+
+def test_settle_into_keeps_the_order_of_the_entries():
+    out = {"a": ONE, "b": R, "c": S}
+    acc = {}
+    add_product(acc, "b", R, ONE, -1)  # cancels b
+    add_product(acc, "a", S, ONE)
+    add_product(acc, "d", ONE, ONE)
+    assert list(settle_into(acc, out).items()) == [("a", ONE + S), ("c", S), ("d", ONE)]
+    assert acc == {}
 
 
 def test_add_product_deletes_what_cancels():
     acc = {}
-    x, y = R / (R - S), S + ONE
+    x, y, z = R / (R - S), S + ONE, ONE / (R + S)
     add_product(acc, "k", x, y, 1, 1, 0)
-    add_product(acc, "k", x, y, -1, 1, 0, (R + S).num)
+    add_product(acc, "k", x, y, -1, 1, 0, z)
     assert list(acc["k"]) == [(R - S).num, ((R - S) * (R + S)).num]
     add_product(acc, "k", x, y, -1, 1, 0)
     assert list(acc["k"]) == [((R - S) * (R + S)).num]
-    add_product(acc, "k", x, y, 1, 1, 0, (R + S).num)
+    add_product(acc, "k", x, y, 1, 1, 0, z)
     assert acc == {} and settle(acc) == {}
 
 
@@ -737,6 +766,34 @@ def test_json_roundtrip():
     for _ in range(20):
         x = rand_scalar(rng)
         assert Scalar.from_json(x.to_json()) == x
+    x = (R - S * 2) / (R + S)
+    assert x.to_json() == {"num": [[1, 2, 0], [-2, 0, 2]], "den": [[1, 2, 0], [1, 0, 2]]}
+    assert Scalar.from_json({"num": [], "den": [[1, 0, 0]]}) == ZERO
+    # a form that is not canonical is canonicalized
+    assert Scalar.from_json({"num": [[2, 0, 0]], "den": [[-4, 0, 0]]}) == ONE / -2
+
+
+@pytest.mark.parametrize("obj", [
+    {"num": [[1, 0.5, 0]], "den": [[1, 0, 0]]},     # float exponent
+    {"num": [[1.0, 0, 0]], "den": [[1, 0, 0]]},     # float coefficient
+    {"num": [[1, 0, 0], [2, 0, 0]], "den": [[1, 0, 0]]},  # repeated exponents
+    {"num": [[True, 0, 0]], "den": [[1, 0, 0]]},    # JSON true
+    {"num": [[1, 0, 0]]},                           # missing key
+    {"num": [[1, 0]], "den": [[1, 0, 0]]},          # two-entry term
+    {"num": [[1, 0, 0]], "den": []},                # empty denominator
+    {"num": [[1, 0, 0]], "den": [[0, 0, 0]]},       # zero denominator
+    {"num": [1, 0, 0], "den": [[1, 0, 0]]},         # a term that is not a list
+    {"num": "1", "den": [[1, 0, 0]]},
+    [[1, 0, 0]],
+    None,
+], ids=["float-exponent", "float-coeff", "repeated", "true", "missing-key",
+        "two-entry-term", "empty-den", "zero-den", "flat-term", "string", "list", "none"])
+def test_from_json_rejects_what_to_json_never_writes(obj):
+    # each of these built a scalar that str() could not print, read a
+    # repeated term as the last one, kept true as a coefficient, or raised
+    # KeyError, ValueError or ZeroDivisionError
+    with pytest.raises(BadArgument):
+        Scalar.from_json(obj)
 
 
 def test_fraction_constants():
