@@ -8,6 +8,21 @@ makes r^k * s^l = 1 hold only for k = l = 0.
 No floating point is used anywhere; integer coefficients are arbitrary
 precision.
 
+A Laurent polynomial is held as its homogeneous components, and each
+component as one integer (Kronecker substitution; Harvey, J. Symb. Comput.
+2009): sum_k c_k u^(a0+k) v^(d-a0-k) is (d, a0, F), F = sum_k c_k 2^(w k)
+in balanced digits, |c_k| < 2^(w-1).  The width w is the least of 64, 128,
+256, ... that holds every coefficient, so a value has one form.  A product
+of homogeneous values is then one integer product, and a sum or shift one
+shift-and-add.  The width comes from a proved bound, never from a check
+after the fact: |pq| <= |p| |q| min(len p, len q), where |.| is the largest
+|coefficient|, and the bounds of a sum add.  A result whose bound reaches
+2^63 is made in a wider slot and read back at its own width.  The gcd of
+homogeneous operands runs on the packed integers at xi = 2^w (see
+``_heu_gcd``).  Only two inhomogeneous operands, which no build of the
+benchmark or of tools/long_runs.py forms, and a heuristic that proves no
+candidate reach sympy.
+
 Arithmetic on canonical operands does only the gcd work that can change the
 result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
 
@@ -24,9 +39,9 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
   gcd at all.
 
 A sum of many products is taken by one multiply-accumulate primitive,
-``add_product``, on raw numerator terms: each product is added in place to
-a bucket of its key and of the product of its canonical denominators, and
-no partial product or partial sum is made a Scalar.  Two functions read
+``add_product``, on packed numerator sums: each product is added in place
+to a bucket of its key and of the product of its canonical denominators,
+and no partial product or partial sum is made a Scalar.  Two functions read
 the buckets off.  ``settle`` gives each key one canonical Scalar over the
 product of its buckets' denominators: a sum that cancels there drops out
 with no gcd, so the images of a central element, which are all zero, take
@@ -39,91 +54,139 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from fractions import Fraction
 
 from .errors import BadArgument
 
 
 # ---------------------------------------------------------------------------
-# raw Laurent-polynomial helpers: dict {(a, b): c} meaning sum of c * u^a v^b
+# packed components: sum_k c_k u^(a0+k) v^(d-a0-k), with c_0 and the last
+# c_k nonzero, is (d, a0, F) with F = sum_k c_k 2^(w k), |c_k| < 2^(w-1)
 # ---------------------------------------------------------------------------
 
-def _trim(terms):
-    return {k: c for k, c in terms.items() if c}
+_OFFSETS = {}
 
 
-def _add(p, q):
-    out = dict(p)
-    for k, c in q.items():
-        c2 = out.get(k, 0) + c
-        if c2:
-            out[k] = c2
-        else:
-            out.pop(k, None)
+def _width(m):
+    """The least slot width w of 64, 128, 256, ... with m < 2^(w-1)."""
+    w = 64
+    while m >> (w - 1):
+        w *= 2
+    return w
+
+
+def _slots(x, w):
+    """The unsigned base-2^w slots of x + sum_k 2^(w-1) 2^(w k): the
+    balanced digits of the int x, least first, each plus 2^(w-1)."""
+    n = x.bit_length() // w + 1
+    off, unpack = _OFFSETS.get((w, n)) or _offset(w, n)
+    if (x + off) >> (w * n):  # a top digit is 2^(w-1) or more
+        n += 1
+        off, unpack = _OFFSETS.get((w, n)) or _offset(w, n)
+    raw = (x + off).to_bytes(w * n // 8, "little")
+    if w == 64:
+        return unpack(raw)
+    return [int.from_bytes(raw[i:i + w // 8], "little") for i in range(0, len(raw), w // 8)]
+
+
+def _offset(w, n):
+    """sum_k 2^(w-1) 2^(w k) over n slots, and the reader of n 64-bit slots."""
+    out = _OFFSETS[w, n] = (((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1),
+                            struct.Struct(f"<{n}Q").unpack)
     return out
 
 
-def _neg(p):
-    return {k: -c for k, c in p.items()}
+def _digits(x, w):
+    """The balanced base-2^w digits of the int x, least first, each in
+    [-2^(w-1), 2^(w-1))."""
+    half = 1 << (w - 1)
+    return [c - half for c in _slots(x, w)]
 
 
-def _mul(p, q):
-    if not p or not q:
-        return {}
-    if len(p) > len(q):
-        p, q = q, p
-    out = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            k = (a1 + a2, b1 + b2)
-            c = out.get(k, 0) + c1 * c2
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-    return out
+def _pack(digits, w):
+    x = 0
+    for c in reversed(digits):
+        x = (x << w) + c
+    return x
 
 
-def _grlex_key(k):
-    a, b = k
-    return (a + b, a, b)
+def _aligned(a, f, a2, g, w):
+    """(a0, F) of the sum of the slots (a, f) and (a2, g) at width w."""
+    if a2 >= a:
+        return a, f + (g << w * (a2 - a))
+    return a2, (f << w * (a - a2)) + g
 
 
-def _lead(p):
-    return max(p, key=_grlex_key)
+def _join(parts, w):
+    """Components from (d, a0, F) parts at width w: the parts of one degree
+    are added, a sum that cancels is dropped, and low slots that cancelled
+    are shifted out."""
+    sums = {}
+    for d, a, f in parts:
+        sums[d] = (a, f) if d not in sums else _aligned(*sums[d], a, f, w)
+    out = []
+    for d, (a, f) in sorted(sums.items()):
+        if f:
+            z = ((f & -f).bit_length() - 1) // w
+            out.append((d, a + z, f >> w * z))
+    return tuple(out)
 
 
-def _shift(p, da, db):
-    if not (da or db):
-        return dict(p)
-    return {(a + da, b + db): c for (a, b), c in p.items()}
+def _new(comps, w, b, k=None):
+    p = object.__new__(LaurentBi)
+    p._c, p._w, p._b, p._k = comps, w, b, k
+    return p
 
 
-def _min_exps(p):
-    return min(a for a, _ in p), min(b for _, b in p)
+def _make(comps, w, b, k=None):
+    """The LaurentBi of components at width w with every |c_k| <= b.  Past
+    width 64 the digits are read for the exact bound and repacked at the
+    width it gives, so that a value has one form."""
+    if not comps:
+        return _L_ZERO
+    if w > 64:
+        digits = [_digits(f, w) for _, _, f in comps]
+        b = max(abs(c) for x in digits for c in x)
+        if _width(b) < w:
+            w = _width(b)
+            comps = tuple((d, a, _pack(x, w)) for (d, a, _), x in zip(comps, digits))
+    return _new(comps, w, b, k)
 
 
-def _int_content(coeffs):
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _at(p, w):
+    """p's components repacked at width w >= p's."""
+    if p._w == w:
+        return p._c
+    return tuple((d, a, _pack(_digits(f, p._w), w)) for d, a, f in p._c)
+
+
+def _content(p):
+    """The integer content of p, read off its digits once."""
+    if p._k is None:
+        p._k = math.gcd(*[c for _, _, f in p._c for c in _digits(f, p._w)])
+    return p._k
+
+
+def _least(p):
+    """The least exponents of u and of v in p."""
+    return min(a for _, a, _ in p._c), min(d - a - f.bit_length() // p._w for d, a, f in p._c)
+
+
+def _over(p, k):
+    """p divided by an integer k that divides its content."""
+    if k == 1:
+        return p
+    return _make(tuple((d, a, f // k) for d, a, f in p._c), p._w, p._b // k, _content(p) // k)
 
 
 # ---------------------------------------------------------------------------
 # gcd and exact division in ZZ[u^+-1, v^+-1].  Monomials are units, so a
-# monomial operand leaves only the common integer content (see LaurentBi.gcd).
-# Every structure constant of the algebra is homogeneous in u and v, and a
-# homogeneous Laurent polynomial is a monomial times the homogenization of
-# its dense dehomogenization at v = 1.  The gcd of two such operands
-# therefore runs on dense univariate integer coefficients, as the
-# heuristic integer gcd of Char, Geddes and Gonnet (J. Symb. Comput. 1989).
-# Other operands, and the rare case where the heuristic gives up, go to
-# sympy's sparse polynomial ring ZZ[u, v] (imported on first use).  Every gcd
-# comes with its cofactors p/gcd and q/gcd, so Scalar arithmetic divides
-# nothing after a gcd, and an exact division is read off the cofactors.
+# monomial operand leaves only the common integer content.  Every divisor of
+# a nonzero homogeneous polynomial is homogeneous, so for h homogeneous,
+# gcd(p, h) = gcd(h, each homogeneous component of p).  Every gcd comes with
+# its cofactors p/gcd and q/gcd, so Scalar arithmetic divides nothing after
+# a gcd, and an exact division is read off the cofactors.
 # ---------------------------------------------------------------------------
 
 _SYMPY_RING = None
@@ -136,107 +199,83 @@ def _sympy_operands(p, q):
         from sympy.polys.domains import ZZ
         from sympy.polys.rings import ring
         _SYMPY_RING = ring("u v", ZZ)[0]
-    return [_SYMPY_RING.from_dict(_shift(x, *(-e for e in _min_exps(x)))) for x in (p, q)]
+    return [_SYMPY_RING.from_dict(x.shift(*(-e for e in _least(x))).terms) for x in (p, q)]
 
 
 def _sympy_gcd(p, q):
     """(gcd, p/gcd, q/gcd) of Laurent polynomials, the gcd with no monomial
     factor and a positive graded-lex lead."""
     a, b = _sympy_operands(p, q)
-    h, cp, cq = ({k: int(c) for k, c in x.items()} for x in a.cofactors(b))
-    if h[_lead(h)] < 0:
-        h, cp, cq = _neg(h), _neg(cp), _neg(cq)
-    return h, _shift(cp, *_min_exps(p)), _shift(cq, *_min_exps(q))
+    h, cp, cq = (LaurentBi({k: int(c) for k, c in x.items()}) for x in a.cofactors(b))
+    if h._c[-1][2] < 0:
+        h, cp, cq = -h, -cp, -cq
+    return h, cp.shift(*_least(p)), cq.shift(*_least(q))
 
 
-def _dehomogenize(p):
-    """(a0, d, f) with p = sum f[k] u^(a0 + k) v^(d - a0 - k), or None.
+def _heu_gcd(f, g, w, bf, bg):
+    """(h, |h|, f/h, |f/h|, g/h, |g/h|), packed at width w with |x| a bound
+    of every |digit|, for the gcd h of primitive f and g packed at w, whose
+    digits are at most bf and bg; None when no candidate is proved.
 
-    f is dense from the least power of u, so its first and last entries are
-    nonzero; None when p is not homogeneous.
+    The candidate h is the primitive part of gcd(f(xi), g(xi)) read in
+    balanced digits; as xi = 2^w >= 2 min(|f|, |g|) + 2, it is the gcd once
+    it divides both.  It does when each q = F / H is exact and |q| |h|
+    min(len q, len h) < 2^(w-1): then q h has balanced digits too, and it
+    agrees with f at xi.  A constant candidate is 1.
     """
-    keys = iter(p)
-    a0, b0 = next(keys)
-    d = a0 + b0
-    lo = hi = a0
-    for a, b in keys:
-        if a + b != d:
+    y, half = math.gcd(f, g), 1 << (w - 1)
+    if y < half:
+        return 1, 1, f, bf, g, bg
+    if y in (f, -f, g, -g):  # one operand divides the other: h is it
+        h, mh = y, bf if y in (f, -f) else bg
+        lh = y.bit_length() // w + 1
+    else:
+        hd = [c - half for c in _slots(y, w)]
+        c, lh = math.gcd(*hd), len(hd)
+        h, mh = y // c, max(max(hd), -min(hd)) // c
+    out = [h, mh]
+    for x in (f, g):
+        q, r = divmod(x, h)
+        if -half < q < half:
+            m, lq = abs(q), 1
+        else:
+            qs = _slots(q, w)
+            m, lq = max(max(qs) - half, half - min(qs)), len(qs)
+        if r or mh * m * min(lh, lq) >= half:
             return None
-        if a < lo:
-            lo = a
-        elif a > hi:
-            hi = a
-    f = [0] * (hi - lo + 1)
-    for (a, _), c in p.items():
-        f[a - lo] = c
-    return lo, d, f
+        out += [q, m]
+    return out
 
 
-def _dense_quotient(f, g):
-    """f / g in ZZ[x] on dense ascending coefficients, or None if inexact."""
-    m = len(g) - 1
-    n = len(f) - 1 - m
-    if n < 0:
+def _scaled(d, a, x, w, s, m, k):
+    """The homogeneous s * (d, a, x), for x packed at width w, with content
+    k and every |digit| at most m (exactly, when m is 2^63 or more)."""
+    if w == 64 > m.bit_length() or _width(m) == w:
+        return _new(((d, a, x * s),), w, m, k)
+    return _new(((d, a, _pack([s * c for c in _digits(x, w)], _width(m))),), _width(m), m, k)
+
+
+def _hom_gcd(p, q):
+    """(gcd, p/gcd, q/gcd) of nonzero homogeneous p, q; None when GCDHEU
+    proves no candidate at widths w, 2w and 4w."""
+    (dp, ap, f), (dq, aq, g) = p._c[0], q._c[0]
+    kp, kq, w = p._k or _content(p), q._k or _content(q), max(p._w, q._w)
+    if p._w != q._w:
+        f, g = _at(p, w)[0][2], _at(q, w)[0][2]
+    k, f, g, bf, bg = math.gcd(kp, kq), f // kp, g // kq, p._b // kp, q._b // kq
+    for _ in range(3):
+        heu = _heu_gcd(f, g, w, bf, bg)
+        if heu is not None:
+            break
+        f, g, w = _pack(_digits(f, w), 2 * w), _pack(_digits(g, w), 2 * w), 2 * w
+    else:
         return None
-    r = list(f)
-    lc = g[m]
-    quo = [0] * (n + 1)
-    for k in range(n, -1, -1):
-        if r[k + m]:
-            q, rem = divmod(r[k + m], lc)
-            if rem:
-                return None
-            quo[k] = q
-            for j in range(m):
-                r[k + j] -= q * g[j]
-    return None if any(r[:m]) else quo
-
-
-def _heu_gcd(f, g):
-    """(h, f/h, g/h) for the gcd h of primitive f, g in ZZ[x] with positive
-    lead, or None on give-up.
-
-    The candidate is read off gcd(f(xi), g(xi)) in symmetric base-xi digits
-    and accepted only if it divides both f and g, which for
-    xi >= 2 min(|f|, |g|) + 2 proves it is the gcd.
-    """
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
-    for _ in range(6):
-        h = math.gcd(_horner(f, xi), _horner(g, xi))
-        cand = []
-        while h:
-            c = h % xi
-            if c > xi // 2:
-                c -= xi
-            cand.append(c)
-            h = (h - c) // xi
-        cont = _int_content(cand)
-        cand = [c // cont for c in cand]
-        if cand[-1] < 0:
-            cand = [-c for c in cand]
-        if cand == [1]:  # 1 divides both: no trial division
-            return cand, f, g
-        qf = _dense_quotient(f, cand)
-        qg = None if qf is None else _dense_quotient(g, cand)
-        if qg is not None:
-            return cand, qf, qg
-        # the growth factor of the original method, close to 1 + sqrt(3)
-        xi = xi * 73794 // 27011
-    return None
-
-
-def _horner(f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _over_content(p, q, g):
-    """(g, p/g, q/g) for an integer g that divides every coefficient: the
-    operands stand as their own cofactors when g = 1."""
-    return [{(0, 0): g}] + [t if g == 1 else {k: c // g for k, c in t.items()}
-                            for t in (p, q)]
+    h, mh, f, mf, g, mg = heu
+    if h == 1:  # coprime primitive parts
+        return LaurentBi.const(k), _over(p, k), _over(q, k)
+    m, kp, kq = h.bit_length() // w, kp // k, kq // k
+    return (_scaled(m, 0, h, w, k, k * mh, k), _scaled(dp - m, ap, f, w, kp, kp * mf, kp),
+            _scaled(dq - m, aq, g, w, kq, kq * mg, kq))
 
 
 def _laurent_gcd(p, q):
@@ -245,79 +284,112 @@ def _laurent_gcd(p, q):
 
     LaurentBi.gcd answers a monomial operand before calling this.
     """
-    hp, hq = _dehomogenize(p), _dehomogenize(q)
-    if hp is not None and hq is not None:
-        (ap, dp, f), (aq, dq, g) = hp, hq
-        cf, cg = _int_content(f), _int_content(g)
-        heu = _heu_gcd([c // cf for c in f], [c // cg for c in g])
-        if heu is not None:
-            (h, qf, qg), c, m = heu, math.gcd(cf, cg), len(heu[0]) - 1
-            if not m:  # coprime primitive parts
-                return _over_content(p, q, c)
-            return [{(a0 + k, d - a0 - k): s * x for k, x in enumerate(y) if x}
-                    for y, a0, d, s in ((h, 0, m, c), (qf, ap, dp - m, cf // c),
-                                        (qg, aq, dq - m, cg // c))]
-    return _sympy_gcd(p, q)
+    if len(p._c) == 1 == len(q._c):
+        return _hom_gcd(p, q) or _sympy_gcd(p, q)
+    if len(p._c) > 1 < len(q._c):
+        return _sympy_gcd(p, q)
+    # the gcd of all components, then each component divided by it
+    parts = [[_make((c,), x._w, x._b) for c in x._c] for x in (p, q)]
+    out = [parts[0][0]]
+    for x in parts[0][1:] + parts[1]:
+        out = _hom_gcd(out[0], x)
+        if out is None:
+            return _sympy_gcd(p, q)
+    quo = [[_hom_gcd(x, out[0]) for x in xs] for xs in parts]
+    if None in quo[0] + quo[1]:
+        return _sympy_gcd(p, q)
+    return [out[0]] + [sum((r[1] for r in rs), _L_ZERO) for rs in quo]
 
 
 class LaurentBi:
     """Integer Laurent polynomial in u = r^(1/2), v = s^(1/2).
 
-    Immutable; the zero polynomial is the empty term map and no stored
-    coefficient is zero.
+    Immutable.  ``_c`` holds its homogeneous components in ascending degree
+    as packed (d, a0, F), at the width ``_w``, the least that holds every
+    coefficient: so a value has one form, and equality and hashing compare
+    tuples.  ``_b`` bounds every |c_k|: below 2^63 at width 64, and exactly
+    past it.  ``_k`` is the integer content, or None until it is read.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_c", "_w", "_b", "_k")
 
     def __init__(self, terms=None):
-        self.terms = _trim(terms or {})
-        self._hash = None
+        parts = {}
+        for (a, b), c in (terms or {}).items():
+            if c:
+                parts.setdefault(a + b, {})[a] = c
+        coeffs = [c for x in parts.values() for c in x.values()]
+        self._b, self._k = max(map(abs, coeffs), default=0), math.gcd(*coeffs)
+        self._w = w = _width(self._b)
+        self._c = tuple((d, min(x), _pack([x.get(a, 0) for a in range(min(x), max(x) + 1)], w))
+                        for d, x in sorted(parts.items()))
 
-    @staticmethod
-    def _of(terms):
-        """Wrap a term map that already holds no zero coefficient."""
-        p = object.__new__(LaurentBi)
-        p.terms = terms
-        p._hash = None
-        return p
+    @property
+    def terms(self):
+        """The term map {(a, b): c}, built on demand."""
+        return {(a + k, d - a - k): c for d, a, f in self._c
+                for k, c in enumerate(_digits(f, self._w)) if c}
 
     @staticmethod
     def monomial(coeff, a, b):
-        return LaurentBi({(a, b): coeff} if coeff else {})
+        m = abs(coeff)
+        return _new(((a + b, a, coeff),), _width(m), m, m) if coeff else _L_ZERO
 
     @staticmethod
     def const(c):
-        return LaurentBi({(0, 0): c} if c else {})
+        return LaurentBi.monomial(c, 0, 0)
 
     def is_zero(self):
-        return not self.terms
+        return not self._c
 
     def is_one(self):
-        return self.terms == _ONE_TERMS
+        return self._c == _ONE_C
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._c) == 1 and self._c[0][2].bit_length() < self._w
 
     def is_unit(self):
         """Whether self is +-u^a v^b, a unit of the Laurent ring."""
-        return len(self.terms) == 1 and abs(next(iter(self.terms.values()))) == 1
+        return len(self._c) == 1 and self._c[0][2] in (1, -1)
 
     def __add__(self, other):
-        return LaurentBi._of(_add(self.terms, other.terms))
+        # the bound of a sum is the sum of the bounds
+        if len(self._c) == 1 == len(other._c) and self._w == 64 == other._w:
+            (d, a, f), (e, a2, g) = self._c[0], other._c[0]
+            b = self._b + other._b
+            if d == e and not b >> 63:
+                a, f = _aligned(a, f, a2, g, 64)
+                z = ((f & -f).bit_length() - 1) >> 6
+                return _new(((d, a + z, f >> 64 * z),), 64, b) if f else _L_ZERO
+        b = self._b + other._b
+        w = max(self._w, other._w, _width(b))
+        return _make(_join(_at(self, w) + _at(other, w), w), w, b)
 
     def __sub__(self, other):
-        return LaurentBi._of(_add(self.terms, _neg(other.terms)))
+        return self + -other
 
     def __neg__(self):
-        return LaurentBi._of(_neg(self.terms))
+        return _new(tuple((d, a, -f) for d, a, f in self._c), self._w, self._b, self._k)
 
     def __mul__(self, other):
-        # a factor of 1 returns the other operand as it stands
-        if self.is_one():
+        # a factor of 1 returns the other operand as it stands;
+        # |pq| <= |p| |q| min(len p, len q), and Gauss's lemma gives the content
+        p, q = self._c, other._c
+        if p == _ONE_C:
             return other
-        if other.is_one():
+        if q == _ONE_C:
             return self
-        return LaurentBi._of(_mul(self.terms, other.terms))
+        k = None if self._k is None or other._k is None else self._k * other._k
+        if len(p) == 1 == len(q) and self._w == 64 == other._w:
+            (d1, a1, f), (d2, a2, g) = p[0], q[0]
+            b = self._b * other._b * (min(f.bit_length(), g.bit_length()) // 64 + 1)
+            if not b >> 63:
+                return _new(((d1 + d2, a1 + a2, f * g),), 64, b, k)
+        b = self._b * other._b * min(sum(f.bit_length() // x._w + 1 for _, _, f in x._c)
+                                     for x in (self, other))
+        w = max(self._w, other._w, _width(b))
+        return _make(_join([(d1 + d2, a1 + a2, f * g) for d1, a1, f in _at(self, w)
+                            for d2, a2, g in _at(other, w)], w), w, b, k)
 
     def __pow__(self, k):
         out = LaurentBi.const(1)
@@ -330,31 +402,29 @@ class LaurentBi:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LaurentBi) and self.terms == other.terms
+        return isinstance(other, LaurentBi) and self._w == other._w and self._c == other._c
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(self._c)
 
     def shift(self, a, b):
         """self * u^a v^b."""
         if not (a or b):
             return self
-        return LaurentBi._of(_shift(self.terms, a, b))
+        return _new(tuple((d + a + b, a0 + a, f) for d, a0, f in self._c),
+                    self._w, self._b, self._k)
 
     def gcd(self, other):
         """The gcd (normalized unless an operand is zero) as a ``_Gcd``."""
         if self.is_zero():
-            return _Gcd(other.terms, {}, _ONE_TERMS)
+            return _Gcd(other, _L_ZERO, _L_ONE)
         if other.is_zero():
-            return _Gcd(self.terms, _ONE_TERMS, {})
-        p, q = self.terms, other.terms
-        if len(p) == 1 or len(q) == 1:
+            return _Gcd(self, _L_ONE, _L_ZERO)
+        if self.is_monomial() or other.is_monomial():
             # a monomial is a unit: only the common integer content remains
-            g = math.gcd(_int_content(p.values()), _int_content(q.values()))
-            return _Gcd(*_over_content(p, q, g))
-        return _Gcd(*_laurent_gcd(p, q))
+            k = math.gcd(_content(self), _content(other))
+            return _Gcd(LaurentBi.const(k), _over(self, k), _over(other, k))
+        return _Gcd(*_laurent_gcd(self, other))
 
     def divexact(self, other):
         """self / other; ArithmeticError when the division is inexact."""
@@ -362,15 +432,15 @@ class LaurentBi:
             raise ZeroDivisionError("division by the zero polynomial")
         # other divides self exactly when other / gcd is a unit +-u^a v^b
         quo, unit = self.gcd(other).cofactors
-        (a, b), c = next(iter(unit.terms.items()))
-        if len(unit.terms) != 1 or abs(c) != 1:
+        if not unit.is_unit():
             raise ArithmeticError("inexact polynomial division")
-        return (quo if c == 1 else -quo).shift(-a, -b)
+        (d, a, f), = unit._c
+        return (quo if f == 1 else -quo).shift(-a, a - d)
 
     def sorted_terms(self):
         """Terms as (coeff, a, b) triples, graded-lex descending."""
-        return [(self.terms[k], k[0], k[1])
-                for k in sorted(self.terms, key=_grlex_key, reverse=True)]
+        return sorted(((c, a, b) for (a, b), c in self.terms.items()),
+                      key=lambda t: (t[1] + t[2], t[1]), reverse=True)
 
     def __str__(self):
         return _render_poly(self)
@@ -384,13 +454,13 @@ class _Gcd(LaurentBi):
 
     __slots__ = ("cofactors",)
 
-    def __init__(self, terms, p, q):
-        self.terms, self._hash = terms, None
-        self.cofactors = (LaurentBi._of(p), LaurentBi._of(q))
+    def __init__(self, g, p, q):
+        self._c, self._w, self._b, self._k = g._c, g._w, g._b, g._k
+        self.cofactors = (p, q)
 
 
-_ONE_TERMS = {(0, 0): 1}
-_L_ZERO = LaurentBi()
+_ONE_C = ((0, 0, 1),)
+_L_ZERO = _new((), 64, 0, 0)
 _L_ONE = LaurentBi.const(1)
 
 
@@ -461,15 +531,13 @@ class Scalar:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num._c
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.num._c == _ONE_C == self.den._c
 
     def is_rational(self):
-        return self.num.is_monomial() and (0, 0) in self.num.terms \
-            and self.den.is_monomial() and (0, 0) in self.den.terms \
-            or self.is_zero()
+        return all(p.terms.keys() <= {(0, 0)} for p in (self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -567,9 +635,7 @@ class Scalar:
         of monomial factors; only its graded-lex lead, and so the sign of
         the canonical form, can change.
         """
-        num = LaurentBi._of({(b, a): c for (a, b), c in self.num.terms.items()})
-        den = LaurentBi._of({(b, a): c for (a, b), c in self.den.terms.items()})
-        num, den = _normalize_unit(num, den)
+        num, den = _normalize_unit(_swapped(self.num), _swapped(self.den))
         return Scalar(num, den, _canonical=True)
 
     def inverse(self):
@@ -641,9 +707,9 @@ class Scalar:
             return _render_poly(self.num)
         ns = _render_poly(self.num)
         ds = _render_poly(self.den)
-        if len(self.num.terms) > 1:
+        if not self.num.is_monomial():
             ns = f"({ns})"
-        if len(self.den.terms) > 1:
+        if not self.den.is_monomial():
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -651,13 +717,20 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _swapped(p):
+    """p with u and v exchanged: each component's digits reversed."""
+    comps = []
+    for d, a, f in p._c:
+        x = _digits(f, p._w)[::-1]
+        comps.append((d, d - a - len(x) + 1, _pack(x, p._w)))
+    return _new(tuple(comps), p._w, p._b, p._k)
+
+
 def _normalize_unit(num: LaurentBi, den: LaurentBi):
     """Move the denominator's monomial factor and sign into the numerator."""
-    ma, mb = _min_exps(den.terms)
-    if ma or mb:
-        num = LaurentBi._of(_shift(num.terms, -ma, -mb))
-        den = LaurentBi._of(_shift(den.terms, -ma, -mb))
-    if den.terms[_lead(den.terms)] < 0:
+    ma, mb = _least(den)
+    num, den = num.shift(-ma, -mb), den.shift(-ma, -mb)
+    if den._c[-1][2] < 0:
         num, den = -num, -den
     return num, den
 
@@ -708,42 +781,50 @@ def as_scalar(c) -> Scalar:
 
 
 def add_product(acc, key, x, y, sign=1, a=0, b=0, z=None):
-    """acc[key] += sign * x * y * u^a v^b (* z), in place on raw terms.
+    """acc[key] += sign * x * y * u^a v^b (* z), in place on packed sums.
 
-    acc maps each key to its buckets {den: numerator term map}.  The
-    numerator x.num * y.num goes to the bucket of den = x.den * y.den (times
-    z.den), a product of canonical denominators, so canonical itself.  z,
-    when given, has a monomial numerator, as 1/D(alpha_i) does: it joins
-    sign and the shift.  A term that cancels is deleted, and so are a bucket
-    and a key left empty.  ``settle`` or ``settle_into`` reads the sums off.
+    acc maps each key to its buckets {den: [w, bound, {d: (a0, F)}]}, one
+    packed numerator sum per denominator.  x.num * y.num goes to the bucket
+    of den = x.den * y.den (times z.den), a product of canonical
+    denominators, so canonical itself.  z, when given, has a monomial
+    numerator, as 1/D(alpha_i) does: it joins sign and the shift.  A
+    homogeneous product is one multiply and one shift-and-add while the
+    bucket's bound stays below 2^63.  A degree, bucket or key that cancels
+    is deleted.  ``settle`` or ``settle_into`` reads the sums off.
     """
     den = x.den * y.den
     if z is not None:
-        ((za, zb), zc), = z.num.terms.items()
-        sign, a, b, den = sign * zc, a + za, b + zb, den * z.den
+        (zd, za, zc), = z.num._c
+        sign, a, b, den = sign * zc, a + za, b + zd - za, den * z.den
     buckets = acc.get(key)
     if buckets is None:
         buckets = acc[key] = {}
-    terms = buckets.get(den)
-    if terms is None:
-        terms = buckets[den] = {}
-    yterms = y.num.terms.items()
-    for (a1, b1), c1 in x.num.terms.items():
-        a1 += a
-        b1 += b
-        c1 *= sign
-        for k, c2 in yterms:
-            if a1 or b1:  # else reuse y's exponent tuple, not a new one per term
-                k = (a1 + k[0], b1 + k[1])
-            c = terms.get(k, 0) + c1 * c2
-            if c:
-                terms[k] = c
-            else:
-                del terms[k]
-    if not terms:
+    s = buckets.get(den)
+    if s is None:
+        s = buckets[den] = [64, 0, {}]
+    p, q = x.num, y.num
+    bound = 1 << 63
+    if len(p._c) == 1 == len(q._c) and p._w == 64 == q._w == s[0]:
+        (d, a1, f), (d2, a2, g) = p._c[0], q._c[0]
+        bound = s[1] + p._b * q._b * abs(sign) * (min(f.bit_length(), g.bit_length()) // 64 + 1)
+    if not bound >> 63:
+        s[1], sums, d, a1, f = bound, s[2], d + d2 + a + b, a1 + a2 + a, f * g * sign
+        sums[d] = (a1, f) if d not in sums else _aligned(*sums[d], a1, f, 64)
+        if not sums[d][1]:
+            del sums[d]
+    else:
+        total = _summed(s) + (p * q * LaurentBi.const(sign)).shift(a, b)
+        s[:] = total._w, total._b, {d: (a0, f) for d, a0, f in total._c}
+    if not s[2]:
         del buckets[den]
         if not buckets:
             del acc[key]
+
+
+def _summed(s):
+    """The LaurentBi of an ``add_product`` bucket."""
+    w, b, sums = s
+    return _make(_join([(d, a, f) for d, (a, f) in sums.items()], w), w, b)
 
 
 def settle(acc):
@@ -754,10 +835,10 @@ def settle(acc):
     out = {}
     for key in list(acc):
         buckets = iter(acc.pop(key).items())
-        den, terms = next(buckets)
-        num = LaurentBi._of(terms)
-        for d, terms in buckets:
-            num = num * d + LaurentBi._of(terms) * den
+        den, s = next(buckets)
+        num = _summed(s)
+        for d, s in buckets:
+            num = num * d + _summed(s) * den
             den = den * d
         if not num.is_zero():
             out[key] = Scalar(num, den, _canonical=den.is_one())
@@ -772,13 +853,14 @@ def settle_into(acc, out):
     their product as in ``settle``.  A key that cancels leaves out."""
     for key, buckets in acc.items():
         total = out.get(key, ZERO)
-        own = buckets.get(total.den)
+        sums = {den: _summed(s) for den, s in buckets.items()}
+        own = sums.get(total.den)
         if own is not None:
-            buckets[total.den] = _add(own, total.num.terms)
+            sums[total.den] = own + total.num
             total = ZERO
-        for den, terms in buckets.items():
-            if terms:
-                total = total + Scalar(LaurentBi._of(terms), den, _canonical=den.is_one())
+        for den, num in sums.items():
+            if not num.is_zero():
+                total = total + Scalar(num, den, _canonical=den.is_one())
         if not total.is_zero():
             out[key] = total
         elif key in out:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laurent_reference as ref
 import qgc
 from qgc import center, linalg, pairing, scalars
 from qgc.errors import BadArgument
@@ -238,21 +239,23 @@ def test_homogeneous_gcd_matches_sympy(factors, a, b, c1, c2, su, sv):
 
 
 def test_homogeneous_gcd_retries_a_bad_evaluation_point(monkeypatch):
-    # u + v and 3u - 2v are coprime, but at the first point xi = 4 they give
-    # gcd(5, 10) = 5, whose base-4 digits read as u + v, which fails to
-    # divide 3u - 2v; the heuristic must grow xi and try again
-    evaluations = []
-    horner = scalars._horner
-    monkeypatch.setattr(scalars, "_horner",
-                        lambda f, x: evaluations.append(x) or horner(f, x))
+    # -2^62 u + (2^62 + 3) v and u + 3v are coprime, but at the first point
+    # xi = 2^64 both values are multiples of xi + 3, whose digits read as
+    # u + 3v.  Its quotient has the one digit 1 - 2^62, and 3 (2^62 - 1) is
+    # past 2^63, so the candidate is not proved (it does not divide): the
+    # heuristic must widen the slots and try again
+    widths = []
+    heu = scalars._heu_gcd
+    monkeypatch.setattr(scalars, "_heu_gcd",
+                        lambda f, g, w, *bounds: widths.append(w) or heu(f, g, w, *bounds))
     monkeypatch.setattr(scalars, "_sympy_gcd", mock.Mock(side_effect=AssertionError))
-    f, g = hom(1, 1), hom(3, -2)
+    f, g = hom(-2 ** 62, 2 ** 62 + 3), hom(1, 3)
     assert f.gcd(g).is_one()
-    assert len(set(evaluations)) > 1
+    assert len(set(widths)) > 1
 
 
 def test_gcd_falls_back_to_sympy_when_heuristic_gives_up(monkeypatch):
-    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda *args: None)
     fallback = mock.Mock(wraps=scalars._sympy_gcd)
     monkeypatch.setattr(scalars, "_sympy_gcd", fallback)
     f = LaurentBi.const(6) * hom(1, 1) * hom(1, 0, 1)
@@ -273,7 +276,7 @@ shifted = st.builds(lambda p, m: p * m, homogeneous, monomials)
 @given(monomials, st.one_of(monomials, shifted, laurent))
 def test_unit_gcd_is_common_content(m, q):
     # a monomial is a unit, so LaurentBi.gcd answers without the general path
-    general = LaurentBi(scalars._laurent_gcd(m.terms, q.terms)[0])
+    general = scalars._laurent_gcd(m, q)[0]
     assert general == sympy_gcd_normalized(m, q)
     with mock.patch.object(scalars, "_laurent_gcd", side_effect=AssertionError):
         assert m.gcd(q) == general
@@ -307,7 +310,7 @@ def test_homogeneous_gcd_cofactors(factors, a, b, c1, c2, su, sv):
 def test_coprime_homogeneous_gcd_cofactors(factors, c1, c2, su, sv):
     # distinct ladder factors are coprime, so the dense gcd is the common
     # integer content, and the cofactors are the operands divided by it:
-    # the operands' own term maps when the content is 1
+    # the operands themselves when the content is 1
     f = LaurentBi.const(c1) * factors[0]
     g = LaurentBi.monomial(c2, su, sv) * factors[1]
     with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
@@ -315,7 +318,7 @@ def test_coprime_homogeneous_gcd_cofactors(factors, c1, c2, su, sv):
     content = math.gcd(c1, c2)
     assert h == LaurentBi.const(content)
     cf, cg = h.cofactors
-    assert (cf.terms is f.terms and cg.terms is g.terms) == (content == 1)
+    assert (cf is f and cg is g) == (content == 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -333,12 +336,12 @@ def test_fallback_gcd_cofactors(factors, a, b, c, su, sv):
 def test_fallback_cofactors_follow_the_sign_of_the_gcd(monkeypatch):
     # sympy leads u - v^2 with u (lex) and Scalar with -v^2 (graded lex), so
     # the fallback negates the gcd, and must negate both cofactors with it
-    monkeypatch.setattr(scalars, "_heu_gcd", lambda f, g: None)
+    monkeypatch.setattr(scalars, "_heu_gcd", lambda *args: None)
     h = LaurentBi({(1, 0): 1, (0, 2): -1})
     f, g = h * hom(1, 1), h * LaurentBi({(0, 0): 3, (2, 1): 1})
-    a, b = scalars._sympy_operands(f.terms, g.terms)
+    a, b = scalars._sympy_operands(f, g)
     assert LaurentBi({k: int(c) for k, c in a.gcd(b).items()}) == h
-    assert h.terms[scalars._lead(h.terms)] < 0
+    assert h.terms[ref.lead(h.terms)] < 0
     assert assert_cofactors(f, g) == -h
 
 
@@ -349,6 +352,27 @@ def test_unit_gcd_cofactors(m, q):
         assert_cofactors(m, q)
         assert_cofactors(q, m)
     assert assert_cofactors(LaurentBi(), q) == q
+
+
+inhomogeneous = laurent.filter(lambda p: len({a + b for a, b in p.terms}) > 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(LADDER_FACTORS), max_size=2), inhomogeneous,
+       st.one_of(homogeneous, monomials), st.integers(-12, 12).filter(bool),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_gcd_with_one_homogeneous_operand_goes_through_its_components(
+        factors, a, b, c, su, sv):
+    # every divisor of the homogeneous operand is homogeneous, so the gcd is
+    # that of it and each homogeneous component of the other; sympy's
+    # cofactors are the oracle, and the sympy fallback is barred
+    h = product(factors)
+    f, g = LaurentBi.const(c) * a * h, LaurentBi.monomial(1, su, sv) * b * h
+    want = scalars._sympy_gcd(f, g)
+    with mock.patch.object(scalars, "_sympy_gcd", side_effect=AssertionError):
+        for x, y, (wg, wx, wy) in [(f, g, want), (g, f, (want[0], want[2], want[1]))]:
+            got = x.gcd(y)
+            assert (got, *got.cofactors) == (wg, wx, wy)
 
 
 @settings(max_examples=150, deadline=None)
@@ -432,14 +456,14 @@ def sympy_canonical(num, den):
     if num.is_zero():
         return num, LaurentBi.const(1)
     rng, _, _ = ring("u v", ZZ)
-    (na, nb), (da, db) = scalars._min_exps(num.terms), scalars._min_exps(den.terms)
-    p = rng.from_dict(scalars._shift(num.terms, -na, -nb))
-    q = rng.from_dict(scalars._shift(den.terms, -da, -db))
+    (na, nb), (da, db) = ref.min_exps(num.terms), ref.min_exps(den.terms)
+    p = rng.from_dict(ref.shift(num.terms, -na, -nb))
+    q = rng.from_dict(ref.shift(den.terms, -da, -db))
     p, q = p.cancel(q)
     num = LaurentBi({k: int(c) for k, c in p.items()}) * \
         LaurentBi.monomial(1, na - da, nb - db)
     den = LaurentBi({k: int(c) for k, c in q.items()})
-    if den.terms[scalars._lead(den.terms)] < 0:
+    if den.terms[ref.lead(den.terms)] < 0:
         num, den = -num, -den
     return num, den
 
@@ -651,6 +675,22 @@ def test_ladder_elements_and_rank3_dual_bases_leave_sympy_unimported():
     assert last_json_line(script) == [[True, True], 26, False]
 
 
+def test_rank3_dual_basis_234_needs_no_sympy(monkeypatch):
+    # the heuristic gave up on 517 gcds of this dim-44 Gram inversion when it
+    # ran at a small xi on dict terms; at xi = 2^64 on packed operands it
+    # proves every one.  About 1 s; it keeps the digest it had then
+    fallback = mock.Mock(side_effect=AssertionError("sympy gcd fallback reached"))
+    monkeypatch.setattr(scalars, "_sympy_gcd", fallback)
+    pair = pairing.dual_basis(Algebra(3), (2, 3, 4))
+    out = {"e_words": [list(w) for w in pair.e_words],
+           "f_words": [list(w) for w in pair.f_words],
+           "coeffs": [[c.to_json() for c in row] for row in pair.coeffs]}
+    text = json.dumps(out, sort_keys=True)
+    assert pair.dim == 44 and not fallback.called
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c1e6c38ec48ad8f8f31550b6b37968c10536af711fd2702cb07815413dc241b9"
+
+
 def test_rank2_trace_element_needs_no_sympy(monkeypatch):
     monkeypatch.setattr(scalars, "_sympy_gcd", mock.Mock(side_effect=AssertionError(
         "sympy gcd fallback reached on the rank-2 trace element")))
@@ -800,3 +840,117 @@ def test_fraction_constants():
     assert Scalar.from_fraction(Fraction(3, 6)) == Scalar.from_fraction(Fraction(1, 2))
     assert Scalar.from_fraction(Fraction(1, 2)) * 2 == ONE
     assert (ONE / 4 + ONE / 4 + ONE / 2) == ONE
+
+
+# -- the packed form against the dict-term reference ---------------------------
+
+# coefficients at the boundaries of the 64- and 128-bit slots, and past them
+BOUNDARY = [2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 127 - 1, 2 ** 127]
+coeffs = st.one_of(st.integers(-6, 6), st.sampled_from(BOUNDARY + [-c for c in BOUNDARY]),
+                   st.integers(-2 ** 130, 2 ** 130))
+term_maps = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coeffs,
+                            max_size=6).map(lambda p: {k: c for k, c in p.items() if c})
+hom_maps = st.integers(-2, 4).flatmap(lambda d: st.dictionaries(
+    st.integers(-3, 3).map(lambda a: (a, d - a)), coeffs, max_size=5)).map(
+        lambda p: {k: c for k, c in p.items() if c})
+
+
+def assert_one_form(p):
+    """p is the LaurentBi of its terms, at the least width that holds them,
+    with a bound at or above its largest coefficient."""
+    terms = p.terms
+    m = max(map(abs, terms.values()), default=0)
+    assert p._w == scalars._width(m) and p._b >= m
+    assert p == LaurentBi(terms) and hash(p) == hash(LaurentBi(terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(term_maps, hom_maps), st.one_of(term_maps, hom_maps),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_packed_arithmetic_matches_the_dict_reference(p, q, a, b):
+    x, y = LaurentBi(p), LaurentBi(q)
+    assert x.terms == p and y.terms == q
+    for got, want in [(x + y, ref.add(p, q)), (x - y, ref.add(p, ref.neg(q))),
+                      (x * y, ref.mul(p, q)), (-x, ref.neg(p)), (x.shift(a, b), ref.shift(p, a, b))]:
+        assert got.terms == want
+        assert_one_form(got)
+    assert x.is_unit() == (len(p) == 1 and abs(next(iter(p.values()))) == 1)
+    assert x.is_monomial() == (len(p) == 1)
+
+
+def test_products_past_the_slot_widen_and_quotients_narrow_back():
+    big = LaurentBi({(1, 0): 2 ** 62, (0, 1): 2 ** 62 - 1})
+    square = big * big
+    assert (big._w, square._w) == (64, 128)
+    assert square.terms == {(2, 0): 2 ** 124, (1, 1): 2 ** 125 - 2 ** 63,
+                            (0, 2): (2 ** 62 - 1) ** 2}
+    assert square.divexact(big) == big and square.divexact(big)._w == 64
+    # each product of coefficients fits a 64-bit slot, their sum does not
+    p = LaurentBi({(1, 0): 2 ** 31, (0, 1): 2 ** 31})
+    assert (p * p).terms == ref.mul(p.terms, p.terms) and (p * p)._w == 128
+    acc = {}
+    add_product(acc, "k", Scalar(p), Scalar(p))
+    assert settle(acc)["k"] == Scalar(p * p)
+    add_product(acc, "k", Scalar(p), Scalar(LaurentBi({(0, 0): 2 ** 31})))
+    add_product(acc, "k", Scalar(p), Scalar(LaurentBi({(0, 0): 2 ** 31})))
+    assert settle(acc)["k"] == Scalar(LaurentBi({(1, 0): 2 ** 63, (0, 1): 2 ** 63}))
+    edge = LaurentBi({(1, 0): 2 ** 63 - 1}) + LaurentBi({(1, 0): 1})
+    assert edge._w == 128 and (edge - LaurentBi({(1, 0): 1}))._w == 64
+    for x in (square, edge):
+        assert_one_form(x)
+
+
+def test_sums_across_degrees_and_sums_that_cancel():
+    x, y = hom(1, -1), hom(1, 0, 1)  # u - v and u^2 + v^2
+    two = x + y
+    assert len(two._c) == 2 and two.terms == ref.add(x.terms, y.terms)
+    assert two - y == x and two - x == y and (two - x - y).is_zero()
+    # the top slot cancels, then the lowest: a0 moves up
+    assert hom(1, 1) + hom(-1, 1) == LaurentBi({(0, 1): 2})
+    assert hom(1, 1) + hom(1, -1) == LaurentBi({(1, 0): 2})
+    assert_one_form(hom(1, 1) + hom(1, -1))
+    acc = {}
+    add_product(acc, "k", Scalar(x), Scalar(y))
+    add_product(acc, "k", Scalar(y), Scalar(x), -1)
+    assert acc == {}
+
+
+def swapped_terms(p):
+    return {(b, a): c for (a, b), c in p.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(term_maps, hom_maps), st.one_of(term_maps, hom_maps).filter(bool),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_scalar_normal_form_matches_the_dict_reference(n, d, a, b):
+    x = Scalar(LaurentBi(n), LaurentBi(d))
+    den = x.den.terms
+    assert ref.min_exps(den) == (0, 0) and den[ref.lead(den)] > 0
+    assert x.shift(a, b).num.terms == ref.shift(x.num.terms, a, b)
+    assert x.swap() == Scalar(LaurentBi(swapped_terms(n)), LaurentBi(swapped_terms(d)))
+    if n:
+        assert x.inverse() == Scalar(LaurentBi(d), LaurentBi(n))
+    for part in (x.num, x.den):
+        assert_one_form(part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hom_maps.filter(bool), hom_maps.filter(bool))
+def test_one_value_has_one_form_however_it_is_built(p, q):
+    by_product = LaurentBi(p) * LaurentBi(q)
+    by_dict = LaurentBi(ref.mul(p, q))
+    by_json = Scalar.from_json(Scalar(by_product).to_json()).num
+    acc = {}
+    add_product(acc, "k", Scalar(LaurentBi(p)), Scalar(LaurentBi(q)))
+    by_settle = settle(acc)["k"].num
+    for x in (by_dict, by_json, by_settle):
+        assert x == by_product and hash(x) == hash(by_product)
+        assert (x._c, x._w) == (by_product._c, by_product._w)
+
+
+def test_a_coefficient_past_the_slot_round_trips_through_json():
+    num = LaurentBi({(2, 0): 3 ** 50, (1, 1): -(2 ** 70), (0, 0): 1})
+    x = Scalar(num, (R - S).num)
+    obj = json.loads(json.dumps(x.to_json()))
+    assert [-(2 ** 70), 1, 1] in obj["num"] and [3 ** 50, 2, 0] in obj["num"]
+    assert Scalar.from_json(obj) == x and Scalar.from_json(obj).num._w == 128

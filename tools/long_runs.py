@@ -9,8 +9,10 @@ Each build prints one JSON line: its name, rank, weight (doubled epsilon
 coordinates, as ``Algebra.rs`` takes them) and method, the seconds of the
 build alone, the peak RSS in MB of its process and of the largest child
 that the centrality checks forked from it (0 when none was), the number
-of terms, and the sha256 of json.dumps(z.to_json(), sort_keys=True) for
-the element z.
+of terms, the sha256 of json.dumps(z.to_json(), sort_keys=True) for the
+element z, and the number of gcds that reached sympy (``sympy_gcds``).
+That count covers the build's own process only: the gcds of the forked
+centrality checks are not in it.
 The builds run one after another, so each has the machine's other cores to
 itself only if nothing else is running.
 """
@@ -37,8 +39,18 @@ BUILDS = {
 def build(name):
     """Build one element in this process and print its JSON line."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from qgc import center
+    from qgc import center, scalars
     from qgc.qgroup import Algebra
+
+    sympy_gcds = 0
+    sympy_gcd = scalars._sympy_gcd
+
+    def counted(*args):
+        nonlocal sympy_gcds
+        sympy_gcds += 1
+        return sympy_gcd(*args)
+
+    scalars._sympy_gcd = counted
 
     n, lam, method = BUILDS[name]
     construct = {"trace": center.central_from_trace,
@@ -55,6 +67,7 @@ def build(name):
             round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
         "terms": len(z.terms),
         "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        "sympy_gcds": sympy_gcds,
     }), flush=True)
 
 
