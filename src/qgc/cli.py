@@ -61,6 +61,11 @@ def parse(argv):
                     "elements, and Harish-Chandra images")
     sub = top.add_subparsers(dest="command", required=True)
 
+    def add_command(name, handler, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
+        return p
+
     def add_rank(p):
         p.add_argument("--n", type=int, required=True, help="rank (>= 1)")
 
@@ -73,26 +78,26 @@ def parse(argv):
                        dest="lambda_alpha", metavar="q1,...,qN",
                        help="weight in simple-root coordinates (rationals)")
 
-    p = sub.add_parser("root-data", help="simple roots, rho, Weyl data")
+    p = add_command("root-data", _cmd_root_data, help="simple roots, rho, Weyl data")
     add_rank(p)
 
-    p = sub.add_parser("graded-dim", help="dimension of a graded slice")
+    p = add_command("graded-dim", _cmd_graded_basis, help="dimension of a graded slice")
     add_rank(p)
     p.add_argument("--sign", choices=["+", "-"], required=True)
     p.add_argument("--nu", type=_split_ints, required=True,
                    metavar="c1,...,cN", help="content over the simple roots")
 
-    p = sub.add_parser("pairing-gram", help="Gram matrix of a graded slice")
+    p = add_command("pairing-gram", _cmd_pairing_gram, help="Gram matrix of a graded slice")
     add_rank(p)
     p.add_argument("--nu", type=_split_ints, required=True, metavar="c1,...,cN")
 
-    p = sub.add_parser("rosso-check", help="fuzz the form's ad-invariance")
+    p = add_command("rosso-check", _cmd_rosso_check, help="fuzz the form's ad-invariance")
     add_rank(p)
     p.add_argument("--height", type=int, default=2)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("verma", help="truncated highest-weight module")
+    p = add_command("verma", _cmd_verma, help="truncated highest-weight module")
     add_rank(p)
     add_lambda(p)
     g = p.add_mutually_exclusive_group()
@@ -104,11 +109,12 @@ def parse(argv):
     p.add_argument("--check-qint", action="store_true",
                    help="verify the quantum-integer lowering-string identity")
 
-    p = sub.add_parser("irrep", help="irreducible module of a dominant weight")
+    p = add_command("irrep", _cmd_irrep, help="irreducible module of a dominant weight")
     add_rank(p)
     add_lambda(p)
 
-    p = sub.add_parser("central", help="central element of a dominant root-lattice weight")
+    p = add_command("central", _cmd_central,
+                    help="central element of a dominant root-lattice weight")
     add_rank(p)
     add_lambda(p)
     p.add_argument("--method", choices=["trace", "solve"], default="trace")
@@ -117,16 +123,18 @@ def parse(argv):
                         "by the adjoint-action centrality check before it is "
                         "reported")
 
-    p = sub.add_parser("hc-image", help="Harish-Chandra image of the central element")
+    p = add_command("hc-image", _cmd_hc_image,
+                    help="Harish-Chandra image of the central element")
     add_rank(p)
     add_lambda(p)
 
-    p = sub.add_parser("parity-kernel", help="toral exponents invisible to the characters")
+    p = add_command("parity-kernel", _cmd_parity_kernel,
+                    help="toral exponents invisible to the characters")
     add_rank(p)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--mode", choices=["lambda", "full"], default="lambda")
 
-    p = sub.add_parser("selftest", help="run a quick built-in check battery")
+    p = add_command("selftest", _cmd_selftest, help="run a quick built-in check battery")
     p.add_argument("--fast", action="store_true",
                    help="skip the central-element cross check")
 
@@ -164,8 +172,7 @@ def _weight_payload(alg, w):
 
 def run(args):
     """Execute a parsed command; returns (report dict, exit code)."""
-    handler = _HANDLERS[args.command]
-    status, payload = handler(args)
+    status, payload = args.handler(args)
     return {"status": status, "payload": payload}, (0 if status != "fail" else 1)
 
 
@@ -430,20 +437,6 @@ def _cmd_selftest(args):
         record("central_trace_vs_solve", central_cross_check)
     ok = all(c["status"] == "pass" for c in checks)
     return ("pass" if ok else "fail"), {"checks": checks}
-
-
-_HANDLERS = {
-    "root-data": _cmd_root_data,
-    "graded-dim": _cmd_graded_basis,
-    "pairing-gram": _cmd_pairing_gram,
-    "rosso-check": _cmd_rosso_check,
-    "verma": _cmd_verma,
-    "irrep": _cmd_irrep,
-    "central": _cmd_central,
-    "hc-image": _cmd_hc_image,
-    "parity-kernel": _cmd_parity_kernel,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None):

@@ -38,12 +38,13 @@ class Echelon:
     def reduce(self, row):
         """A new row: ``row`` with the current pivots eliminated.
 
-        Each product -c * cp of a row entry and a pivot-row entry goes into
-        one ``add_product`` accumulator per column, and ``settle_into`` adds
-        each column's sums to the row's own entry, canonicalizing once per
-        column and denominator.  Reduced echelon form and canonical form are
-        both unique, so the row is the one that adding the products one at a
-        time gives.
+        Each product -c * cp of a row entry and a pivot-row entry, with c
+        negated once per pivot row, goes into one ``add_product``
+        accumulator per column, and ``settle_into`` adds each column's sums
+        to the row's own entry, canonicalizing once per column and
+        denominator.  Reduced echelon form and canonical form are both
+        unique, so the row is the one that adding the products one at a time
+        gives.
         """
         rows = self.rows
         out = {}
@@ -55,8 +56,9 @@ class Echelon:
             if prow is None:
                 out[p] = c
                 continue
+            c = -c
             for k, cp in prow.items():
-                add_product(sums, k, c, cp, -1)
+                add_product(sums, k, c, cp)
         return settle_into(sums, out)
 
     def add(self, row):

@@ -10,7 +10,7 @@ relations.  One table serves every product: the commutator [e_i, f_y] per
 (i, y), times D(alpha_i) = s_i - r_i, built by peeling y's first letter
 (``Algebra.commutator``).  From e_i f_y = f_y e_i + [e_i, f_y] and a unit
 monomial for e_i crossing a toral, e_i acts on a normal-form element term
-by term (``Algebra._raise_into``), summed as raw numerators
+by term (``Algebra._raise_into``), summed per key and denominator
 (``scalars.add_product``) and settled once.  A product x*y is the action of
 x's generators on y: a term's raising letters act one at a time, its toral
 crosses the lowering words as a unit monomial, and its lowering word is
@@ -454,10 +454,10 @@ class Algebra:
                 raised[e1] = ez
             cross1 = self._crossing(eta1, phi1)
             for (fw, eta, phi, ew), c in ez.items():
-                a, b = _word_shift(cross1, fw)
+                c = c.shift(*_word_shift(cross1, fw))
                 eta2, phi2 = _vec_add(eta1, eta), _vec_add(phi1, phi)
                 for f_rep, cf in self.reduce_word("-", f1 + fw).items():
-                    add_product(acc, (f_rep, eta2, phi2, ew), c1 * cf, c, 1, a, b)
+                    add_product(acc, (f_rep, eta2, phi2, ew), c1 * cf, c)
         return Element(self, settle(acc))
 
     def peel(self, ew, j):
@@ -584,7 +584,7 @@ class Algebra:
         raising words are summed into one lowering vector, and the reduced
         reversal of a is expanded against it once.  A d x d block of x then
         takes d^3 products, not d^4.  The content is 0: nothing is divided,
-        and the products are summed as raw numerators (``add_product``).
+        and the products are summed per denominator (``add_product``).
         """
         self.check_element(x)
         groups = {}
@@ -632,9 +632,10 @@ class Algebra:
         chi_c c f_y t (e_x e_i) on a term c f_y t e_x, where chi_c is the
         unit monomial that w_i (.) w_i^-1 puts on the term.  Every piece is
         in normal form already, so the image takes unit shifts and no
-        straightening.  All go into one ``add_product`` accumulator as raw
-        numerators, and each key is settled once: a key whose pieces cancel,
-        as every key of a central z does, takes no gcd.
+        straightening.  The sign and chi_c join c once per term, and all
+        pieces go into one ``add_product`` accumulator, summed per
+        denominator; each key is settled once: a key whose pieces cancel, as
+        every key of a central z does, takes no gcd.
         """
         acc = {}
         self._raise_into(acc, i, z.terms)
@@ -642,8 +643,9 @@ class Algebra:
         for (fw, eta, phi, ew), c in z.terms.items():
             af, bf = _word_shift(cross_w, fw)
             ae, be = _word_shift(cross_w, ew)
+            c = (-c).shift(af - ae, bf - be)
             for rep, ce in self.reduce_word("+", ew + (i,)).items():
-                add_product(acc, (fw, eta, phi, rep), c, ce, -1, af - ae, bf - be)
+                add_product(acc, (fw, eta, phi, rep), c, ce)
         return Element(self, settle(acc))
 
     def _raise_into(self, acc, i, terms):
@@ -654,16 +656,19 @@ class Algebra:
             e_i (c f_y t e_x) = chi_t c f_y t (e_i e_x) + c [e_i, f_y] t e_x,
 
         with the raising word reduced by ``reduce_word`` and the commutator
-        read from its table, times 1/D(alpha_i) as ``add_product``'s third factor.
+        read from its table.  chi_t joins c once per term; 1/D(alpha_i) is
+        ``add_product``'s third factor, as folding it into c would take a
+        gcd per term.
         """
         inv = self.inverse_denominator(_unit(self.n, i))
         for (fw, eta, phi, ew), c in terms.items():
             cu, cv = self._crossing(eta, phi)
+            chi = c.shift(cu[i - 1], cv[i - 1])
             for rep, ce in self.reduce_word("+", (i,) + ew).items():
-                add_product(acc, (fw, eta, phi, rep), c, ce, 1, cu[i - 1], cv[i - 1])
+                add_product(acc, (fw, eta, phi, rep), chi, ce)
             for (f_rep, eta1, phi1), cn in self.commutator(i, fw).items():
                 add_product(acc, (f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), ew),
-                            c, cn, z=inv)
+                            c, cn, inv)
 
     @memoized
     def commutator(self, i, fw):

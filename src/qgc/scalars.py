@@ -39,15 +39,16 @@ result (Henrici's rules for reduced fractions, Knuth, TAOCP vol. 2, 4.5.1):
   gcd at all.
 
 A sum of many products is taken by one multiply-accumulate primitive,
-``add_product``, on packed numerator sums: each product is added in place
-to a bucket of its key and of the product of its canonical denominators,
-and no partial product or partial sum is made a Scalar.  Two functions read
-the buckets off.  ``settle`` gives each key one canonical Scalar over the
-product of its buckets' denominators: a sum that cancels there drops out
-with no gcd, so the images of a central element, which are all zero, take
-none.  ``settle_into`` adds each key's buckets into an existing entry as
-Scalars, over the lcm of their denominators, for a row reduction.  No other
-module reads the numerator or denominator of a Scalar.
+``add_product``: each product of numerators is added, by LaurentBi's own
+arithmetic, to a bucket of its key and of the product of its canonical
+denominators, and no partial product or partial sum is made a Scalar.  Two
+functions read the buckets off.  ``settle`` gives each key one canonical
+Scalar over the product of its buckets' denominators: a sum that cancels
+there drops out with no gcd, so the images of a central element, which are
+all zero, take none.  ``settle_into`` adds each key's buckets into an
+existing entry as Scalars, over the lcm of their denominators, for a row
+reduction.  No other module reads the numerator or denominator of a
+Scalar.
 """
 
 from __future__ import annotations
@@ -392,6 +393,8 @@ class LaurentBi:
                             for d2, a2, g in _at(other, w)], w), w, b, k)
 
     def __pow__(self, k):
+        if k < 0:  # Scalar.__pow__ inverts first; a LaurentBi has no inverse
+            raise BadArgument(f"negative power {k} of a Laurent polynomial")
         out = LaurentBi.const(1)
         base = self
         while k:
@@ -780,51 +783,29 @@ def as_scalar(c) -> Scalar:
     return x
 
 
-def add_product(acc, key, x, y, sign=1, a=0, b=0, z=None):
-    """acc[key] += sign * x * y * u^a v^b (* z), in place on packed sums.
+def add_product(acc, key, x, y, z=None):
+    """acc[key] += x * y (* z), summed as numerators over denominators.
 
-    acc maps each key to its buckets {den: [w, bound, {d: (a0, F)}]}, one
-    packed numerator sum per denominator.  x.num * y.num goes to the bucket
-    of den = x.den * y.den (times z.den), a product of canonical
-    denominators, so canonical itself.  z, when given, has a monomial
-    numerator, as 1/D(alpha_i) does: it joins sign and the shift.  A
-    homogeneous product is one multiply and one shift-and-add while the
-    bucket's bound stays below 2^63.  A degree, bucket or key that cancels
-    is deleted.  ``settle`` or ``settle_into`` reads the sums off.
+    acc maps each key to its buckets {den: num}: x.num * y.num (* z.num),
+    a LaurentBi, is added to the bucket of den = x.den * y.den (* z.den), a
+    product of canonical denominators, so canonical itself, and no product
+    or partial sum is made a Scalar.  A bucket or key that cancels is
+    deleted.  ``settle`` or ``settle_into`` reads the sums off.
     """
-    den = x.den * y.den
+    num, den = x.num * y.num, x.den * y.den
     if z is not None:
-        (zd, za, zc), = z.num._c
-        sign, a, b, den = sign * zc, a + za, b + zd - za, den * z.den
+        num, den = num * z.num, den * z.den
     buckets = acc.get(key)
     if buckets is None:
         buckets = acc[key] = {}
     s = buckets.get(den)
-    if s is None:
-        s = buckets[den] = [64, 0, {}]
-    p, q = x.num, y.num
-    bound = 1 << 63
-    if len(p._c) == 1 == len(q._c) and p._w == 64 == q._w == s[0]:
-        (d, a1, f), (d2, a2, g) = p._c[0], q._c[0]
-        bound = s[1] + p._b * q._b * abs(sign) * (min(f.bit_length(), g.bit_length()) // 64 + 1)
-    if not bound >> 63:
-        s[1], sums, d, a1, f = bound, s[2], d + d2 + a + b, a1 + a2 + a, f * g * sign
-        sums[d] = (a1, f) if d not in sums else _aligned(*sums[d], a1, f, 64)
-        if not sums[d][1]:
-            del sums[d]
-    else:
-        total = _summed(s) + (p * q * LaurentBi.const(sign)).shift(a, b)
-        s[:] = total._w, total._b, {d: (a0, f) for d, a0, f in total._c}
-    if not s[2]:
-        del buckets[den]
-        if not buckets:
-            del acc[key]
-
-
-def _summed(s):
-    """The LaurentBi of an ``add_product`` bucket."""
-    w, b, sums = s
-    return _make(_join([(d, a, f) for d, (a, f) in sums.items()], w), w, b)
+    num = num if s is None else s + num
+    if not num.is_zero():
+        buckets[den] = num
+        return
+    buckets.pop(den, None)
+    if not buckets:
+        del acc[key]
 
 
 def settle(acc):
@@ -835,10 +816,9 @@ def settle(acc):
     out = {}
     for key in list(acc):
         buckets = iter(acc.pop(key).items())
-        den, s = next(buckets)
-        num = _summed(s)
+        den, num = next(buckets)
         for d, s in buckets:
-            num = num * d + _summed(s) * den
+            num = num * d + s * den
             den = den * d
         if not num.is_zero():
             out[key] = Scalar(num, den, _canonical=den.is_one())
@@ -853,12 +833,11 @@ def settle_into(acc, out):
     their product as in ``settle``.  A key that cancels leaves out."""
     for key, buckets in acc.items():
         total = out.get(key, ZERO)
-        sums = {den: _summed(s) for den, s in buckets.items()}
-        own = sums.get(total.den)
+        own = buckets.get(total.den)
         if own is not None:
-            sums[total.den] = own + total.num
+            buckets[total.den] = own + total.num
             total = ZERO
-        for den, num in sums.items():
+        for den, num in buckets.items():
             if not num.is_zero():
                 total = total + Scalar(num, den, _canonical=den.is_one())
         if not total.is_zero():

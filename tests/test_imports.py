@@ -3,8 +3,8 @@ every private name that the package defines is read somewhere in it, every
 public one is read by the package, the benchmark or the tools, or is an
 entry point that README.md names, no module of the package uses
 ``assert``, none holds a float, no module but ``qgroup.py`` reads a
-private attribute of an ``Algebra``, and none but ``scalars.py`` reads the
-scalar format.
+private attribute of an ``Algebra``, none but ``scalars.py`` reads the
+scalar format, and its multiply-accumulate reads no packed field.
 
 No lint tool is assumed; this walks each module's syntax tree.  A name
 counts as used when it is read anywhere in the module, attribute bases
@@ -175,3 +175,31 @@ def test_only_scalars_reads_the_scalar_format():
              for path in MODULES if path.name != "scalars.py"}
     reads = {name: lines for name, lines in reads.items() if lines}
     assert not reads, f"modules that read the scalar format, by line: {reads}"
+
+
+ACCUMULATOR = {"add_product", "settle", "settle_into"}
+PACKED_FIELDS = {"_c", "_w", "_b", "_k"}
+
+
+def packed_field_reads(tree):
+    """{name: lines} of the ``ACCUMULATOR`` functions that tree defines at
+    module level, the lines where each reads a packed field of a LaurentBi."""
+    return {fn.name: sorted(node.lineno for node in ast.walk(fn)
+                            if isinstance(node, ast.Attribute) and node.attr in PACKED_FIELDS)
+            for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in ACCUMULATOR}
+
+
+def test_packed_field_reads_are_found():
+    tree = ast.parse("def settle(acc):\n    return acc.x._c, acc._k\n"
+                     "def other(p):\n    return p._w\n"
+                     "def add_product(acc):\n    return acc._cw\n")
+    assert packed_field_reads(tree) == {"settle": [2, 2], "add_product": []}
+
+
+def test_the_accumulator_reads_no_packed_field():
+    # add_product, settle and settle_into sum LaurentBi values by their own
+    # arithmetic, so the packed format stays with LaurentBi and its helpers
+    reads = packed_field_reads(ast.parse((Path(qgc.__file__).parent / "scalars.py").read_text()))
+    assert reads.keys() == ACCUMULATOR
+    reads = {name: lines for name, lines in reads.items() if lines}
+    assert not reads, f"accumulator functions that read a packed field, by line: {reads}"

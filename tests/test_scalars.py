@@ -591,6 +591,14 @@ def test_powers_take_no_gcd():
         assert got == expect and gcd.call_count == 0, k
 
 
+@pytest.mark.parametrize("p", [LaurentBi.const(2), LaurentBi.monomial(1, 1, 0),
+                               (R - S).num], ids=["const", "unit", "binomial"])
+def test_a_negative_power_of_a_polynomial_is_refused(p):
+    # it squared its base without end; Scalar.__pow__ inverts first
+    with pytest.raises(BadArgument):
+        p ** -1
+
+
 def test_products_reuse_factors_of_one():
     # a numerator or denominator of 1 multiplies nothing, so the product
     # keeps the other operand's polynomial object: equation rows that share
@@ -726,20 +734,36 @@ def test_unit_numerators_take_no_gcd():
 # a third factor for add_product: a monomial numerator over a ladder factor
 THIRD = Scalar.monomial(1, -1, -1) / (R * R + S)
 
+# coefficients at the boundaries of the 64- and 128-bit slots, and past them
+BOUNDARY = [2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 127 - 1, 2 ** 127]
+
+# numerators that the rank-2 and rank-3 builds never form: past the 64-bit
+# slot, or with components of two or more degrees
+wide_numerators = st.one_of(
+    st.lists(st.sampled_from(BOUNDARY + [-c for c in BOUNDARY]), min_size=1,
+             max_size=3).map(lambda cs: hom(*cs)),
+    inhomogeneous)
+
 
 @st.composite
 def keyed_products(draw):
     """(products, own) over the keys 0..3.  products are (key, x, y, sign,
-    a, b, over) for add_product: x, y carry mixed canonical ladder
-    denominators, and ``over`` says whether THIRD is the third factor.  A
-    drawn product may come with its negation, y x (* THIRD) folded into one
-    Scalar, so that its key's sums cancel exactly across buckets of distinct
-    denominators.  own holds a row's entries for settle_into; each is a
-    random scalar or the negation of a drawn product times 1 or u, which
-    folds into that product's bucket and may cancel it."""
+    a, b, over): add_product is handed sign u^a v^b x and y, which carry
+    mixed canonical ladder denominators, and ``over`` says whether THIRD is
+    the third factor.  A factor's numerator may be past the 64-bit slot or
+    inhomogeneous.  A drawn product may come with its negation, y x
+    (* THIRD) folded into one Scalar, so that its key's sums cancel exactly
+    across buckets of distinct denominators.  own holds a row's entries for
+    settle_into; each is a random scalar or the negation of a drawn product
+    times 1 or u, which folds into that product's bucket and may cancel
+    it."""
+    def factor():
+        x = draw(ladder_scalars())
+        return x * Scalar(draw(wide_numerators)) if draw(st.booleans()) else x
+
     out, own = [], {}
     for _ in range(draw(st.integers(0, 6))):
-        item = (draw(st.integers(0, 3)), draw(ladder_scalars()), draw(ladder_scalars()),
+        item = (draw(st.integers(0, 3)), factor(), factor(),
                 draw(st.sampled_from([1, -1])), draw(st.integers(-2, 2)),
                 draw(st.integers(-2, 2)), draw(st.booleans()))
         out.append(item)
@@ -762,9 +786,9 @@ def test_add_product_settles_to_the_scalar_sums(lcm, drawn):
     own = own if lcm else {}
     expect, acc = dict(own), {}
     for key, x, y, sign, a, b, over in products:
-        c = Scalar.monomial(a, b, sign) * x * y
-        accumulate(expect, key, c * THIRD if over else c)
-        add_product(acc, key, x, y, sign, a, b, THIRD if over else None)
+        x = Scalar.monomial(a, b, sign) * x
+        accumulate(expect, key, x * y * THIRD if over else x * y)
+        add_product(acc, key, x, y, THIRD if over else None)
     buckets = len(own) + sum(len(b) for b in acc.values())
     with mock.patch.object(LaurentBi, "gcd", autospec=True,
                            side_effect=LaurentBi.gcd) as gcd:
@@ -782,7 +806,7 @@ def test_add_product_settles_to_the_scalar_sums(lcm, drawn):
 def test_settle_into_keeps_the_order_of_the_entries():
     out = {"a": ONE, "b": R, "c": S}
     acc = {}
-    add_product(acc, "b", R, ONE, -1)  # cancels b
+    add_product(acc, "b", -R, ONE)  # cancels b
     add_product(acc, "a", S, ONE)
     add_product(acc, "d", ONE, ONE)
     assert list(settle_into(acc, out).items()) == [("a", ONE + S), ("c", S), ("d", ONE)]
@@ -791,13 +815,13 @@ def test_settle_into_keeps_the_order_of_the_entries():
 
 def test_add_product_deletes_what_cancels():
     acc = {}
-    x, y, z = R / (R - S), S + ONE, ONE / (R + S)
-    add_product(acc, "k", x, y, 1, 1, 0)
-    add_product(acc, "k", x, y, -1, 1, 0, z)
+    x, y, z = (R / (R - S)).shift(1, 0), S + ONE, ONE / (R + S)
+    add_product(acc, "k", x, y)
+    add_product(acc, "k", -x, y, z)
     assert list(acc["k"]) == [(R - S).num, ((R - S) * (R + S)).num]
-    add_product(acc, "k", x, y, -1, 1, 0)
+    add_product(acc, "k", -x, y)
     assert list(acc["k"]) == [((R - S) * (R + S)).num]
-    add_product(acc, "k", x, y, 1, 1, 0, z)
+    add_product(acc, "k", x, y, z)
     assert acc == {} and settle(acc) == {}
 
 
@@ -844,8 +868,6 @@ def test_fraction_constants():
 
 # -- the packed form against the dict-term reference ---------------------------
 
-# coefficients at the boundaries of the 64- and 128-bit slots, and past them
-BOUNDARY = [2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 127 - 1, 2 ** 127]
 coeffs = st.one_of(st.integers(-6, 6), st.sampled_from(BOUNDARY + [-c for c in BOUNDARY]),
                    st.integers(-2 ** 130, 2 ** 130))
 term_maps = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), coeffs,
@@ -911,7 +933,7 @@ def test_sums_across_degrees_and_sums_that_cancel():
     assert_one_form(hom(1, 1) + hom(1, -1))
     acc = {}
     add_product(acc, "k", Scalar(x), Scalar(y))
-    add_product(acc, "k", Scalar(y), Scalar(x), -1)
+    add_product(acc, "k", -Scalar(y), Scalar(x))
     assert acc == {}
 
 
