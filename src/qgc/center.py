@@ -324,9 +324,12 @@ def central_from_trace(alg: Algebra, lam) -> CentralCandidate:
     for nu, rows in _blocks(alg, module).items():
         pair = dual_basis(alg, nu)
         d = pair.dim
-        eacts = [act(alg.eword_element(ew), module) for ew in pair.e_words]
+        # u_a at the block's rows, then v_b at the columns those reach
+        eacts = [act(alg.eword_element(ew), module, [row for row, _ in rows])
+                 for ew in pair.e_words]
+        reached = {mid for cols in eacts for img in cols.values() for mid in img}
         velems = [pair.dual_vector(alg, a) for a in range(d)]
-        vacts = [act(v, module) for v in velems]
+        vacts = [act(v, module, reached) for v in velems]
         for row, eta in rows:
             shifted = tuple(a + b for a, b in zip(eta, nu))
             phi = tuple(-x for x in shifted)
@@ -335,8 +338,8 @@ def central_from_trace(alg: Algebra, lam) -> CentralCandidate:
                 for b in range(d):
                     # Psi(v_b, u_a) on the row-th basis vector
                     psi = ZERO
-                    for mid, v1 in eacts[a].cols[row].items():
-                        v2 = vacts[b].cols[mid].get(row)
+                    for mid, v1 in eacts[a][row].items():
+                        v2 = vacts[b][mid].get(row)
                         if v2 is not None:
                             psi = psi + v1 * v2
                     if psi.is_zero():

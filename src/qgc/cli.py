@@ -69,8 +69,8 @@ def parse(argv):
     def add_rank(p):
         p.add_argument("--n", type=int, required=True, help="rank (>= 1)")
 
-    def add_lambda(p, required=True):
-        g = p.add_mutually_exclusive_group(required=required)
+    def add_lambda(p):
+        g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--lambda-fund", type=_split_ints, dest="lambda_fund",
                        metavar="c1,...,cN",
                        help="weight in fundamental-weight coordinates")

@@ -231,9 +231,12 @@ class Algebra:
 
         Bilinear over alpha coordinates, with <w'_i, w_j> = r^gr[i][j]
         s^gs[i][j] on simple roots.  Either slot may hold half-integers; a
-        value off the half powers raises ``BadArgument``.  ``gpair``,
-        ``chi``, ``_crossing`` and ``repn.char_exponents`` are read off it.
+        value off the half powers raises ``BadArgument``, and a slot that is
+        not of length n ``RankMismatch``.  ``gpair``, ``chi``, ``_crossing``
+        and ``repn.char_exponents`` are read off it.
         """
+        if len(eta) != self.n or len(phi) != self.n:
+            raise RankMismatch("alpha-coordinate length mismatch")
         pairs = [(x * y, i, j) for i, x in enumerate(eta) if x for j, y in enumerate(phi) if y]
         return (half_exponent(sum(c * self._gr[i][j] for c, i, j in pairs)),
                 half_exponent(sum(c * self._gs[i][j] for c, i, j in pairs)))
@@ -244,8 +247,6 @@ class Algebra:
         The second slot must be integral (the toral generator w_phi only
         exists for root-lattice phi); the first may carry half-integers.
         """
-        if len(eta) != self.n or len(phi) != self.n:
-            raise RankMismatch("alpha-coordinate length mismatch")
         if any(Fraction(p).denominator != 1 for p in phi):
             raise NonIntegralSecondArgument(f"{phi} is not in the root lattice")
         return Scalar.monomial(*self.pair_exponents(eta, phi))

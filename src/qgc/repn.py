@@ -1,4 +1,4 @@
-"""Weight modules as explicit matrices over the scalar field.
+"""Weight modules over the scalar field, by sparse generator columns.
 
 One class, `WeightModule`, serves both kinds of module: its rows are
 lowering representative words w (the vectors f_w v) over a down-closed set
@@ -6,7 +6,8 @@ of contents.  A truncated highest-weight module takes every content up to a
 depth bound; the irreducible V(lam) takes the box {nu <= 2 lam} and drops
 the words that the lowering closure of the singular vectors
 f_i^((lam, a_i^vee)+1) v pivots on.  Generator actions are sparse column
-maps; the grading operator acts on a weight-mu vector by
+maps, and ``WeightModule.apply`` is the one action of an element; the
+grading operator acts on a weight-mu vector by
 (r s^-1)^(-2 (rho, mu)).
 """
 
@@ -42,27 +43,6 @@ def char_value(alg: Algebra, lam, mu, eta, phi) -> Scalar:
     """Character of the toral monomial w'_eta w_phi at the pair (lam, mu):
     the unit monomial of ``char_exponents``."""
     return Scalar.monomial(*char_exponents(alg, lam, mu, eta, phi))
-
-
-class ColMatrix:
-    """Sparse square matrix stored as columns of {row: Scalar}."""
-
-    __slots__ = ("dim", "cols")
-
-    def __init__(self, dim, cols=None):
-        self.dim = dim
-        self.cols = cols if cols is not None else [dict() for _ in range(dim)]
-
-    def entry(self, r, c) -> Scalar:
-        return self.cols[c].get(r, ZERO)
-
-    def trace_against_diag(self, diag) -> Scalar:
-        total = ZERO
-        for j, col in enumerate(self.cols):
-            v = col.get(j)
-            if v is not None:
-                total = total + v * diag[j]
-        return total
 
 
 class WeightModule:
@@ -135,7 +115,10 @@ class WeightModule:
     # -- the action of a normal-form element ----------------------------------
 
     def apply(self, x: Element, vec):
-        """Image of a coordinate vector {row: Scalar} under x."""
+        """Image of a coordinate vector {row: Scalar} under x.  Lowerings
+        out of a truncation vanish, so the map is multiplicative within it."""
+        if x.algebra is not self.algebra:
+            raise RankMismatch("element and module belong to different algebras")
         out = {}
         for (fw, eta, phi, ew), c in x.terms.items():
             cur = vec
@@ -230,12 +213,9 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
     return module
 
 
-def act(x: Element, module: WeightModule) -> ColMatrix:
-    """Matrix of x on the module basis, one ``apply`` per column.  Lowerings
-    out of a truncation vanish, so the map is multiplicative within it."""
-    if x.algebra is not module.algebra:
-        raise RankMismatch("element and module belong to different algebras")
-    return ColMatrix(module.dim, [module.apply(x, {col: ONE}) for col in range(module.dim)])
+def act(x: Element, module: WeightModule, cols):
+    """{col: image of basis vector col under x} for the asked columns."""
+    return {col: module.apply(x, {col: ONE}) for col in cols}
 
 
 def theta(module: WeightModule):
@@ -246,12 +226,16 @@ def theta(module: WeightModule):
 def trace_fn(alg: Algebra, lam, x: Element) -> Scalar:
     """Trace of x composed with the grading operator on the irreducible module."""
     module = irreducible(alg, lam)
-    return act(x, module).trace_against_diag(theta(module))
+    images = act(x, module, range(module.dim))
+    total = ZERO
+    for col, th in enumerate(theta(module)):
+        total = total + images[col].get(col, ZERO) * th
+    return total
 
 
 def matrix_coeff(module: WeightModule, f_idx: int, m_idx: int, x: Element) -> Scalar:
     """Coordinate functional f_idx of x acting on basis vector m_idx."""
-    return act(x, module).entry(f_idx, m_idx)
+    return act(x, module, [m_idx])[m_idx].get(f_idx, ZERO)
 
 
 def qint_action_identity(alg: Algebra, lam, mu, i: int) -> bool:

@@ -393,6 +393,8 @@ class LaurentBi:
                             for d2, a2, g in _at(other, w)], w), w, b, k)
 
     def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:  # Scalar.__pow__ inverts first; a LaurentBi has no inverse
             raise BadArgument(f"negative power {k} of a Laurent polynomial")
         out = LaurentBi.const(1)
@@ -659,6 +661,8 @@ class Scalar:
     def __pow__(self, k):
         # powers of coprime parts stay coprime, and a power of a canonical
         # denominator is canonical, so no gcd is needed
+        if not isinstance(k, int):
+            return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
         return Scalar(self.num ** k, self.den ** k, _canonical=True)
@@ -670,6 +674,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a rational hashes as its Fraction, as it compares equal to it
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     # -- io -----------------------------------------------------------------

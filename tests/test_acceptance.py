@@ -17,7 +17,7 @@ from qgc.scalars import ONE, R, S, ZERO, Scalar, add_scaled
 from test_center import reference_centrality_failures, scalar_on_verma
 from test_qgroup import fword_element, reference_tau
 from test_qgroup import conj_omega_e, conj_omega_prime_e
-from test_repn import compose
+from test_repn import compose, matrix
 from test_rootdata import reflect, weyl_group
 
 
@@ -279,14 +279,14 @@ def test_grading_operator_conjugates_antipode_square(algebras):
     alg = algebras[2]
     module = repn.irreducible(alg, (2, 0))
     diag = repn.theta(module)
-    th = repn.ColMatrix(module.dim, [{r: diag[r]} for r in range(module.dim)])
+    th = [{r: diag[r]} for r in range(module.dim)]
     gens = [alg.e(1), alg.e(2), alg.f(1), alg.f(2),
             alg.omega(1), alg.omega(2), alg.omega_prime(1), alg.omega_prime(2),
             alg.omega(1, -1), alg.omega_prime(2, -1)]
     for u in gens:
-        lhs = compose(th, repn.act(u, module))
-        rhs = compose(repn.act(alg.antipode(alg.antipode(u)), module), th)
-        assert lhs.cols == rhs.cols
+        lhs = compose(th, matrix(u, module))
+        rhs = compose(matrix(alg.antipode(alg.antipode(u)), module), th)
+        assert lhs == rhs
 
 
 def test_central_element_trace_and_solve(algebras, z_vector):

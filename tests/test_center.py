@@ -15,7 +15,7 @@ from qgc.errors import (InternalInconsistency, NoSolution, NonUniqueSolution,
                         NotInRootLattice, NotInUb0)
 from qgc.qgroup import Algebra
 from qgc.pairing import s2_twist
-from qgc.repn import act, char_value, irreducible, theta, verma
+from qgc.repn import WeightModule, act, char_value, irreducible, theta, verma
 from qgc.scalars import ONE, R, ZERO, Scalar, rs_ratio_power
 from test_rootdata import reflect, weyl_group, weyl_inverse
 
@@ -502,6 +502,15 @@ def test_one_grading_operator(lam):
         assert s2_twist(alg, nu) * alg.grading(alg.rs.from_alpha(nu)) == ONE
 
 
+def test_trace_acts_only_on_the_columns_it_reads():
+    # u_a at the block's rows, v_b at the columns those reach: 184 of the
+    # 600 columns of the whole action matrices at (2, 2)
+    with mock.patch.object(WeightModule, "apply", autospec=True,
+                           side_effect=WeightModule.apply) as apply:
+        center.central_from_trace(Algebra(2), (2, 2))
+    assert 0 < apply.call_count <= 184
+
+
 def test_solver_empty_ansatz(alg2, monkeypatch):
     monkeypatch.setattr(center, "_blocks", lambda a, m: {(0, 0): []})
     with pytest.raises(NoSolution):
@@ -511,9 +520,10 @@ def test_solver_empty_ansatz(alg2, monkeypatch):
 def scalar_on_verma(alg, z, lam, mu, depth):
     """The scalar by which z acts on the truncated module of (lam, mu),
     asserting that the action is scalar there."""
-    cols = act(z, verma(alg, lam, mu, depth)).cols
+    module = verma(alg, lam, mu, depth)
+    cols = act(z, module, range(module.dim))
     c = cols[0].get(0, ZERO)
-    for j, col in enumerate(cols):
+    for j, col in cols.items():
         assert set(col) <= {j} and col.get(j, ZERO) == c, "not scalar"
     return c
 

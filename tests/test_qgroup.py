@@ -271,6 +271,21 @@ def test_gpair_rejects_non_integral_second(alg2):
     assert alg2.gpair((Fraction(1, 2), 1), (0, 1)) is not None
 
 
+@pytest.mark.parametrize("eta,phi", [((1,), (0, 1)), ((1, 0), (0,)),
+                                     ((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 1))],
+                         ids=["short-eta", "short-phi", "long-eta", "long-phi"])
+def test_toral_exponents_of_the_wrong_length_raise_rank_mismatch(alg2, eta, phi):
+    # every reader of the toral exponent form refuses a vector not of length n
+    calls = [lambda: alg2.pair_exponents(eta, phi),
+             lambda: alg2.gpair(eta, phi),
+             lambda: alg2.chi(eta, phi, eta, phi),
+             lambda: repn.char_value(alg2, (2, 0), (0, 0), eta, phi),
+             lambda: center.char_eval(alg2, (2, 0), (0, 0), {(eta, phi): ONE})]
+    for call in calls:
+        with pytest.raises(RankMismatch):
+            call()
+
+
 def reference_gpair(alg, eta, phi):
     """<w'_eta, w_phi> from the (eps_k, alpha_i) table and a Fraction loop,
     either slot possibly half-integral."""

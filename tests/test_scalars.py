@@ -599,6 +599,26 @@ def test_a_negative_power_of_a_polynomial_is_refused(p):
         p ** -1
 
 
+@pytest.mark.parametrize("k", [1.5, Fraction(1, 2)], ids=["float", "half"])
+def test_a_non_integer_power_is_a_plain_type_error(k):
+    # Python's own TypeError, naming **, not one from inside the power loop
+    x = Scalar.monomial(2, 0)
+    for base in (x, x.num):
+        with pytest.raises(TypeError, match=r"\*\*"):
+            base ** k
+    # an integral Fraction reaches the int power through Fraction.__rpow__
+    assert x ** Fraction(2) == x ** 2 and x ** Fraction(-3) == x ** -3
+    assert x.num ** Fraction(2) == x.num ** 2
+
+
+@pytest.mark.parametrize("q", [0, 1, -1, 12, -7, Fraction(1, 2), Fraction(-5, 3)])
+def test_a_rational_scalar_hashes_as_its_value(q):
+    # a Scalar equal to an int or a Fraction must hash as it, to find it as a key
+    x = Scalar.from_fraction(Fraction(q))
+    assert x == q and hash(x) == hash(q)
+    assert {q: "a"}.get(x) == "a" and {x: "a"}.get(q) == "a"
+
+
 def test_products_reuse_factors_of_one():
     # a numerator or denominator of 1 multiplies nothing, so the product
     # keeps the other operand's polynomial object: equation rows that share
