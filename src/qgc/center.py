@@ -16,9 +16,10 @@ fixed by tau has its lowering generators checked directly.  These checks
 read z alone, so they run side by side, one worker per usable core: the
 process takes its share and forked children the rest, each child reaped
 before the list returns, which is the same whatever the split.  The
-solver's rows are those ad(e_i) images alone, fed block by block in
-height order: each block's rows meet only its own unknowns and the values
-below it.
+solver's rows are those ad(e_i) images alone (``Algebra.ad_e_images``
+for its unknowns, a block's e-words and torals at once), fed block by
+block in height order: each block's rows meet only its own unknowns and
+the values below it.
 """
 
 from __future__ import annotations
@@ -363,8 +364,11 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     by block in height order, each with the higher block it meets, and a
     block's images are built when it comes up: its rows then hold its own
     unknowns and the lower blocks' values.  The contents of a row's key fix
-    its i, so the rows of all the e_i share one key space.  The ansatz reads
-    the graded bases alone: no pairing, no Gram inverse.
+    its i, so the rows of all the e_i share one key space.  The unknowns'
+    images come from ``Algebra.ad_e_images``, one call per (i, f-word)
+    for all the block's e-words and torals, with no ``ad`` call per unknown;
+    ``ad`` builds the pinned part's.  The ansatz reads the graded bases
+    alone: no pairing, no Gram inverse.
 
     The raising rows alone pin every unknown.  Were two solutions to differ,
     take the lowest block where they do and its toral w'_eta w_phi of least
@@ -379,20 +383,19 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     th = theta(module)
     blocks = _blocks(alg, module)
 
-    ansatz = {}
+    ansatz = {}  # per block nu > 0: its supports, f-words and e-words
     pinned = {}
     for nu, rows in blocks.items():
         if not any(nu):
             for row, eta in rows:
                 accumulate(pinned, ((), eta, tuple(-x for x in eta), ()), th[row])
             continue
-        fwords = alg.graded_basis("-", nu).words
-        ewords = alg.graded_basis("+", nu).words
         supports = sorted({(eta, tuple(-(a + b) for a, b in zip(eta, nu)))
                            for _, eta in rows})
-        ansatz[nu] = [(fw, eta, phi, ew) for eta, phi in supports
-                      for fw in fwords for ew in ewords]
-    variables = [var for block in ansatz.values() for var in block]
+        ansatz[nu] = (supports, alg.graded_basis("-", nu).words,
+                      alg.graded_basis("+", nu).words)
+    variables = [(fw, eta, phi, ew) for supports, fwords, ewords in ansatz.values()
+                 for eta, phi in supports for fw in fwords for ew in ewords]
 
     if not variables and any(x for x in lam):
         raise NoSolution("empty ansatz for a nonzero weight")
@@ -408,10 +411,15 @@ def central_by_solve(alg: Algebra, lam) -> CentralCandidate:
     def batch(nu):
         """The rows fed with block nu; its unknowns' images are built now,
         and block 0's are the pinned part's."""
-        for e, var in itertools.product(raising, ansatz.get(nu, [None])):
-            x = Element(alg, pinned) if var is None else alg.element_from_term(var)
-            for key, c in alg.ad(e, x).terms.items():
-                accumulate(equations.setdefault(block_of(key), {}).setdefault(key, {}), var, c)
+        if nu in ansatz:
+            supports, fwords, ewords = ansatz[nu]
+            images = (pair for i, fw in itertools.product(range(1, alg.n + 1), fwords)
+                      for pair in alg.ad_e_images(i, fw, ewords, supports).items())
+        else:
+            images = ((None, alg.ad(e, Element(alg, pinned)).terms) for e in raising)
+        for var, image in images:
+            for key, c in image.items():  # a row meets each unknown once
+                equations.setdefault(block_of(key), {}).setdefault(key, {})[var] = c
         return [(row, -row.pop(None, ZERO)) for row in equations.pop(nu, {}).values()]
 
     solution = linalg.solve_unique(map(batch, sorted(blocks, key=sum)), variables)

@@ -649,6 +649,41 @@ class Algebra:
                 add_product(acc, (fw, eta, phi, rep), c, ce)
         return Element(self, settle(acc))
 
+    def ad_e_images(self, i, fw, ewords, torals):
+        """{(fw, eta, phi, ew): ad(e_i)(f_fw w'_eta w_phi e_ew) in normal form}
+        over ew in ewords and (eta, phi) in torals, for representatives.
+
+        ``_ad_raising`` on one term, for many: [e_i, f_fw] is divided by
+        D(alpha_i) once, e_i e_ew and -chi_c e_ew e_i are reduced once per
+        ew, and a toral costs a unit shift (e_i crossing it) and a sum per
+        representative in both.  The commutator piece keeps e_ew, so its
+        keys meet no other and are only re-keyed, once per toral.
+        """
+        self._check_index(i)  # a bool would hit the commutator table of 1
+        inv = self.inverse_denominator(_unit(self.n, i))
+        comm = [(key, c * inv) for key, c in self.commutator(i, fw).items()]
+        cross_w = self._crossing(self._zero, _unit(self.n, i))
+        af, bf = _word_shift(cross_w, fw)
+        raising = []
+        for ew in ewords:
+            ae, be = _word_shift(cross_w, ew)
+            raising.append((ew, self.reduce_word("+", (i,) + ew),
+                            {rep: -c.shift(af - ae, bf - be)
+                             for rep, c in self.reduce_word("+", ew + (i,)).items()}))
+        images = {}
+        for eta, phi in torals:
+            cu, cv = self._crossing(eta, phi)
+            lowered = [(f_rep, _vec_add(eta, eta1), _vec_add(phi, phi1), c)
+                       for (f_rep, eta1, phi1), c in comm]
+            for ew, front, back in raising:
+                raised = dict(back)
+                for rep, c in front.items():
+                    accumulate(raised, rep, c.shift(cu[i - 1], cv[i - 1]))
+                image = {(fw, eta, phi, rep): c for rep, c in raised.items()}
+                image.update({(f_rep, eta1, phi1, ew): c for f_rep, eta1, phi1, c in lowered})
+                images[(fw, eta, phi, ew)] = image
+        return images
+
     def _raise_into(self, acc, i, terms):
         """Add e_i z, for z the term map ``terms``, into the ``add_product``
         accumulator acc.  From e_i f_y = f_y e_i + [e_i, f_y] and

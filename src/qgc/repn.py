@@ -214,7 +214,12 @@ def irreducible(alg: Algebra, lam) -> WeightModule:
 
 
 def act(x: Element, module: WeightModule, cols):
-    """{col: image of basis vector col under x} for the asked columns."""
+    """{col: image of basis vector col under x} for the asked columns;
+    ``BadArgument`` for a column that is not an int in range(module.dim)."""
+    cols = list(cols)
+    for col in cols:
+        if type(col) is not int or not 0 <= col < module.dim:
+            raise BadArgument(f"column {col!r} is not in range({module.dim})")
     return {col: module.apply(x, {col: ONE}) for col in cols}
 
 

@@ -305,6 +305,17 @@ def test_solver_builds_no_lowering_images(alg2):
     assert alg2.f(1) not in gens and alg2.f(2) not in gens
 
 
+def test_solver_calls_ad_for_the_pinned_part_and_the_certificate_only(alg2):
+    # the 468 unknowns' images come from ad_e_images; ad serves the pinned
+    # part (e_1, e_2) and, in this process, the certificate (e_1, e_2 and the
+    # four torals)
+    with mock.patch.object(center, "_cores", return_value=1), \
+            mock.patch.object(Algebra, "ad", autospec=True,
+                              side_effect=Algebra.ad) as ad:
+        center.central_by_solve(alg2, (2, 2))
+    assert ad.call_count == 8
+
+
 def test_solver_reaches_the_lambda_40_element():
     # the independent oracle beyond the ladder: the trace build of the same
     # element has the same sha256 of json.dumps(z.to_json(), sort_keys=True)
@@ -334,7 +345,8 @@ def test_solver_bad_row_in_any_block_raises(alg2):
     # a copy of a row of one block's raising batch, its right-hand side
     # moved by one: every block's batch is fed in full, so the copy is met
     nblocks = len(center._blocks(alg2, irreducible(alg2, (2, 0))))
-    batches, keys, ad = [], set(), Algebra.ad
+    # the unknowns' images come from ad_e_images, the pinned part's from ad
+    batches, keys, ad, ad_e_images = [], set(), Algebra.ad, Algebra.ad_e_images
 
     def spy(alg, x, z):
         image = ad(alg, x, z)
@@ -342,7 +354,15 @@ def test_solver_bad_row_in_any_block_raises(alg2):
             keys.update(image.terms)
         return image
 
-    with mock.patch.object(Algebra, "ad", autospec=True, side_effect=spy):
+    def spy_images(alg, i, fw, ewords, torals):
+        images = ad_e_images(alg, i, fw, ewords, torals)
+        for image in images.values():
+            keys.update(image)
+        return images
+
+    with mock.patch.object(Algebra, "ad", autospec=True, side_effect=spy), \
+            mock.patch.object(Algebra, "ad_e_images", autospec=True,
+                              side_effect=spy_images):
         _, pulled = _solve_with_batches(alg2, (2, 0),
                                         lambda k, batch: batches.append(batch) or batch)
     assert pulled == list(range(nblocks))  # the raising rows pin every unknown

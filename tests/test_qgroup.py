@@ -1254,6 +1254,39 @@ def test_ad_raising_matches_on_the_solver_ansatz(alg2, lam):
     assert count == {(2, 0): 94, (2, 2): 468}[lam]
 
 
+@pytest.mark.parametrize("n, lam, count", [(2, (2, 0), 94), (2, (2, 2), 468),
+                                           (3, (2, 0, 0), 1884)])
+def test_ad_e_images_match_ad_on_the_solver_ansatz(algebras, n, lam, count):
+    # every one-term unknown of the solver, against every e_i, in one call
+    # per (i, f-word) for all the block's e-words and torals
+    alg = algebras[n]
+    module = repn.irreducible(alg, lam)
+    images = 0
+    for nu, rows in center._blocks(alg, module).items():
+        if not any(nu):
+            continue  # the pinned block
+        torals = sorted({(eta, tuple(-(a + b) for a, b in zip(eta, nu)))
+                         for _, eta in rows})
+        ewords = alg.graded_basis("+", nu).words
+        for fw in alg.graded_basis("-", nu).words:
+            for i in range(1, n + 1):
+                got = alg.ad_e_images(i, fw, ewords, torals)
+                assert list(got) == [(fw, eta, phi, ew) for eta, phi in torals
+                                     for ew in ewords]
+                for var, image in got.items():
+                    assert image == alg.ad(alg.e(i), alg.element_from_term(var)).terms, \
+                        (i, var)
+                    images += 1
+    assert images == count
+
+
+def test_ad_e_images_check_their_generator(alg2):
+    assert alg2.ad_e_images(1, (1,), [(2,)], []) == {}
+    for i in (0, 3, True):
+        with pytest.raises(RankMismatch):
+            alg2.ad_e_images(i, (1,), [(2,)], [((0, 0), (0, 0))])
+
+
 def test_commutator_table_is_the_peeled_junction(alg2):
     # [e_i, f_y] D(alpha_i), kept per (i, y) with its lowering words reduced,
     # as ad(e_i) reads it

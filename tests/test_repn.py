@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qgc.errors import NotDominant, RankMismatch
+from qgc.errors import BadArgument, NotDominant, RankMismatch
 from qgc.linalg import Echelon
 from qgc.qgroup import Algebra, word_content
 from qgc.repn import (
@@ -373,6 +373,17 @@ def test_act_returns_the_asked_columns(alg2):
     for c, img in got.items():
         assert img == L.apply(x, {c: ONE})
     assert act(x, L, []) == {}
+
+
+@pytest.mark.parametrize("col", [-1, "dim", True, "0"])
+def test_act_refuses_a_column_outside_the_module(alg2, col):
+    # -1 would read labels[-1], dim past the end; a bool or a str is no column
+    module = irreducible(alg2, (2, 0))
+    col = module.dim if col == "dim" else col
+    with pytest.raises(BadArgument):
+        act(alg2.f(1), module, [0, col])
+    with pytest.raises(BadArgument):
+        matrix_coeff(module, 0, col, alg2.f(1))
 
 
 def test_apply_refuses_an_element_of_another_algebra():
